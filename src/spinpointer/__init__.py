@@ -45,11 +45,10 @@ from .pointer import (
     build_outcome_grid,
     hemisphere_masses,
     momentum_profile,
-    outcome_density,
     position_amplitudes,
     position_profile,
 )
-from .quadrature import ConvergenceReport, Rule1D, gauss_legendre, integrate_with_refinement
+from .quadrature import ConvergenceReport, Rule1D, gauss_legendre
 from .spincore import (
     CollectiveOperators,
     DickeVector,

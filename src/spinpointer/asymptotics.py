@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .pointer import MomentumQuadrature, OutcomeGrid, PointerModel, build_outcome_grid, momentum_profile
-from .quadrature import gauss_legendre, refinement_report, scaled_count
+from .quadrature import gauss_legendre, golden_section_max, refinement_report
 
 # Polar concentration for large ensembles: essentially all outcome
 # probability sits at angles below c / sqrt(n) from the input axis.
@@ -62,14 +62,8 @@ def _profile_rules(r_max: float, n_spins: int, model: PointerModel, quad: Moment
     """Momentum rules for W: the radial budget follows the plane-wave phase
     r_max * p_max plus the spin band n/2 * p_max, and the polar rule must
     resolve both the degree-n polynomial and the same phase across c."""
-    p_max = quad.p_max(model)
-    n_p = quad.radial_nodes
-    if n_p is None:
-        n_p = max(32, int(math.ceil(1.5 * (r_max + 0.5 * n_spins) * p_max)))
-    n_c = quad.polar_nodes
-    if n_c is None:
-        n_c = max(32, n_spins + 1, int(math.ceil(0.8 * r_max * p_max)) + 16)
-    return gauss_legendre(n_p, 0.0, p_max), gauss_legendre(n_c, -1.0, 1.0)
+    n_c = max(32, n_spins + 1, int(math.ceil(0.8 * r_max * quad.p_max(model))) + 16)
+    return quad.gauss_rules(model, quad.effective_radial(r_max, model, n_spins), n_c)
 
 
 def _diag_profile_values(r, n_spins: int, model: PointerModel, p_rule, c_rule) -> np.ndarray:
@@ -143,6 +137,17 @@ def _radial_window(n_spins: int, model: PointerModel, quad: MomentumQuadrature) 
     return float(r_lo), float(r_hi)
 
 
+def _bound_value(grid: OutcomeGrid, n_spins: int, model: PointerModel, p_rule, c_rule) -> float:
+    """Fidelity score of |E_r|^2 on one outcome grid and pair of momentum rules."""
+    w = _diag_profile_values(grid.radial.nodes, n_spins, model, p_rule, c_rule)
+    w_r, w_t = grid.volume_weights()
+    half = 0.5 * grid.polar.nodes
+    # |E|^2 separates into radius and angle factors; score is cos^2(half).
+    with np.errstate(under="ignore"):
+        polar_part = np.cos(half) ** (2 * n_spins + 2)
+    return float(np.sum(w_r * np.abs(w) ** 2) * float(w_t @ polar_part))
+
+
 def fidelity_lower_bound(
     n_spins: int,
     model: PointerModel,
@@ -167,36 +172,10 @@ def fidelity_lower_bound(
         theta_max = math.pi if n < _LARGE_N else min(math.pi, _POLAR_CONCENTRATION / math.sqrt(n))
         grid = build_outcome_grid(r_hi, nodes_r, nodes_theta, r_min=r_lo, theta_max=theta_max)
 
-    def evaluate(scale: float) -> float:
-        if scale == 1.0:
-            g = grid
-        else:
-            g = build_outcome_grid(
-                grid.r_max,
-                nodes_r=scaled_count(grid.radial.count),
-                nodes_theta=scaled_count(grid.polar.count),
-                r_min=grid.r_min,
-                theta_max=grid.theta_max,
-            )
-        p_rule, c_rule = _profile_rules(g.r_max, n, model, quad)
-        if scale != 1.0:
-            p_rule = p_rule.refined()
-            c_rule = c_rule.refined()
-        w = _diag_profile_values(g.radial.nodes, n, model, p_rule, c_rule)
-        w_r, w_t = g.volume_weights()
-        half = 0.5 * g.polar.nodes
-        # |E|^2 separates into radius and angle factors; score is cos^2(half).
-        with np.errstate(under="ignore"):
-            polar_part = np.cos(half) ** (2 * n + 2)
-        return float(np.sum(w_r * np.abs(w) ** 2) * float(w_t @ polar_part))
-
-    base = evaluate(1.0)
-    refined = evaluate(1.5)
-    report = refinement_report(base, refined, tolerance)
-    if report.abs_diff > 10.0 * tolerance:
-        raise ConvergenceError(
-            f"lower-bound refinement moved by {report.abs_diff:.3e} at n={n}, spread={model.spread}"
-        )
+    p_rule, c_rule = _profile_rules(grid.r_max, n, model, quad)
+    base = _bound_value(grid, n, model, p_rule, c_rule)
+    refined = _bound_value(grid.refined(), n, model, p_rule.refined(), c_rule.refined())
+    report = refinement_report(base, refined, tolerance, "lower-bound", n, model.spread)
     return LowerBoundPoint(
         n_spins=n,
         spread=model.spread,
@@ -239,30 +218,11 @@ def epsilon_curve(
     return points
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
 def _optimize_spread(n, bracket, nodes_r, nodes_theta, quad, tolerance) -> float:
-    cache: dict[float, float] = {}
-
     def f(s: float) -> float:
-        if s not in cache:
-            cache[s] = fidelity_lower_bound(
-                n, PointerModel(spread=s), nodes_r, nodes_theta, quad, tolerance
-            ).f_lower
-        return cache[s]
+        return fidelity_lower_bound(
+            n, PointerModel(spread=s), nodes_r, nodes_theta, quad, tolerance
+        ).f_lower
 
-    a, b = bracket
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > 0.02 * math.sqrt(n / 8.0):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+    cache = golden_section_max(f, bracket[0], bracket[1], 0.02 * math.sqrt(n / 8.0))
     return max(cache, key=lambda s: cache[s])

@@ -277,12 +277,19 @@ def _resolve_n_list(cfg: dict) -> list[int]:
     return values
 
 
+def _setting(cfg: dict, key: str, default):
+    """The configured value, or ``default`` only when none was given, so an
+    explicit zero or negative value reaches validation."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _momentum_quad(cfg: dict) -> MomentumQuadrature:
     return MomentumQuadrature(
         radial_nodes=cfg.get("nodes_p_radial"),
         polar_nodes=cfg.get("nodes_p_polar"),
-        azimuthal_nodes=cfg.get("nodes_p_azimuthal") or 16,
-        cutoff_sigmas=cfg.get("p_cutoff_sigmas") or 8.0,
+        azimuthal_nodes=_setting(cfg, "nodes_p_azimuthal", 16),
+        cutoff_sigmas=_setting(cfg, "p_cutoff_sigmas", 8.0),
     )
 
 
@@ -328,10 +335,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
-    rule = GuessRule.from_string(cfg.get("guess_rule") or "plus_r")
-    nodes_r = int(cfg.get("nodes_r") or 96)
-    nodes_theta = int(cfg.get("nodes_theta") or 64)
-    tol = float(cfg.get("tol") or 1e-3)
+    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r"))
+    nodes_r = int(_setting(cfg, "nodes_r", 96))
+    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
+    tol = float(_setting(cfg, "tol", 1e-3))
     quad = _momentum_quad(cfg)
     workers = _resolve_workers(ns)
 
@@ -374,14 +381,14 @@ def _cmd_optimize(ns: argparse.Namespace) -> tuple[str, int]:
     n = int(cfg["n"])
     if n < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n}")
-    lo = float(cfg.get("delta_min") or 0.05)
-    hi = float(cfg.get("delta_max") or max(2.0, 2.0 * math.sqrt(n / 8.0)))
+    lo = float(_setting(cfg, "delta_min", 0.05))
+    hi = float(_setting(cfg, "delta_max", max(2.0, 2.0 * math.sqrt(n / 8.0))))
     if not (0.0 < lo < hi):
         raise ConfigError(f"need 0 < delta-min < delta-max, got ({lo}, {hi})")
-    rule = GuessRule.from_string(cfg.get("guess_rule") or "plus_r")
-    nodes_r = int(cfg.get("nodes_r") or 96)
-    nodes_theta = int(cfg.get("nodes_theta") or 64)
-    tol = float(cfg.get("tol") or 1e-3)
+    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r"))
+    nodes_r = int(_setting(cfg, "nodes_r", 96))
+    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
+    tol = float(_setting(cfg, "tol", 1e-3))
     quad = _momentum_quad(cfg)
     workers = _resolve_workers(ns)
 
@@ -411,7 +418,7 @@ def _cmd_disturbance(ns: argparse.Namespace) -> tuple[str, int]:
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
     mark = bool(cfg.get("mark_delta_opt"))
-    tol = float(cfg.get("tol") or 1e-7)
+    tol = float(_setting(cfg, "tol", 1e-7))
     quad = _momentum_quad(cfg)
 
     echo = _config_echo(
@@ -477,17 +484,17 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
     if cfg.get("n_min") is None or cfg.get("n_max") is None:
         raise ConfigError("give both --n-min and --n-max")
     n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
-    n_step = int(cfg.get("n_step") or 1)
+    n_step = int(_setting(cfg, "n_step", 1))
     if n_min < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n_min}")
     if n_max < n_min:
         raise ConfigError(f"n-max {n_max} below n-min {n_min}")
     if n_step < 1:
         raise ConfigError(f"n-step must be >= 1, got {n_step}")
-    spread_rule = cfg.get("spread_rule") or "formula"
-    nodes_r = int(cfg.get("nodes_r") or 96)
-    nodes_theta = int(cfg.get("nodes_theta") or 64)
-    tol = float(cfg.get("tol") or 1e-4)
+    spread_rule = _setting(cfg, "spread_rule", "formula")
+    nodes_r = int(_setting(cfg, "nodes_r", 96))
+    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
+    tol = float(_setting(cfg, "tol", 1e-4))
     quad = _momentum_quad(cfg)
     n_values = list(range(n_min, n_max + 1, n_step))
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError, DomainError
+from .errors import CapabilityError, DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import gauss_legendre, refinement_report, scaled_count, trapezoid_periodic
+from .quadrature import refinement_report, trapezoid_periodic
 from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
@@ -75,14 +75,8 @@ def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadratu
     count grows with n * p_max; the polar integrand is a polynomial of
     degree 2n in cos(theta_p), exact once the rule has n+1 nodes.
     """
-    p_max = quad.p_max(model)
-    n_p = quad.radial_nodes
-    if n_p is None:
-        n_p = max(64, int(math.ceil(1.5 * n_spins * p_max / math.pi)) + 32)
-    n_c = quad.polar_nodes
-    if n_c is None:
-        n_c = max(64, n_spins + 1)
-    return gauss_legendre(n_p, 0.0, p_max), gauss_legendre(n_c, -1.0, 1.0)
+    n_p = max(64, int(math.ceil(1.5 * n_spins * quad.p_max(model) / math.pi)) + 32)
+    return quad.gauss_rules(model, n_p, max(64, n_spins + 1))
 
 
 def _disturbance_value(n_spins: int, model: PointerModel, p_rule, c_rule) -> float:
@@ -110,11 +104,7 @@ def disturbance_exact(
     p_rule, c_rule = _disturbance_rules(n, model, quad)
     base = _disturbance_value(n, model, p_rule, c_rule)
     refined = _disturbance_value(n, model, p_rule.refined(), c_rule.refined())
-    report = refinement_report(base, refined, tolerance)
-    if report.abs_diff > 10.0 * tolerance:
-        raise ConvergenceError(
-            f"disturbance refinement moved by {report.abs_diff:.3e} at n={n}, spread={model.spread}"
-        )
+    report = refinement_report(base, refined, tolerance, "disturbance", n, model.spread)
     return DisturbancePoint(
         n_spins=n,
         spread=model.spread,

@@ -24,9 +24,8 @@ from .pointer import (
     QuadratureCounts,
     adaptive_outcome_grid,
     build_amplitude_field,
-    build_outcome_grid,
 )
-from .quadrature import scaled_count
+from .quadrature import golden_section_max, refinement_report, scaled_count
 
 
 class GuessRule(Enum):
@@ -105,26 +104,6 @@ def _score_weights(field: AmplitudeField) -> tuple[float, float]:
     return f_plus, f_minus
 
 
-def _refined_setup(
-    field: AmplitudeField, grid: OutcomeGrid
-) -> tuple[OutcomeGrid, MomentumQuadrature]:
-    counts = field.counts
-    grid_ref = build_outcome_grid(
-        grid.r_max,
-        nodes_r=scaled_count(counts.nodes_r),
-        nodes_theta=scaled_count(counts.nodes_theta),
-        r_min=grid.r_min,
-        theta_max=grid.theta_max,
-    )
-    quad_ref = MomentumQuadrature(
-        radial_nodes=scaled_count(counts.nodes_p_radial),
-        polar_nodes=scaled_count(counts.nodes_p_polar),
-        azimuthal_nodes=scaled_count(counts.nodes_p_azimuthal),
-        cutoff_sigmas=counts.cutoff_sigmas,
-    )
-    return grid_ref, quad_ref
-
-
 def average_fidelity(
     n_spins: int,
     model: PointerModel,
@@ -151,8 +130,15 @@ def average_fidelity(
     field = build_amplitude_field(n_spins, model, grid, quad, workers=workers)
     base_plus, base_minus = _score_weights(field)
 
-    grid_ref, quad_ref = _refined_setup(field, grid)
-    field_ref = build_amplitude_field(n_spins, model, grid_ref, quad_ref, workers=workers)
+    # Refine the momentum counts the base field actually used.
+    counts = field.counts
+    quad_ref = MomentumQuadrature(
+        radial_nodes=scaled_count(counts.nodes_p_radial),
+        polar_nodes=scaled_count(counts.nodes_p_polar),
+        azimuthal_nodes=scaled_count(counts.nodes_p_azimuthal),
+        cutoff_sigmas=counts.cutoff_sigmas,
+    )
+    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad_ref, workers=workers)
     ref_plus, ref_minus = _score_weights(field_ref)
 
     if rule is GuessRule.PLUS_R:
@@ -166,19 +152,14 @@ def average_fidelity(
         else:
             branch, base, refined = "minus_r", base_minus, ref_minus
 
-    error = abs(refined - base)
-    if error > 10.0 * tolerance:
-        raise ConvergenceError(
-            f"fidelity refinement moved by {error:.3e} (> 10 x tolerance {tolerance:.1e}) "
-            f"at n={n_spins}, spread={model.spread}"
-        )
+    report = refinement_report(base, refined, tolerance, "fidelity", n_spins, model.spread)
     return FidelityPoint(
         n_spins=int(n_spins),
         spread=model.spread,
         guess_rule=rule.value,
-        fidelity=refined,
-        error_estimate=error,
-        accepted=error <= tolerance,
+        fidelity=report.refined_value,
+        error_estimate=report.abs_diff,
+        accepted=report.accepted,
         branch=branch,
         counts=field.counts,
     )
@@ -224,9 +205,6 @@ def sweep_delta(
     )
 
 
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
 def find_delta_opt(
     n_spins: int,
     bracket: tuple[float, float] | None = None,
@@ -252,37 +230,23 @@ def find_delta_opt(
     if delta_tolerance <= 0:
         raise DomainError("delta_tolerance must be positive")
 
-    cache: dict[float, float] = {}
-
     def f(spread: float) -> float:
-        if spread not in cache:
-            cache[spread] = average_fidelity(
-                n_spins,
-                PointerModel(spread=spread),
-                rule,
-                nodes_r=nodes_r,
-                nodes_theta=nodes_theta,
-                quad=quad,
-                tolerance=tolerance,
-                workers=workers,
-            ).fidelity
-        return cache[spread]
+        return average_fidelity(
+            n_spins,
+            PointerModel(spread=spread),
+            rule,
+            nodes_r=nodes_r,
+            nodes_theta=nodes_theta,
+            quad=quad,
+            tolerance=tolerance,
+            workers=workers,
+        ).fidelity
 
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > delta_tolerance:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+    cache = golden_section_max(f, lo, hi, delta_tolerance)
     # Include the bracket edges so an edge maximum is reported as such.
-    f(lo), f(hi)
+    for edge in (lo, hi):
+        if edge not in cache:
+            cache[edge] = f(edge)
     best_spread = max(cache, key=lambda s: cache[s])
     boundary = (best_spread - lo) <= 2.0 * delta_tolerance or (hi - best_spread) <= 2.0 * delta_tolerance
     f_opt = optimal_fidelity(n_spins)

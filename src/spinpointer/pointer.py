@@ -26,13 +26,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .errors import DomainError, NumericError
-from .quadrature import (
-    REFINEMENT_FACTOR,
-    Rule1D,
-    gauss_legendre,
-    scaled_count,
-    trapezoid_periodic,
-)
+from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
 from .spincore import Direction, DickeVector, _LOG_SPACE_THRESHOLD
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
@@ -81,14 +75,11 @@ def position_profile(x, model: PointerModel) -> np.ndarray:
 class MomentumQuadrature:
     """Spherical momentum-space quadrature configuration.
 
-    ``None`` counts mean automatic scaling: the radial count follows the
-    oscillation budget ceil(1.5 * (r_max + n_spins/2) * p_max) with a floor
-    of 32 (the spin factor itself oscillates at rate n_spins/2 in the radial
-    momentum, on top of the plane-wave rate r), and the polar count is raised
-    to n_spins+1 so the band-limited polar integrals are exact. Explicit
-    counts are taken as given. The azimuthal count only matters on paths
-    where the azimuth is integrated numerically (full-tensor oracles, Bloch
-    integrals); the amplitude-field path integrates it analytically.
+    ``None`` counts mean automatic scaling: each integrand supplies its own
+    automatic counts to ``gauss_rules``, and explicit counts are taken as
+    given. The azimuthal count only matters on paths where the azimuth is
+    integrated numerically (full-tensor oracles, Bloch integrals); the
+    amplitude-field path integrates it analytically.
     """
 
     radial_nodes: int | None = None
@@ -110,24 +101,24 @@ class MomentumQuadrature:
         return self.cutoff_sigmas * model.momentum_sigma
 
     def effective_radial(self, r_max: float, model: PointerModel, n_spins: int = 0) -> int:
-        if self.radial_nodes is not None:
-            return int(self.radial_nodes)
+        """Automatic radial count for outcome radii up to r_max.
+
+        Follows the oscillation budget ceil(1.5 * (r_max + n_spins/2) * p_max)
+        with a floor of 32: the spin factor itself oscillates at rate
+        n_spins/2 in the radial momentum, on top of the plane-wave rate r.
+        """
         band = r_max + 0.5 * n_spins
         return max(32, int(math.ceil(1.5 * band * self.p_max(model))))
 
-    def effective_polar(self, n_spins: int) -> int:
-        if self.polar_nodes is not None:
-            return int(self.polar_nodes)
-        return max(32, n_spins + 1)
+    def gauss_rules(self, model: PointerModel, radial: int, polar: int) -> tuple[Rule1D, Rule1D]:
+        """Gauss-Legendre rules on [0, p_max] and [-1, 1].
 
-    def refined(self, r_max: float, model: PointerModel, n_spins: int) -> "MomentumQuadrature":
-        """Freeze effective counts and scale them by the refinement factor."""
-        return MomentumQuadrature(
-            radial_nodes=scaled_count(self.effective_radial(r_max, model, n_spins)),
-            polar_nodes=scaled_count(self.effective_polar(n_spins)),
-            azimuthal_nodes=scaled_count(self.azimuthal_nodes),
-            cutoff_sigmas=self.cutoff_sigmas,
-        )
+        An explicit count wins; otherwise the caller's automatic count
+        (``radial``, ``polar``) is used.
+        """
+        n_p = radial if self.radial_nodes is None else int(self.radial_nodes)
+        n_c = polar if self.polar_nodes is None else int(self.polar_nodes)
+        return gauss_legendre(n_p, 0.0, self.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -167,6 +158,17 @@ class OutcomeGrid:
     @property
     def theta_max(self) -> float:
         return self.polar.domain[1]
+
+    def refined(self) -> "OutcomeGrid":
+        """The same region with both node counts scaled by the refinement
+        factor; the refined polar rule is not split."""
+        return build_outcome_grid(
+            self.r_max,
+            nodes_r=scaled_count(self.radial.count),
+            nodes_theta=scaled_count(self.polar.count),
+            r_min=self.r_min,
+            theta_max=self.theta_max,
+        )
 
     def volume_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Radial and polar weight vectors including the 2 pi r^2 sin(theta)
@@ -353,10 +355,11 @@ def build_amplitude_field(
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
     quad = quad or MomentumQuadrature()
-    n_p = quad.effective_radial(grid.r_max, model, n)
-    n_c = max(quad.effective_polar(n), n + 1)
-    p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
-    c_rule = gauss_legendre(n_c, -1.0, 1.0)
+    p_rule, c_rule = quad.gauss_rules(
+        model, quad.effective_radial(grid.r_max, model, n), max(32, n + 1)
+    )
+    if c_rule.count <= n:
+        c_rule = gauss_legendre(n + 1, -1.0, 1.0)
 
     alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
     spin_stack = _dicke_power_stack(alpha, beta, n)  # (n+1, n_p, n_c)
@@ -394,8 +397,8 @@ def build_amplitude_field(
     counts = QuadratureCounts(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
-        nodes_p_radial=n_p,
-        nodes_p_polar=n_c,
+        nodes_p_radial=p_rule.count,
+        nodes_p_polar=c_rule.count,
         nodes_p_azimuthal=quad.azimuthal_nodes,
         cutoff_sigmas=quad.cutoff_sigmas,
     )
@@ -429,14 +432,6 @@ def position_amplitudes(
     field_one = build_amplitude_field(n_spins, model, grid, quad)
     amps = field_one.values[0, 0] * np.exp(1j * np.arange(n_spins + 1) * azimuth)
     return DickeVector(n_spins=n_spins, amplitudes=amps)
-
-
-def outcome_density(field: AmplitudeField) -> np.ndarray:
-    return field.density()
-
-
-def total_probability(field: AmplitudeField) -> float:
-    return field.total_probability
 
 
 def hemisphere_masses(field: AmplitudeField) -> tuple[float, float]:
@@ -486,6 +481,8 @@ def adaptive_outcome_grid(
     tail stays strictly below tail_mass. Radial counts are floored so that
     shell-like densities at small spread stay resolved.
     """
+    if nodes_r < 1 or nodes_theta < 1:
+        raise DomainError(f"need at least one outcome node per axis, got {nodes_r} x {nodes_theta}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
     scan_nodes = _radial_resolution_floor(estimate, model.spread, min(nodes_r, 48))
     scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))

@@ -1,20 +1,24 @@
 """Deterministic quadrature rules and the refinement bookkeeping used everywhere.
 
 All integrals in this package are evaluated twice, once at the requested
-resolution and once with every node count scaled by ``REFINEMENT_FACTOR``;
-the difference is the declared error estimate and is never silently absorbed.
+resolution and once with every node count scaled by ``REFINEMENT_FACTOR``.
+``refinement_report`` is the one place that compares the two: the
+difference is the declared error estimate, it is never silently absorbed,
+and a difference above ten times the tolerance raises ConvergenceError.
+``golden_section_max`` is the one golden-section search, shared by the
+best-spread searches over the fidelity and over its lower bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 REFINEMENT_FACTOR = 1.5
 
@@ -41,8 +45,8 @@ class Rule1D:
     def count(self) -> int:
         return self.nodes.size
 
-    def refined(self, factor: float = REFINEMENT_FACTOR) -> "Rule1D":
-        n = scaled_count(self.count, factor)
+    def refined(self) -> "Rule1D":
+        n = scaled_count(self.count)
         if self.kind == "trapezoid":
             return trapezoid_periodic(n, self.domain[1] - self.domain[0])
         return gauss_legendre(n, self.domain[0], self.domain[1])
@@ -90,41 +94,32 @@ def trapezoid_periodic(n: int, period: float = 2.0 * math.pi) -> Rule1D:
     return Rule1D(nodes=nodes, weights=weights, domain=(0.0, float(period)), kind="trapezoid")
 
 
-def scaled_count(n: int, factor: float = REFINEMENT_FACTOR) -> int:
-    return int(math.ceil(n * factor))
+def scaled_count(n: int) -> int:
+    return int(math.ceil(n * REFINEMENT_FACTOR))
 
 
-def product_integrate(f: Callable[..., np.ndarray], rules: Sequence[Rule1D]) -> float:
-    """Integrate ``f(x1, ..., xd)`` over the tensor product of the given rules.
-
-    ``f`` must accept broadcast arrays (one per axis, shaped for an open mesh)
-    and return the integrand values.
-    """
-    if len(rules) == 0:
-        raise DomainError("need at least one axis")
-    mesh = np.ix_(*[r.nodes for r in rules])
-    values = np.asarray(f(*mesh), dtype=float)
-    for r in reversed(rules):
-        values = values @ r.weights
-    return float(values)
-
-
-def integrate_with_refinement(
-    f: Callable[..., np.ndarray],
-    rules: Sequence[Rule1D],
+def refinement_report(
+    value: float,
+    refined_value: float,
     tolerance: float,
-    factor: float = REFINEMENT_FACTOR,
+    quantity: str,
+    n_spins: int,
+    spread: float,
 ) -> ConvergenceReport:
-    """Product-rule integral with one refinement step on every axis."""
-    base = product_integrate(f, rules)
-    refined = product_integrate(f, [r.refined(factor) for r in rules])
-    return refinement_report(base, refined, tolerance)
+    """Compare a base and a refined evaluation of ``quantity`` at (n_spins, spread).
 
-
-def refinement_report(value: float, refined_value: float, tolerance: float) -> ConvergenceReport:
+    The report accepts the value when the change is at most ``tolerance``;
+    a change above ten times the tolerance raises ConvergenceError instead
+    of returning a number that cannot be trusted.
+    """
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
     diff = abs(refined_value - value)
+    if diff > 10.0 * tolerance:
+        raise ConvergenceError(
+            f"{quantity} refinement moved by {diff:.3e} (> 10 x tolerance {tolerance:.1e}) "
+            f"at n={n_spins}, spread={spread}"
+        )
     return ConvergenceReport(
         value=float(value),
         refined_value=float(refined_value),
@@ -132,3 +127,37 @@ def refinement_report(value: float, refined_value: float, tolerance: float) -> C
         tolerance=float(tolerance),
         accepted=bool(diff <= tolerance),
     )
+
+
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def golden_section_max(
+    f: Callable[[float], float], lo: float, hi: float, width: float
+) -> dict[float, float]:
+    """Golden-section search for the maximum of a unimodal ``f`` on [lo, hi].
+
+    Shrinks the bracket until it is no wider than ``width`` and returns every
+    evaluation as {x: f(x)} in the order made; each x is evaluated once.
+    """
+    cache: dict[float, float] = {}
+
+    def g(x: float) -> float:
+        if x not in cache:
+            cache[x] = f(x)
+        return cache[x]
+
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = g(x1), g(x2)
+    while (b - a) > width:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = g(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = g(x1)
+    return cache

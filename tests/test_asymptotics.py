@@ -12,9 +12,15 @@ from spinpointer.asymptotics import (
     kraus_diagonal_element,
     optimal_scaling,
 )
-from spinpointer.errors import DomainError
+from spinpointer.errors import ConvergenceError, DomainError
 from spinpointer.estimation import average_fidelity
-from spinpointer.pointer import PointerModel, adaptive_outcome_grid, build_amplitude_field, position_amplitudes
+from spinpointer.pointer import (
+    MomentumQuadrature,
+    PointerModel,
+    adaptive_outcome_grid,
+    build_amplitude_field,
+    position_amplitudes,
+)
 from spinpointer.quadrature import gauss_legendre
 from spinpointer.spincore import coherent_dicke, direction_from_angles
 
@@ -121,3 +127,9 @@ def test_domain_errors():
         epsilon_curve([2], spread_rule="sideways")
     with pytest.raises(DomainError):
         kraus_diagonal_element(0.5, 4.0, 1, PointerModel(1.0))
+
+
+def test_unconverged_point_raises():
+    coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
+    with pytest.raises(ConvergenceError, match="lower-bound refinement moved by"):
+        fidelity_lower_bound(2, PointerModel(0.05), quad=coarse)

@@ -167,6 +167,14 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     assert cli.main(["asympt", "--n-min", "0", "--n-max", "4"]) == 2
     assert cli.main(["optimize", "--n", "2", "--delta-min", "0.9",
                      "--delta-max", "0.2"]) == 2
+    # Zero and negative settings are rejected, not replaced by defaults.
+    assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "0"]) == 2
+    assert cli.main(["disturbance", "--n", "1", "--delta", "0.5",
+                     "--p-cutoff-sigmas", "0"]) == 2
+    assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "-5"]) == 2
+    assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-theta", "0"]) == 2
+    assert cli.main(["optimize", "--n", "2", "--delta-min", "0"]) == 2
+    assert cli.main(["asympt", "--n-min", "1", "--n-max", "4", "--n-step", "0"]) == 2
     capsys.readouterr()
 
 

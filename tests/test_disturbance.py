@@ -19,8 +19,8 @@ from spinpointer.disturbance import (
     disturbance_series_copt,
     min_disturbance,
 )
-from spinpointer.errors import CapabilityError, DomainError
-from spinpointer.pointer import PointerModel
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
+from spinpointer.pointer import MomentumQuadrature, PointerModel
 
 
 def single_spin_disturbance_oracle(spread: float) -> float:
@@ -150,3 +150,9 @@ def test_domain_errors():
         min_disturbance(0)
     with pytest.raises(DomainError):
         bloch_z_post_closed(1, -1.0)
+
+
+def test_unconverged_point_raises():
+    coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
+    with pytest.raises(ConvergenceError, match="disturbance refinement moved by"):
+        disturbance_exact(2, PointerModel(0.05), quad=coarse)

@@ -152,6 +152,14 @@ def test_optimizer_finds_interior_maximum():
         assert result.f_max >= nearby.fidelity - 2e-3
 
 
+def test_optimizer_frozen_evaluations_and_bits():
+    # Frozen: the search must visit the same points in the same order, which
+    # fixes both the evaluation count and the tie-break among equal values.
+    result = find_delta_opt(2)
+    assert result.evaluations == 15
+    assert result.delta_opt.hex() == "0x1.2cb1a84c139c9p-1"
+
+
 def test_sweep_preserves_order_and_collects_failures():
     good = sweep_delta(1, [0.4, 0.6, 0.9], nodes_r=48, nodes_theta=32)
     assert [p.spread for p in good.points] == [0.4, 0.6, 0.9]

@@ -68,7 +68,8 @@ def test_momentum_quadrature_validation():
     with pytest.raises(DomainError):
         MomentumQuadrature(cutoff_sigmas=2.0)
     quad = MomentumQuadrature(radial_nodes=50)
-    assert quad.effective_radial(1.0, PointerModel(1.0)) == 50
+    p_rule, c_rule = quad.gauss_rules(PointerModel(1.0), 999, 40)
+    assert (p_rule.count, c_rule.count) == (50, 40)
     auto = MomentumQuadrature()
     model = PointerModel(0.5)
     assert auto.p_max(model) == pytest.approx(8.0, abs=1e-15)

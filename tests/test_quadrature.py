@@ -4,17 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from spinpointer.errors import DomainError
+from spinpointer.errors import ConvergenceError, DomainError
 from spinpointer.quadrature import (
     REFINEMENT_FACTOR,
     Rule1D,
     gauss_legendre,
-    integrate_with_refinement,
-    product_integrate,
+    golden_section_max,
     refinement_report,
     scaled_count,
     trapezoid_periodic,
 )
+
+
+def _refine(f, rule, tolerance):
+    """Refinement report of one rule's integral of f against its refined rule."""
+    finer = rule.refined()
+    base = float(rule.weights @ f(rule.nodes))
+    refined = float(finer.weights @ f(finer.nodes))
+    return refinement_report(base, refined, tolerance, "test integral", 1, 1.0)
 
 
 def test_two_node_rule_on_reference_interval():
@@ -63,20 +70,11 @@ def test_trapezoid_refined_keeps_kind():
 def test_scaled_count_rounds_up():
     assert scaled_count(4) == 6
     assert scaled_count(5) == 8
-    assert scaled_count(4, 2.0) == 8
     assert REFINEMENT_FACTOR == 1.5
 
 
-def test_product_integrate_separable():
-    rules = [gauss_legendre(4, 0.0, 1.0), gauss_legendre(4, 0.0, 1.0)]
-    got = product_integrate(lambda x, y: x * y, rules)
-    assert got == pytest.approx(0.25, abs=1e-14)
-
-
 def test_refinement_constant_integrand_has_zero_diff():
-    report = integrate_with_refinement(
-        lambda x: np.ones_like(x), [gauss_legendre(6, 0.0, 2.0)], tolerance=1e-12
-    )
+    report = _refine(lambda x: np.ones_like(x), gauss_legendre(6, 0.0, 2.0), tolerance=1e-12)
     assert report.abs_diff < 1e-14
     assert report.accepted
     assert report.refined_value == pytest.approx(2.0, abs=1e-15)
@@ -84,26 +82,43 @@ def test_refinement_constant_integrand_has_zero_diff():
 
 def test_refinement_accepts_resolved_gaussian():
     rule = gauss_legendre(32, -8.0, 8.0)
-    report = integrate_with_refinement(
-        lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), [rule], tolerance=1e-8
-    )
+    report = _refine(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), rule, tolerance=1e-8)
     assert report.accepted
     assert report.refined_value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_refinement_rejects_undersampled_oscillation():
     rule = gauss_legendre(8, 0.0, 1.0)
-    report = integrate_with_refinement(
-        lambda x: np.sin(40.0 * x) + 1.0, [rule], tolerance=1e-8
-    )
-    assert not report.accepted
+    with pytest.raises(ConvergenceError):
+        _refine(lambda x: np.sin(40.0 * x) + 1.0, rule, tolerance=1e-8)
 
 
 def test_refinement_report_fields():
-    report = refinement_report(1.0, 1.0 + 5e-7, tolerance=1e-6)
+    report = refinement_report(1.0, 1.0 + 5e-7, 1e-6, "test integral", 1, 1.0)
     assert report.accepted
     assert report.abs_diff == pytest.approx(5e-7, rel=1e-9)
-    assert not refinement_report(1.0, 1.01, tolerance=1e-6).accepted
+    # Accepted up to the tolerance itself, flagged up to ten times it, raised beyond.
+    assert refinement_report(0.0, 0.5, 0.5, "test integral", 1, 1.0).accepted
+    flagged = refinement_report(0.0, 5.0, 0.5, "test integral", 1, 1.0)
+    assert not flagged.accepted
+    assert flagged.refined_value == 5.0
+    with pytest.raises(ConvergenceError, match=r"test integral refinement moved by 5\.500e\+00 "
+                       r"\(> 10 x tolerance 5\.0e-01\) at n=3, spread=0\.25"):
+        refinement_report(0.0, 5.5, 0.5, "test integral", 3, 0.25)
+
+
+def test_golden_section_finds_unimodal_maximum():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - 0.3) ** 2
+
+    evaluations = golden_section_max(f, 0.0, 1.0, 1e-3)
+    assert list(evaluations) == calls  # insertion order, each point once
+    best = max(evaluations, key=lambda x: evaluations[x])
+    assert abs(best - 0.3) <= 1e-3
+    assert all(0.0 < x < 1.0 for x in evaluations)
 
 
 def test_domain_errors():
@@ -114,6 +129,6 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         trapezoid_periodic(0)
     with pytest.raises(DomainError):
-        refinement_report(1.0, 1.0, tolerance=0.0)
+        refinement_report(1.0, 1.0, 0.0, "test integral", 1, 1.0)
     with pytest.raises(DomainError):
         Rule1D(nodes=np.zeros(3), weights=np.zeros(2), domain=(0.0, 1.0))
