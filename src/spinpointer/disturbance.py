@@ -134,15 +134,39 @@ def disturbance_oracle_full(
     p_rule, c_rule = _disturbance_rules(n, model, quad)
     phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
     radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
-    kept = 0.0
+    sines = _polar_sines(c_rule.nodes)
+    cos_phi, sin_phi = _azimuth_cos_sin(phi_rule.nodes)
+    kept = np.zeros(())
     for wp, p in zip(radial, p_rule.nodes):
-        for wc, c in zip(c_rule.weights, c_rule.nodes):
-            s = math.sqrt(max(0.0, 1.0 - c * c))
-            for wf, phi in zip(phi_rule.weights, phi_rule.nodes):
-                vec = np.array([p * s * math.cos(phi), p * s * math.sin(phi), p * c])
-                u = full_tensor_rotation_oracle(vec, n)
-                kept += wp * wc * wf * abs(u[0, 0]) ** 2
+        # One stacked oracle call per radial node over its (polar, azimuth) mesh.
+        ps = (p * sines)[:, None]
+        vec = np.stack(
+            np.broadcast_arrays(ps * cos_phi, ps * sin_phi, (p * c_rule.nodes)[:, None]), axis=-1
+        )
+        u = full_tensor_rotation_oracle(vec, n)
+        weights = (wp * c_rule.weights)[:, None] * phi_rule.weights
+        kept = _add_in_order(kept, (weights * np.abs(u[..., 0, 0]) ** 2).ravel())
     return 1.0 - kept
+
+
+def _polar_sines(c: np.ndarray) -> np.ndarray:
+    """sqrt(1 - c^2) at each polar node, with the scalar loops' arithmetic."""
+    return np.array([math.sqrt(max(0.0, 1.0 - x * x)) for x in c])
+
+
+def _azimuth_cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """libm cos and sin at each azimuth node; numpy's vector cos/sin may
+    round differently."""
+    return np.array([math.cos(x) for x in phi]), np.array([math.sin(x) for x in phi])
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0] + terms[1] + ..., one addition at a time along axis 0.
+
+    np.sum would add pairwise; the running sum keeps the node order, and so
+    the bits, of a scalar loop over the nodes.
+    """
+    return np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
 
 
 def bloch_z_post_closed(n_spins: int, spread: float) -> float:
@@ -178,20 +202,31 @@ def bloch_post_numeric(
     ops = collective_operators(n)
     radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
 
+    sines = _polar_sines(c_rule.nodes)
+    cos_phi, sin_phi = _azimuth_cos_sin(phi_rule.nodes)
+    phases = [complex(x, y) for x, y in zip(cos_phi, sin_phi)]
     totals = np.zeros(3)
     for wp, p in zip(radial, p_rule.nodes):
-        half = 0.5 * p
-        for wc, c in zip(c_rule.weights, c_rule.nodes):
-            s = math.sqrt(max(0.0, 1.0 - c * c))
-            alpha = complex(math.cos(half), -c * math.sin(half))
-            beta_mag = -1j * math.sin(half) * s
-            for wf, phi in zip(phi_rule.weights, phi_rule.nodes):
-                beta = beta_mag * complex(math.cos(phi), math.sin(phi))
-                v = dicke_expand(alpha, beta, n).amplitudes
-                w = wp * wc * wf
-                totals[0] += w * float(np.real(np.conj(v) @ (ops.sx @ v)))
-                totals[1] += w * float(np.real(np.conj(v) @ (ops.sy @ v)))
-                totals[2] += w * float(np.real(np.conj(v) @ (ops.sz @ v)))
+        # One stacked dicke_expand per radial node over its (polar, azimuth)
+        # mesh; alpha and beta keep the scalar complex arithmetic.
+        cos_half = math.cos(0.5 * p)
+        sin_half = math.sin(0.5 * p)
+        alpha = []
+        beta = []
+        for c, s in zip(c_rule.nodes, sines):
+            beta_mag = -1j * sin_half * s
+            alpha += [complex(cos_half, -c * sin_half)] * len(phases)
+            beta += [beta_mag * phase for phase in phases]
+        v = dicke_expand(np.array(alpha), np.array(beta), n).amplitudes
+        v_bra = np.conj(v)[:, None, :]
+        # Stacked matmuls keep one gemv and one dot per node, as in the
+        # scalar form; einsum would round sx and sy differently.
+        expect = [
+            np.real(np.matmul(v_bra, np.matmul(op, v[:, :, None])))[:, 0, 0]
+            for op in (ops.sx, ops.sy, ops.sz)
+        ]
+        weights = ((wp * c_rule.weights)[:, None] * phi_rule.weights).ravel()
+        totals = _add_in_order(totals, weights[:, None] * np.stack(expect, axis=-1))
     return BlochReport(
         n_spins=n,
         spread=model.spread,

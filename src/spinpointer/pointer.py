@@ -247,8 +247,9 @@ def _alpha_beta_polar(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _dicke_power_stack(alpha: np.ndarray, beta: np.ndarray, n_spins: int) -> np.ndarray:
     """sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, stacked on axis 0.
 
-    Mirrors dicke_expand but vectorized over momentum meshes; switches to
-    log-space accumulation at the same size threshold.
+    Mirrors dicke_expand with the k axis first and the powers built one
+    factor at a time, so the last bits differ from dicke_expand's; switches
+    to log-space accumulation at the same size threshold.
     """
     n = n_spins
     k = np.arange(n + 1)

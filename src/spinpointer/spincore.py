@@ -63,7 +63,8 @@ def score(u: Direction, w: Direction) -> float:
 
 @dataclass(frozen=True)
 class DickeVector:
-    """State in the symmetric subspace; amplitudes[k] multiplies basis state k."""
+    """State(s) in the symmetric subspace; amplitudes[..., k] multiplies basis
+    state k. Leading axes, if any, index a batch of states."""
 
     n_spins: int
     amplitudes: np.ndarray
@@ -71,13 +72,14 @@ class DickeVector:
     def __post_init__(self):
         if self.n_spins < 1:
             raise DomainError(f"need n_spins >= 1, got {self.n_spins}")
-        if self.amplitudes.shape != (self.n_spins + 1,):
+        if self.amplitudes.ndim < 1 or self.amplitudes.shape[-1] != self.n_spins + 1:
             raise DomainError(
                 f"expected {self.n_spins + 1} amplitudes, got shape {self.amplitudes.shape}"
             )
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+    def norm_squared(self):
+        """Squared norm of each state: a float, or an array over the batch axes."""
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
 
 
 def su2_rotation(p: np.ndarray) -> SpinHalfRotation:
@@ -114,28 +116,36 @@ def _log_binomial_half(n: int) -> np.ndarray:
     )
 
 
-def dicke_expand(alpha: complex, beta: complex, n_spins: int) -> DickeVector:
+def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
     """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
 
-    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k. For large n the binomial
-    and the power factors are combined in log space; integer exponents make
-    any branch of the complex log exact.
+    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k. alpha and beta are
+    scalars or arrays of one shape; the result carries that shape with the
+    k axis appended last, and each state's amplitudes are bit-for-bit those
+    of a scalar call. For large n the binomial and the power factors are
+    combined in log space; integer exponents make any branch of the complex
+    log exact.
     """
     n = int(n_spins)
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
-    a = complex(alpha)
-    b = complex(beta)
+    a = np.asarray(alpha, dtype=complex)
+    b = np.asarray(beta, dtype=complex)
+    if a.shape != b.shape:
+        raise DomainError(f"alpha and beta shapes differ: {a.shape} vs {b.shape}")
+    a = a[..., None]
+    b = b[..., None]
     k = np.arange(n + 1)
     if n <= _LOG_SPACE_THRESHOLD:
         comb = np.sqrt([math.comb(n, int(v)) for v in k])
         amps = comb * np.power(a, n - k) * np.power(b, k)
     else:
         log_comb = _log_binomial_half(n)
-        log_a = np.log(a) if a != 0 else -np.inf
-        log_b = np.log(b) if b != 0 else -np.inf
-        with np.errstate(invalid="ignore"):
-            exponent = log_comb + (n - k) * log_a + k * log_b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # A zero amplitude to the power 0 is 1, where 0 * log(0) is nan.
+            from_a = np.where((a == 0) & (k == n), 0.0, (n - k) * np.log(a))
+            from_b = np.where((b == 0) & (k == 0), 0.0, k * np.log(b))
+            exponent = log_comb + from_a + from_b
         # 0 * inf from the vanishing-amplitude corner is a true zero term.
         exponent = np.where(np.isnan(exponent), -np.inf, exponent)
         amps = np.exp(exponent)
@@ -182,7 +192,10 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
 
     Constructs S as explicit Kronecker sums and exponentiates the dense
     matrix, sidestepping every symmetric-subspace shortcut used elsewhere.
-    Cost grows as 4^n, so requests beyond n=4 are refused.
+    p has shape (..., 3) and the result (..., 2^n, 2^n); scipy's expm runs
+    its per-matrix algorithm on each slice, so a stacked call gives the bits
+    of one call per momentum. Cost grows as 4^n, so requests beyond n=4 are
+    refused.
     """
     n = int(n_spins)
     if n < 1:
@@ -190,21 +203,21 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
     if n > 4:
         raise CapabilityError(f"full tensor oracle capped at n_spins=4, got {n}")
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise DomainError("momentum must be a 3-vector")
+    if p.ndim < 1 or p.shape[-1] != 3:
+        raise DomainError("momentum must be a 3-vector or a stack of them")
     paulis = [
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
         np.array([[1, 0], [0, -1]], dtype=complex),
     ]
     dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros(p.shape[:-1] + (dim, dim), dtype=complex)
     for axis in range(3):
         for site in range(n):
             op = np.eye(1, dtype=complex)
             for other in range(n):
                 op = np.kron(op, 0.5 * paulis[axis] if other == site else np.eye(2))
-            h += p[axis] * op
+            h += p[..., axis, None, None] * op
     return expm(-1j * h)
 
 

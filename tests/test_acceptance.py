@@ -205,7 +205,7 @@ def test_08_property_suite(tmp_path, capfd):
     if not blobs[0] == blobs[1] == blobs[2]:
         bad.append("csv_byte_identity")
     elapsed = time.perf_counter() - start
-    if elapsed >= 600.0:
+    if elapsed >= 120.0:
         bad.append(f"runtime {elapsed:.0f}s")
     ok = not bad
     _report(

@@ -20,7 +20,9 @@ from spinpointer.disturbance import (
     min_disturbance,
 )
 from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
-from spinpointer.pointer import MomentumQuadrature, PointerModel
+from spinpointer.pointer import MomentumQuadrature, PointerModel, momentum_profile
+from spinpointer.quadrature import trapezoid_periodic
+from spinpointer.spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
 def single_spin_disturbance_oracle(spread: float) -> float:
@@ -89,6 +91,64 @@ def test_factorized_route_matches_full_tensor():
         disturbance_oracle_full(4, PointerModel(0.7))
 
 
+def _node_loop(model, quad):
+    """Radial weights and the (polar, azimuth) node triples of the scalar
+    per-node loops, in their order."""
+    p_rule, c_rule = quad.gauss_rules(model, 0, 0)
+    phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
+    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
+    for wp, p in zip(radial, p_rule.nodes):
+        for wc, c in zip(c_rule.weights, c_rule.nodes):
+            s = math.sqrt(max(0.0, 1.0 - c * c))
+            for wf, phi in zip(phi_rule.weights, phi_rule.nodes):
+                yield wp * wc * wf, p, c, s, phi
+
+
+def oracle_by_node_loop(n, model, quad):
+    """Reference: one full-tensor exponential per momentum node."""
+    kept = 0.0
+    for w, p, c, s, phi in _node_loop(model, quad):
+        vec = np.array([p * s * math.cos(phi), p * s * math.sin(phi), p * c])
+        kept += w * abs(full_tensor_rotation_oracle(vec, n)[0, 0]) ** 2
+    return 1.0 - kept
+
+
+def bloch_by_node_loop(n, model, quad):
+    """Reference: one Dicke vector and three expectation values per node."""
+    ops = collective_operators(n)
+    totals = np.zeros(3)
+    for w, p, c, s, phi in _node_loop(model, quad):
+        half = 0.5 * p
+        alpha = complex(math.cos(half), -c * math.sin(half))
+        beta = -1j * math.sin(half) * s * complex(math.cos(phi), math.sin(phi))
+        v = dicke_expand(alpha, beta, n).amplitudes
+        for axis, op in enumerate((ops.sx, ops.sy, ops.sz)):
+            totals[axis] += w * float(np.real(np.conj(v) @ (op @ v)))
+    return totals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_oracle_equals_node_loop_bit_for_bit(n):
+    quad = MomentumQuadrature(radial_nodes=7, polar_nodes=5, azimuthal_nodes=6)
+    model = PointerModel(0.8)
+    assert disturbance_oracle_full(n, model, quad) == oracle_by_node_loop(n, model, quad)
+
+
+@pytest.mark.parametrize("n", [1, 4, 61])
+def test_stacked_bloch_equals_node_loop_bit_for_bit(n):
+    quad = MomentumQuadrature(radial_nodes=7, polar_nodes=5, azimuthal_nodes=6)
+    model = PointerModel(0.9)
+    report = bloch_post_numeric(n, model, quad)
+    expected = bloch_by_node_loop(n, model, quad)
+    assert [report.sx_post, report.sy_post, report.sz_post_numeric] == expected.tolist()
+
+
+def test_full_tensor_oracle_frozen_bits():
+    # Values of the scalar per-node loop that the stacked oracle replaced.
+    assert disturbance_oracle_full(1, PointerModel(1.0)) == float.fromhex("0x1.cda810b7a7bb0p-4")
+    assert disturbance_oracle_full(2, PointerModel(0.7)) == float.fromhex("0x1.5c0785b95491ap-2")
+
+
 def test_lowest_order_lorentzian():
     for n in (1, 3, 10):
         at_opt = disturbance_lowest_order(n, math.sqrt(n / 8.0))
@@ -127,6 +187,13 @@ def test_bloch_closed_matches_numeric_path():
             assert abs(report.sy_post) < 1e-8
             assert report.sz_initial == pytest.approx(n / 2.0, abs=1e-15)
             assert report.sz_post_closed <= report.sz_initial + 1e-12
+
+
+def test_bloch_numeric_path_beyond_log_space_threshold():
+    report = bloch_post_numeric(100, PointerModel(math.sqrt(12.5)))
+    assert report.sz_post_numeric == pytest.approx(report.sz_post_closed, abs=1e-6)
+    assert abs(report.sx_post) < 1e-8
+    assert abs(report.sy_post) < 1e-8
 
 
 def test_bloch_recovers_with_weaker_coupling():

@@ -107,6 +107,40 @@ def test_dicke_expand_norm_power_law():
         assert vec.norm_squared() == pytest.approx(single**n, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [60, 61, 100])
+def test_dicke_expand_basis_states_across_log_space_threshold(n):
+    # Pole states put all weight on one basis state: 0^0 = 1, not 0.
+    top = np.zeros(n + 1)
+    top[0] = 1.0
+    assert np.array_equal(dicke_expand(1.0, 0.0, n).amplitudes, top)
+    assert np.array_equal(dicke_expand(0.0, 1.0, n).amplitudes, top[::-1])
+    batched = dicke_expand(np.array([1.0, 0.0]), np.array([0.0, 1.0]), n).amplitudes
+    assert np.array_equal(batched, np.stack([top, top[::-1]]))
+    assert coherent_dicke(direction_from_angles(0.0, 0.0), n).norm_squared() == 1.0
+    phased = dicke_expand(0.0, 1j, n).amplitudes
+    assert abs(phased[n] - 1j**n) < 1e-12
+    assert np.all(phased[:n] == 0)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_batched_dicke_expand_equals_scalar_calls_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(4, 5, 4))
+    alpha = (z[..., 0] + 1j * z[..., 1]) * 0.5
+    beta = (z[..., 2] + 1j * z[..., 3]) * 0.5
+    alpha[0, :3] = 0.0
+    beta[1, 1:4] = 0.0
+    alpha[2, 2] = beta[2, 2] = 0.0
+    batched = dicke_expand(alpha, beta, n)
+    assert batched.amplitudes.shape == (4, 5, n + 1)
+    for idx in np.ndindex(alpha.shape):
+        single = dicke_expand(complex(alpha[idx]), complex(beta[idx]), n).amplitudes
+        assert np.array_equal(batched.amplitudes[idx], single)
+    assert batched.norm_squared().shape == (4, 5)
+    with pytest.raises(DomainError):
+        dicke_expand(alpha, beta[0], n)
+
+
 def test_coherent_state_overlap_power_law():
     rng = np.random.default_rng(13)
     for n in (1, 4, 9):
@@ -154,6 +188,19 @@ def test_symmetric_rotation_matches_full_tensor():
             assert np.max(np.abs(projected - direct.amplitudes)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_oracle_equals_one_call_per_momentum(n):
+    rng = np.random.default_rng(30 + n)
+    p = rng.normal(size=(6, 3)) * 2.0
+    p[0] = 0.0
+    stacked = full_tensor_rotation_oracle(p, n)
+    assert stacked.shape == (6, 2**n, 2**n)
+    for i in range(len(p)):
+        assert np.array_equal(stacked[i], full_tensor_rotation_oracle(p[i], n))
+    grid = full_tensor_rotation_oracle(p.reshape(2, 3, 3), n)
+    assert np.array_equal(grid.reshape(stacked.shape), stacked)
+
+
 def test_full_tensor_basis_is_orthonormal():
     for n in (1, 2, 4):
         basis = dicke_basis_full(n)
@@ -174,5 +221,7 @@ def test_domain_errors():
         collective_operators(0)
     with pytest.raises(DomainError):
         su2_rotation(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        full_tensor_rotation_oracle(np.zeros((4, 2)), 2)
     with pytest.raises(DomainError):
         Direction(polar=4.0, azimuth=0.0)
