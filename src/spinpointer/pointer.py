@@ -15,6 +15,13 @@ the plane wave reduces the angular momentum integrals to exact polar
 Gauss-Legendre sums truncated at angular order n_spins. Only the radial
 momentum axis keeps the oscillation burden, and its node count scales with
 r_max * p_max as configured.
+
+The field is built in blocks of outcome radii. Each block needs j_l(r p)
+for every order l = 0..n_spins, taken from one table per block: scipy gives
+j_0 and j_1, and the rest follow by recurrence, upward where l <= r p and by
+downward ratios (Miller's algorithm) above it. The radial transform is then
+one real matrix product per order l, and the angular synthesis one complex
+matrix product per Dicke component k.
 """
 from __future__ import annotations
 
@@ -274,7 +281,12 @@ def _dicke_power_stack(alpha: np.ndarray, beta: np.ndarray, n_spins: int) -> np.
         log_b = np.log(beta)
         out = np.empty((n + 1,) + alpha.shape, dtype=complex)
         for kk in range(n + 1):
-            expo = log_comb[kk] + (n - kk) * log_a + kk * log_b
+            # A zero amplitude to the power 0 is 1, where 0 * log(0) is nan.
+            expo = log_comb[kk]
+            if kk < n:
+                expo = expo + (n - kk) * log_a
+            if kk > 0:
+                expo = expo + kk * log_b
             term = np.exp(expo)
             out[kk] = np.where(np.isnan(term), 0.0, term)
     return out
@@ -319,17 +331,51 @@ def _radial_chunks(count: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_RADIAL, count)) for lo in range(0, count, _CHUNK_RADIAL)]
 
 
+def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
+    """Spherical Bessel functions j_l(z) for l = 0..l_max >= 1, stacked on axis 0.
+
+    j_0 and j_1 come from scipy. Orders l <= z follow the upward recurrence
+    j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1). Orders
+    above z come from the ratios r_l = j_l / j_{l-1} = z / (2l+1 - z r_{l+1}),
+    recurred downward from r = 0 at l_max plus a margin of order l_max^(1/3),
+    the width of the turning region around l = z (Miller's algorithm, DLMF
+    3.6(iii)); they are chained onto the upward value at floor(z). The
+    ratios are bounded, so tiny orders underflow to 0 and nothing overflows;
+    the upward values discarded above z may overflow harmlessly.
+    """
+    z = np.asarray(z, dtype=float)
+    table = np.empty((l_max + 1,) + z.shape)
+    seeds = spherical_jn(np.arange(2).reshape((2,) + (1,) * z.ndim), z)
+    table[:2] = seeds
+    last_upward = np.maximum(np.floor(z), 1.0)
+    start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+    with np.errstate(all="ignore"):
+        ratio = np.zeros_like(z)
+        for l in range(start, 1, -1):
+            ratio = z / ((2 * l + 1) - z * ratio)
+            if l <= l_max:
+                table[l] = ratio
+        prev, cur = seeds
+        for l in range(1, l_max):
+            prev, cur = cur, (2 * l + 1) / z * cur - prev
+            table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
+    return table
+
+
 def _field_chunk(payload) -> np.ndarray:
     """Amplitudes for one block of outcome radii; pure function of the payload."""
-    n_spins, r_nodes, p_nodes, radial_measure, moments, theta_coefs = payload
+    n, r_nodes, p_nodes, weighted, theta_coefs = payload
     n_theta = theta_coefs[0].shape[1]
-    out = np.zeros((r_nodes.size, n_theta, n_spins + 1), dtype=complex)
-    z = np.multiply.outer(r_nodes, p_nodes)
-    bessel = spherical_jn(np.arange(n_spins + 1)[:, None, None], z[None, :, :])
-    for k in range(n_spins + 1):
-        # radial transform of the order-l moments for this k (l runs k..n)
-        t = np.einsum("lai,li->la", bessel[k:], moments[k] * radial_measure)
-        out[:, :, k] = _AMPLITUDE_PREFACTOR * np.einsum("la,lb->ab", t, theta_coefs[k])
+    bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
+    # transform[k, l, a]: radial transform of the order-l moment for k flips
+    transform = np.zeros((n + 1, n + 1, r_nodes.size), dtype=complex)
+    for l in range(n + 1):
+        t = bessel[l] @ weighted[l * (l + 1) : (l + 1) * (l + 2)].T
+        transform[: l + 1, l].real = t[:, : l + 1].T
+        transform[: l + 1, l].imag = t[:, l + 1 :].T
+    out = np.empty((r_nodes.size, n_theta, n + 1), dtype=complex)
+    for k in range(n + 1):
+        out[:, :, k] = _AMPLITUDE_PREFACTOR * (transform[k, k:].T @ theta_coefs[k])
     return out
 
 
@@ -351,6 +397,14 @@ def build_amplitude_field(
     with M_{lk}(p) the polar moment of the k-flips spin factor. Truncation at
     l = n is exact because the spin factor is band-limited; the polar
     Gauss-Legendre rule is exact once it has at least n+1 nodes.
+
+    Each block of _CHUNK_RADIAL outcome radii builds its own table of
+    j_l(r p), l = 0..n, by recurrence from scipy's j_0 and j_1 (see
+    _bessel_table; it agrees with scipy's j_l to about 1e-15 absolute). The
+    radial transform of order l is one real product of that table's row l
+    with the real and imaginary parts of the weighted moments M_{lk}, all
+    k <= l at once; the angular synthesis is one complex product per k. The
+    blocks are fixed, so the values do not depend on ``workers``.
     """
     n = int(n_spins)
     if n < 1:
@@ -367,22 +421,28 @@ def build_amplitude_field(
     if not np.all(np.isfinite(spin_stack)):
         raise NumericError("spin factor overflowed; parameters out of range")
 
-    # Polar moments M_{lk}(p) and outcome-angle tables, built once.
-    moments = []
+    # Radially weighted polar moments M_{lk}(p) and outcome-angle tables,
+    # built once. Rows l(l+1) .. (l+1)(l+2)-1 of weighted belong to order l:
+    # the real parts of k = 0..l, then their imaginary parts.
+    radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
+    weighted = np.empty(((n + 1) * (n + 2), p_rule.count))
     theta_coefs = []
     cos_theta = np.cos(grid.polar.nodes)
     i_pow = 1j ** np.arange(n + 1)
     for k in range(n + 1):
         ptab_c = _legendre_normalized(n, k, c_rule.nodes)  # (n-k+1, n_c)
-        moments.append(np.einsum("lj,ij->li", ptab_c * c_rule.weights, spin_stack[k]))
+        moments = ((ptab_c * c_rule.weights) @ spin_stack[k].T) * radial_measure
+        orders = np.arange(k, n + 1)
+        rows = orders * (orders + 1) + k
+        weighted[rows] = moments.real
+        weighted[rows + orders + 1] = moments.imag
         ptab_t = _legendre_normalized(n, k, cos_theta)
         theta_coefs.append(i_pow[k : n + 1][:, None] * ptab_t)
-
-    radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
+    del spin_stack  # the largest array; the radial blocks need only the moments
 
     chunks = _radial_chunks(grid.radial.count)
     payloads = [
-        (n, grid.radial.nodes[lo:hi], p_rule.nodes, radial_measure, moments, theta_coefs)
+        (n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs)
         for lo, hi in chunks
     ]
     if workers > 1 and len(payloads) > 1:

@@ -5,10 +5,13 @@ momentum quadrature, against single-point evaluation, and against the
 rotational covariance that the spherical decomposition must respect.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
+from spinpointer import pointer
 from spinpointer.errors import DomainError
 from spinpointer.pointer import (
     MomentumQuadrature,
@@ -215,10 +218,87 @@ def test_node_doubling_stability():
 
 
 def test_worker_count_is_bitwise_invisible():
-    model = PointerModel(0.6)
-    grid = adaptive_outcome_grid(2, model)
-    serial = build_amplitude_field(2, model, grid, workers=1)
-    repeat = build_amplitude_field(2, model, grid, workers=1)
-    parallel = build_amplitude_field(2, model, grid, workers=2)
-    assert np.array_equal(serial.values, repeat.values)
-    assert np.array_equal(serial.values, parallel.values)
+    # n = 30 takes the per-order matrix products through several radial chunks.
+    for n_spins, spread in ((2, 0.6), (30, math.sqrt(30 / 8))):
+        model = PointerModel(spread)
+        grid = adaptive_outcome_grid(n_spins, model)
+        assert grid.radial.count > 2 * pointer._CHUNK_RADIAL
+        serial = build_amplitude_field(n_spins, model, grid, workers=1)
+        repeat = build_amplitude_field(n_spins, model, grid, workers=1)
+        parallel = build_amplitude_field(n_spins, model, grid, workers=2)
+        assert np.array_equal(serial.values, repeat.values)
+        assert np.array_equal(serial.values, parallel.values)
+
+
+@pytest.mark.parametrize("l_max", [1, 4, 30, 100, 400])
+def test_bessel_table_matches_scipy(l_max):
+    orders = np.arange(1, l_max + 1)
+    z = np.concatenate(
+        [
+            np.logspace(-10, math.log10(500.0), 600),
+            # just below, at and just above each order l = z
+            np.ravel(orders[:, None] + np.array([-1e-9, -1e-3, -0.5, 0.0, 1e-9, 1e-3, 0.5])),
+            math.pi * np.arange(1, 160),  # zeros of j_0
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = pointer._bessel_table(l_max, z)
+    reference = scipy.special.spherical_jn(np.arange(l_max + 1)[:, None], z[None, :])
+    assert table.shape == reference.shape
+    assert np.all(np.isfinite(table))
+    assert np.max(np.abs(table - reference)) <= 1e-13
+
+
+def test_field_uses_scipy_spherical_jn_by_its_module_name(monkeypatch):
+    # The benchmark traces the field's Bessel work by wrapping this name.
+    assert pointer.spherical_jn is scipy.special.spherical_jn
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scipy.special.spherical_jn(*args, **kwargs)
+
+    monkeypatch.setattr(pointer, "spherical_jn", counted)
+    build_amplitude_field(2, PointerModel(0.6), build_outcome_grid(3.0, nodes_r=20, nodes_theta=8))
+    assert len(calls) == 2  # one per radial chunk
+
+
+def _per_order_field(n, model, grid, quad):
+    """The synthesis formula of build_amplitude_field summed one (k, l) term
+    at a time, with scipy's j_l for every order."""
+    p_rule, c_rule = quad.gauss_rules(model, 0, 0)
+    alpha, beta = pointer._alpha_beta_polar(p_rule.nodes, c_rule.nodes)
+    spin = pointer._dicke_power_stack(alpha, beta, n)
+    measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
+    z = np.multiply.outer(grid.radial.nodes, p_rule.nodes)
+    cos_theta = np.cos(grid.polar.nodes)
+    out = np.zeros((grid.radial.count, grid.polar.count, n + 1), dtype=complex)
+    for k in range(n + 1):
+        ptab_c = pointer._legendre_normalized(n, k, c_rule.nodes)
+        ptab_t = pointer._legendre_normalized(n, k, cos_theta)
+        for l in range(k, n + 1):
+            moment = (ptab_c[l - k] * c_rule.weights) @ spin[k].T
+            radial = scipy.special.spherical_jn(l, z) @ (moment * measure)
+            out[:, :, k] += 1j**l * np.outer(radial, ptab_t[l - k])
+    return 2.0**1.5 * math.sqrt(math.pi) * out
+
+
+@pytest.mark.parametrize("n_spins,spread,r_max", [(5, 0.7, 6.0), (30, math.sqrt(30 / 8), 25.0)])
+def test_field_matches_per_order_sum(n_spins, spread, r_max):
+    model = PointerModel(spread)
+    grid = build_outcome_grid(r_max, nodes_r=20, nodes_theta=12)
+    quad = MomentumQuadrature(radial_nodes=90, polar_nodes=n_spins + 3)
+    fast = build_amplitude_field(n_spins, model, grid, quad).values
+    reference = _per_order_field(n_spins, model, grid, quad)
+    assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [60, 61, 100])
+def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
+    # Pole states put all weight on one basis state: 0^0 = 1, not 0.
+    top = np.zeros((n + 1, 1))
+    top[0] = 1.0
+    one, zero = np.array([1.0 + 0j]), np.array([0j])
+    assert np.array_equal(pointer._dicke_power_stack(one, zero, n), top)
+    assert np.array_equal(pointer._dicke_power_stack(zero, one, n), top[::-1])
