@@ -205,11 +205,10 @@ def epsilon_curve(
     points = []
     for n in n_values:
         n = int(n)
-        base = delta_opt_formula(n)
         if spread_rule == "formula":
-            spread = base
+            spread = delta_opt_formula(n)
         else:
-            spread = _optimize_spread(n, (0.5 * base, 2.0 * base), nodes_r, nodes_theta, quad, tolerance)
+            spread = _optimize_spread(n, nodes_r, nodes_theta, quad, tolerance)
         points.append(
             fidelity_lower_bound(
                 n, PointerModel(spread=spread), nodes_r, nodes_theta, quad, tolerance
@@ -218,11 +217,14 @@ def epsilon_curve(
     return points
 
 
-def _optimize_spread(n, bracket, nodes_r, nodes_theta, quad, tolerance) -> float:
+def _optimize_spread(n, nodes_r, nodes_theta, quad, tolerance) -> float:
+    """Spread in [base/2, 2 base] that maximizes the bound, base = sqrt(n/8)."""
+
     def f(s: float) -> float:
         return fidelity_lower_bound(
             n, PointerModel(spread=s), nodes_r, nodes_theta, quad, tolerance
         ).f_lower
 
-    cache = golden_section_max(f, bracket[0], bracket[1], 0.02 * math.sqrt(n / 8.0))
+    base = delta_opt_formula(n)
+    cache = golden_section_max(f, 0.5 * base, 2.0 * base, 0.02 * base)
     return max(cache, key=lambda s: cache[s])

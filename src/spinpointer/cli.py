@@ -32,6 +32,7 @@ from .disturbance import (
 from .errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from .estimation import (
     GuessRule,
+    default_spread_bracket,
     find_delta_opt,
     optimal_fidelity,
     strong_coupling_limit,
@@ -237,12 +238,13 @@ def _resolve_deltas(cfg: dict) -> list[float]:
         raw = cfg["delta"]
         if not isinstance(raw, (list, tuple)):
             raw = [raw]
-        values = [float(v) for v in raw]
+        values = [_convert("delta", v, float) for v in raw]
     elif any(cfg.get(k) is not None for k in _RANGE_KEYS):
         lo, hi, steps = (cfg.get(k) for k in _RANGE_KEYS)
         if lo is None or hi is None or steps is None:
             raise ConfigError("a delta range needs all of delta-min, delta-max, delta-steps")
-        lo, hi, steps = float(lo), float(hi), int(steps)
+        lo, hi = _convert("delta_min", lo, float), _convert("delta_max", hi, float)
+        steps = _convert("delta_steps", steps, int)
         if steps < 1:
             raise ConfigError(f"delta-steps must be >= 1, got {steps}")
         if steps > 1 and not hi > lo:
@@ -257,7 +259,7 @@ def _resolve_deltas(cfg: dict) -> list[float]:
     if len(values) == 0:
         raise ConfigError("empty spread list")
     for v in values:
-        if not (v > 0.0) or not math.isfinite(v):
+        if not v > 0.0:
             raise ConfigError(f"spread values must be positive, got {v}")
     return values
 
@@ -268,7 +270,7 @@ def _resolve_n_list(cfg: dict) -> list[int]:
         raise ConfigError("no ensemble size given (use --n)")
     if not isinstance(raw, (list, tuple)):
         raw = [raw]
-    values = [int(v) for v in raw]
+    values = [_convert("n", v, int) for v in raw]
     if len(values) == 0:
         raise ConfigError("empty ensemble size list")
     for v in values:
@@ -277,19 +279,44 @@ def _resolve_n_list(cfg: dict) -> list[int]:
     return values
 
 
-def _setting(cfg: dict, key: str, default):
-    """The configured value, or ``default`` only when none was given, so an
-    explicit zero or negative value reaches validation."""
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false"}
+
+
+def _convert(key: str, value, kind: type):
+    """A configured value as ``kind``. Numbers take whatever int() or
+    float() accepts, except booleans, fractions for an integer and nan or
+    infinity for a float; strings and booleans must be given as such.
+    Anything else is a ConfigError."""
+    if kind in (str, bool):
+        refused = not isinstance(value, kind)
+    else:
+        refused = isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer())
+    if not refused:
+        try:
+            converted = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if kind is not float or math.isfinite(converted):
+                return converted
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _setting(cfg: dict, key: str, default, kind: type):
+    """The configured value as ``kind``, or ``default`` only when none was
+    given, so an explicit zero or negative value reaches validation."""
     value = cfg.get(key)
-    return default if value is None else value
+    return default if value is None else _convert(key, value, kind)
 
 
 def _momentum_quad(cfg: dict) -> MomentumQuadrature:
     return MomentumQuadrature(
-        radial_nodes=cfg.get("nodes_p_radial"),
-        polar_nodes=cfg.get("nodes_p_polar"),
-        azimuthal_nodes=_setting(cfg, "nodes_p_azimuthal", 16),
-        cutoff_sigmas=_setting(cfg, "p_cutoff_sigmas", 8.0),
+        radial_nodes=_setting(cfg, "nodes_p_radial", None, int),
+        polar_nodes=_setting(cfg, "nodes_p_polar", None, int),
+        azimuthal_nodes=_setting(cfg, "nodes_p_azimuthal", 16, int),
+        cutoff_sigmas=_setting(cfg, "p_cutoff_sigmas", 8.0, float),
     )
 
 
@@ -301,10 +328,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(command: str, **settings) -> dict:
-    echo = {"command": command}
-    echo.update(settings)
-    return echo
+def _momentum_echo(cfg: dict) -> dict:
+    """The momentum settings the command accepts, as configured."""
+    keys = ("nodes_p_radial", "nodes_p_polar", "nodes_p_azimuthal", "p_cutoff_sigmas")
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _render(columns: list[str], rows: list[list], echo: dict, fmt: str) -> str:
@@ -335,20 +362,16 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
-    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r"))
-    nodes_r = int(_setting(cfg, "nodes_r", 96))
-    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
-    tol = float(_setting(cfg, "tol", 1e-3))
+    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r", str))
+    nodes_r = _setting(cfg, "nodes_r", 96, int)
+    nodes_theta = _setting(cfg, "nodes_theta", 64, int)
+    tol = _setting(cfg, "tol", 1e-3, float)
     quad = _momentum_quad(cfg)
     workers = _resolve_workers(ns)
 
-    echo = _config_echo(
-        "sweep", n=n_list, delta=deltas, guess_rule=rule.value,
-        nodes_r=nodes_r, nodes_theta=nodes_theta,
-        nodes_p_radial=cfg.get("nodes_p_radial"),
-        nodes_p_polar=cfg.get("nodes_p_polar"),
-        nodes_p_azimuthal=cfg.get("nodes_p_azimuthal"),
-        p_cutoff_sigmas=cfg.get("p_cutoff_sigmas"), tol=tol,
+    echo = dict(
+        command="sweep", n=n_list, delta=deltas, guess_rule=rule.value,
+        nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol, **_momentum_echo(cfg),
     )
     columns = ["n_spins", "delta", "f_avg", "f_opt", "guess_rule", "err_estimate",
                "nodes_r", "nodes_theta", "nodes_p_radial", "nodes_p_polar",
@@ -376,31 +399,28 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_optimize(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
-    if cfg.get("n") is None:
+    n = _setting(cfg, "n", None, int)
+    if n is None:
         raise ConfigError("no ensemble size given (use --n)")
-    n = int(cfg["n"])
     if n < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n}")
-    lo = float(_setting(cfg, "delta_min", 0.05))
-    hi = float(_setting(cfg, "delta_max", max(2.0, 2.0 * math.sqrt(n / 8.0))))
+    lo, hi = default_spread_bracket(n)
+    lo = _setting(cfg, "delta_min", lo, float)
+    hi = _setting(cfg, "delta_max", hi, float)
     if not (0.0 < lo < hi):
         raise ConfigError(f"need 0 < delta-min < delta-max, got ({lo}, {hi})")
-    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r"))
-    nodes_r = int(_setting(cfg, "nodes_r", 96))
-    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
-    tol = float(_setting(cfg, "tol", 1e-3))
+    rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r", str))
+    nodes_r = _setting(cfg, "nodes_r", 96, int)
+    nodes_theta = _setting(cfg, "nodes_theta", 64, int)
+    tol = _setting(cfg, "tol", 1e-3, float)
     quad = _momentum_quad(cfg)
     workers = _resolve_workers(ns)
 
     result = find_delta_opt(n, (lo, hi), rule, 0.01, nodes_r, nodes_theta, quad,
                             tol, workers)
-    echo = _config_echo(
-        "optimize", n=n, delta_min=lo, delta_max=hi, guess_rule=rule.value,
-        nodes_r=nodes_r, nodes_theta=nodes_theta,
-        nodes_p_radial=cfg.get("nodes_p_radial"),
-        nodes_p_polar=cfg.get("nodes_p_polar"),
-        nodes_p_azimuthal=cfg.get("nodes_p_azimuthal"),
-        p_cutoff_sigmas=cfg.get("p_cutoff_sigmas"), tol=tol,
+    echo = dict(
+        command="optimize", n=n, delta_min=lo, delta_max=hi, guess_rule=rule.value,
+        nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol, **_momentum_echo(cfg),
     )
     record = {
         "n_spins": result.n_spins,
@@ -417,17 +437,12 @@ def _cmd_disturbance(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
-    mark = bool(cfg.get("mark_delta_opt"))
-    tol = float(_setting(cfg, "tol", 1e-7))
+    mark = _setting(cfg, "mark_delta_opt", False, bool)
+    tol = _setting(cfg, "tol", 1e-7, float)
     quad = _momentum_quad(cfg)
 
-    echo = _config_echo(
-        "disturbance", n=n_list, delta=deltas,
-        nodes_p_radial=cfg.get("nodes_p_radial"),
-        nodes_p_polar=cfg.get("nodes_p_polar"),
-        p_cutoff_sigmas=cfg.get("p_cutoff_sigmas"), tol=tol,
-        mark_delta_opt=mark,
-    )
+    echo = dict(command="disturbance", n=n_list, delta=deltas, tol=tol,
+                mark_delta_opt=mark, **_momentum_echo(cfg))
     columns = ["n_spins", "delta", "d_exact", "d_lowest_order", "d_min",
                "err_estimate"]
     rows: list[list] = []
@@ -460,12 +475,7 @@ def _cmd_bloch(ns: argparse.Namespace) -> tuple[str, int]:
     deltas = _resolve_deltas(cfg)
     quad = _momentum_quad(cfg)
 
-    echo = _config_echo(
-        "bloch", n=n_list, delta=deltas,
-        nodes_p_radial=cfg.get("nodes_p_radial"),
-        nodes_p_polar=cfg.get("nodes_p_polar"),
-        p_cutoff_sigmas=cfg.get("p_cutoff_sigmas"),
-    )
+    echo = dict(command="bloch", n=n_list, delta=deltas, **_momentum_echo(cfg))
     columns = ["n_spins", "delta", "sz_initial", "sz_post_closed",
                "sz_post_numeric", "sx_post", "sy_post"]
     rows = []
@@ -483,28 +493,25 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
     if cfg.get("n_min") is None or cfg.get("n_max") is None:
         raise ConfigError("give both --n-min and --n-max")
-    n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
-    n_step = int(_setting(cfg, "n_step", 1))
+    n_min, n_max = _convert("n_min", cfg["n_min"], int), _convert("n_max", cfg["n_max"], int)
+    n_step = _setting(cfg, "n_step", 1, int)
     if n_min < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n_min}")
     if n_max < n_min:
         raise ConfigError(f"n-max {n_max} below n-min {n_min}")
     if n_step < 1:
         raise ConfigError(f"n-step must be >= 1, got {n_step}")
-    spread_rule = _setting(cfg, "spread_rule", "formula")
-    nodes_r = int(_setting(cfg, "nodes_r", 96))
-    nodes_theta = int(_setting(cfg, "nodes_theta", 64))
-    tol = float(_setting(cfg, "tol", 1e-4))
+    spread_rule = _setting(cfg, "spread_rule", "formula", str)
+    nodes_r = _setting(cfg, "nodes_r", 96, int)
+    nodes_theta = _setting(cfg, "nodes_theta", 64, int)
+    tol = _setting(cfg, "tol", 1e-4, float)
     quad = _momentum_quad(cfg)
     n_values = list(range(n_min, n_max + 1, n_step))
 
-    echo = _config_echo(
-        "asympt", n_min=n_min, n_max=n_max, n_step=n_step,
-        spread_rule=spread_rule, nodes_r=nodes_r, nodes_theta=nodes_theta,
-        nodes_p_radial=cfg.get("nodes_p_radial"),
-        nodes_p_polar=cfg.get("nodes_p_polar"),
-        nodes_p_azimuthal=cfg.get("nodes_p_azimuthal"),
-        p_cutoff_sigmas=cfg.get("p_cutoff_sigmas"), tol=tol,
+    echo = dict(
+        command="asympt", n_min=n_min, n_max=n_max, n_step=n_step,
+        spread_rule=spread_rule, nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol,
+        **_momentum_echo(cfg),
     )
     points = epsilon_curve(n_values, spread_rule, nodes_r, nodes_theta, quad, tol)
     columns = ["n_spins", "delta_used", "f_lower", "epsilon_n", "optimal_scaling"]
@@ -516,7 +523,7 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_reference(ns: argparse.Namespace) -> tuple[str, int]:
     cfg = _merge(ns)
     n_list = _resolve_n_list(cfg)
-    echo = _config_echo("reference", n=n_list)
+    echo = dict(command="reference", n=n_list)
     columns = ["n_spins", "f_opt", "strong_coupling_limit", "d_min",
                "delta_opt_formula", "optimal_scaling", "d_series_at_delta_opt"]
     rows = [[n, optimal_fidelity(n), strong_coupling_limit(n), min_disturbance(n),
@@ -537,7 +544,7 @@ def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
     workers = _resolve_workers(ns)
     results = validate_mod.run_checks(workers=workers)
     if ns.format == "csv":
-        echo = _config_echo("validate")
+        echo = dict(command="validate")
         columns = ["name", "passed", "measured", "threshold", "detail"]
         rows = [[r.name, r.passed, r.measured, r.threshold, r.detail]
                 for r in results]

@@ -9,12 +9,12 @@ polar integral of the outcome density against the rule's score.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .asymptotics import delta_opt_formula
 from .errors import ConvergenceError, DomainError
 from .pointer import (
     AmplitudeField,
@@ -205,6 +205,12 @@ def sweep_delta(
     )
 
 
+def default_spread_bracket(n_spins: int) -> tuple[float, float]:
+    """Spread bracket that find_delta_opt searches when none is given: from
+    0.05 to twice the asymptotic optimum sqrt(n/8), and at least to 2."""
+    return 0.05, max(2.0, 2.0 * delta_opt_formula(n_spins))
+
+
 def find_delta_opt(
     n_spins: int,
     bracket: tuple[float, float] | None = None,
@@ -223,7 +229,7 @@ def find_delta_opt(
     widen the bracket (for n=1 the curve is edge-maximal by nature).
     """
     if bracket is None:
-        bracket = (0.05, max(2.0, 2.0 * math.sqrt(n_spins / 8.0)))
+        bracket = default_spread_bracket(n_spins)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise DomainError(f"bad bracket [{lo}, {hi}]")

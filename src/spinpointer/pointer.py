@@ -14,7 +14,9 @@ integrable in closed form; combining this with the partial-wave expansion of
 the plane wave reduces the angular momentum integrals to exact polar
 Gauss-Legendre sums truncated at angular order n_spins. Only the radial
 momentum axis keeps the oscillation burden, and its node count scales with
-r_max * p_max as configured.
+r_max * p_max as configured. The spin factor on the momentum mesh,
+sqrt(C(n,k)) alpha^(n-k) beta^k, is spincore.dicke_powers with the k axis
+first, so each k slice that the polar moments contract is contiguous.
 
 The field is built in blocks of outcome radii. Each block needs j_l(r p)
 for every order l = 0..n_spins, taken from one table per block: scipy gives
@@ -34,7 +36,7 @@ from scipy.special import spherical_jn
 
 from .errors import DomainError, NumericError
 from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
-from .spincore import Direction, DickeVector, _LOG_SPACE_THRESHOLD
+from .spincore import Direction, DickeVector, dicke_powers
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
@@ -47,16 +49,14 @@ _CHUNK_RADIAL = 16
 @dataclass(frozen=True)
 class PointerModel:
     """Isotropic Gaussian pointer; spread is the per-axis position sigma-like
-    width (position density has variance spread^2 per axis)."""
+    width (position density has variance spread^2 per axis). The coupling is
+    fixed at 1: a weaker coupling is a wider spread."""
 
     spread: float
-    coupling: float = 1.0
 
     def __post_init__(self):
         if not (self.spread > 0 and np.isfinite(self.spread)):
             raise DomainError(f"pointer spread must be positive, got {self.spread}")
-        if self.coupling != 1.0:
-            raise DomainError("the interaction strength is fixed at 1; rescale spread instead")
 
     @property
     def momentum_sigma(self) -> float:
@@ -251,47 +251,6 @@ def _alpha_beta_polar(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     return alpha, beta
 
 
-def _dicke_power_stack(alpha: np.ndarray, beta: np.ndarray, n_spins: int) -> np.ndarray:
-    """sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, stacked on axis 0.
-
-    Mirrors dicke_expand with the k axis first and the powers built one
-    factor at a time, so the last bits differ from dicke_expand's; switches
-    to log-space accumulation at the same size threshold.
-    """
-    n = n_spins
-    k = np.arange(n + 1)
-    if n <= _LOG_SPACE_THRESHOLD:
-        out = np.empty((n + 1,) + alpha.shape, dtype=complex)
-        comb = np.array([math.comb(n, int(v)) for v in k], dtype=float)
-        alpha_pow = np.ones_like(alpha)
-        beta_pow = np.ones_like(beta)
-        powers_a = [alpha_pow]
-        for _ in range(n):
-            powers_a.append(powers_a[-1] * alpha)
-        for kk in range(n + 1):
-            out[kk] = math.sqrt(comb[kk]) * powers_a[n - kk] * beta_pow
-            if kk < n:
-                beta_pow = beta_pow * beta
-        return out
-    log_comb = 0.5 * np.array(
-        [math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1) for v in k]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(alpha)
-        log_b = np.log(beta)
-        out = np.empty((n + 1,) + alpha.shape, dtype=complex)
-        for kk in range(n + 1):
-            # A zero amplitude to the power 0 is 1, where 0 * log(0) is nan.
-            expo = log_comb[kk]
-            if kk < n:
-                expo = expo + (n - kk) * log_a
-            if kk > 0:
-                expo = expo + kk * log_b
-            term = np.exp(expo)
-            out[kk] = np.where(np.isnan(term), 0.0, term)
-    return out
-
-
 def _legendre_normalized(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     """Spherical-harmonic-normalized associated Legendre functions.
 
@@ -417,7 +376,7 @@ def build_amplitude_field(
         c_rule = gauss_legendre(n + 1, -1.0, 1.0)
 
     alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
-    spin_stack = _dicke_power_stack(alpha, beta, n)  # (n+1, n_p, n_c)
+    spin_stack = dicke_powers(alpha, beta, n)  # (n+1, n_p, n_c)
     if not np.all(np.isfinite(spin_stack)):
         raise NumericError("spin factor overflowed; parameters out of range")
 

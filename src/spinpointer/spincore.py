@@ -20,8 +20,6 @@ from .errors import CapabilityError, DomainError
 # amplitude products underflow stagewise; switch to log-gamma accumulation.
 _LOG_SPACE_THRESHOLD = 60
 
-SpinHalfRotation = np.ndarray
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -82,7 +80,7 @@ class DickeVector:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
 
 
-def su2_rotation(p: np.ndarray) -> SpinHalfRotation:
+def su2_rotation(p: np.ndarray) -> np.ndarray:
     """exp(-i p.sigma/2) as a 2x2 matrix; rotation by angle |p| about p-hat.
 
     The p -> 0 limit is handled through sin(|p|/2)/|p|, which is analytic.
@@ -108,23 +106,18 @@ def rotated_up_amplitudes(p: np.ndarray) -> tuple[complex, complex]:
     return complex(u[0, 0]), complex(u[1, 0])
 
 
-def _log_binomial_half(n: int) -> np.ndarray:
-    """0.5 * ln C(n, k) for k = 0..n."""
-    k = np.arange(n + 1, dtype=float)
-    return 0.5 * (
-        math.lgamma(n + 1) - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in k])
-    )
+def dicke_powers(alpha, beta, n_spins: int) -> np.ndarray:
+    """sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, stacked on axis 0.
 
+    alpha and beta are scalars or arrays of one shape; the result has shape
+    (n+1, *shape), so each k slice is contiguous. Both are flattened before
+    any arithmetic, so a scalar runs the same numpy loops as an array and
+    each element's powers are bit for bit those of a scalar call.
 
-def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
-    """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
-
-    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k. alpha and beta are
-    scalars or arrays of one shape; the result carries that shape with the
-    k axis appended last, and each state's amplitudes are bit-for-bit those
-    of a scalar call. For large n the binomial and the power factors are
-    combined in log space; integer exponents make any branch of the complex
-    log exact.
+    Up to n = 60 the powers are running products, one factor at a time.
+    Above it the binomial and the powers are summed in log space and each k
+    takes one exp; integer exponents make any branch of the complex log
+    exact. A zero amplitude to the power 0 counts as 1.
     """
     n = int(n_spins)
     if n < 1:
@@ -133,23 +126,49 @@ def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
     b = np.asarray(beta, dtype=complex)
     if a.shape != b.shape:
         raise DomainError(f"alpha and beta shapes differ: {a.shape} vs {b.shape}")
-    a = a[..., None]
-    b = b[..., None]
-    k = np.arange(n + 1)
+    shape = a.shape
+    a = a.reshape(-1)
+    b = b.reshape(-1)
+    out = np.empty((n + 1, a.size), dtype=complex)
     if n <= _LOG_SPACE_THRESHOLD:
-        comb = np.sqrt([math.comb(n, int(v)) for v in k])
-        amps = comb * np.power(a, n - k) * np.power(b, k)
-    else:
-        log_comb = _log_binomial_half(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # A zero amplitude to the power 0 is 1, where 0 * log(0) is nan.
-            from_a = np.where((a == 0) & (k == n), 0.0, (n - k) * np.log(a))
-            from_b = np.where((b == 0) & (k == 0), 0.0, k * np.log(b))
-            exponent = log_comb + from_a + from_b
-        # 0 * inf from the vanishing-amplitude corner is a true zero term.
-        exponent = np.where(np.isnan(exponent), -np.inf, exponent)
-        amps = np.exp(exponent)
-    return DickeVector(n_spins=n, amplitudes=np.asarray(amps, dtype=complex))
+        powers_a = [np.ones_like(a)]
+        for _ in range(n):
+            powers_a.append(powers_a[-1] * a)
+        beta_pow = np.ones_like(b)
+        for k in range(n + 1):
+            out[k] = math.sqrt(math.comb(n, k)) * powers_a[n - k] * beta_pow
+            if k < n:
+                beta_pow = beta_pow * b
+        return out.reshape((n + 1,) + shape)
+    log_comb = 0.5 * np.array(
+        [math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)) for k in range(n + 1)]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(a)
+        log_b = np.log(b)
+        for k in range(n + 1):
+            # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
+            expo = log_comb[k]
+            if k < n:
+                expo = expo + (n - k) * log_a
+            if k > 0:
+                expo = expo + k * log_b
+            term = np.exp(expo)
+            # A nan here comes from a zero amplitude: the term is a true zero.
+            out[k] = np.where(np.isnan(term), 0.0, term)
+    return out.reshape((n + 1,) + shape)
+
+
+def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
+    """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
+
+    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k from dicke_powers, with
+    the k axis moved last, after the shape of alpha and beta. The amplitudes
+    are a contiguous copy, not a view, so that stacked matrix products over
+    the batch round as one product per state does.
+    """
+    amps = np.moveaxis(dicke_powers(alpha, beta, n_spins), 0, -1)
+    return DickeVector(n_spins=int(n_spins), amplitudes=np.ascontiguousarray(amps))
 
 
 def coherent_dicke(direction: Direction, n_spins: int) -> DickeVector:

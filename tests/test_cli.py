@@ -167,8 +167,10 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     assert cli.main(["asympt", "--n-min", "0", "--n-max", "4"]) == 2
     assert cli.main(["optimize", "--n", "2", "--delta-min", "0.9",
                      "--delta-max", "0.2"]) == 2
-    # Zero and negative settings are rejected, not replaced by defaults.
+    # Zero, negative and non-finite settings are rejected, not replaced by defaults.
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "0"]) == 2
+    assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "nan"]) == 2
+    assert cli.main(["sweep", "--n", "1", "--delta", "inf"]) == 2
     assert cli.main(["disturbance", "--n", "1", "--delta", "0.5",
                      "--p-cutoff-sigmas", "0"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "-5"]) == 2
@@ -176,6 +178,23 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     assert cli.main(["optimize", "--n", "2", "--delta-min", "0"]) == 2
     assert cli.main(["asympt", "--n-min", "1", "--n-max", "4", "--n-step", "0"]) == 2
     capsys.readouterr()
+    # Values of the wrong type in a config file are refused, not coerced:
+    # a list for one size, text for a number, a boolean for a spread.
+    bad_values = [
+        ("optimize", {"n": [2]}),
+        ("optimize", {"n": 2, "tol": "abc"}),
+        ("sweep", {"n": ["x"], "delta": [0.5]}),
+        ("disturbance", {"n": 2, "delta": [True]}),
+        ("disturbance", {"n": 2, "delta": [0.5], "mark_delta_opt": "no"}),
+        ("sweep", {"n": 2.5, "delta": [0.5]}),
+    ]
+    for i, (command, settings) in enumerate(bad_values):
+        path = tmp_path / f"bad_value_{i}.json"
+        path.write_text(json.dumps(settings))
+        assert cli.main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_unconverged_sweep_exits_three(capsys):

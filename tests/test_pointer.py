@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from spinpointer import pointer
+from spinpointer import pointer, spincore
 from spinpointer.errors import DomainError
 from spinpointer.pointer import (
     MomentumQuadrature,
@@ -27,7 +27,7 @@ from spinpointer.pointer import (
     radial_cumulative,
 )
 from spinpointer.quadrature import gauss_legendre
-from spinpointer.spincore import direction_from_angles
+from spinpointer.spincore import dicke_expand, direction_from_angles
 
 
 def test_momentum_profile_peak_value():
@@ -269,7 +269,7 @@ def _per_order_field(n, model, grid, quad):
     at a time, with scipy's j_l for every order."""
     p_rule, c_rule = quad.gauss_rules(model, 0, 0)
     alpha, beta = pointer._alpha_beta_polar(p_rule.nodes, c_rule.nodes)
-    spin = pointer._dicke_power_stack(alpha, beta, n)
+    spin = spincore.dicke_powers(alpha, beta, n)
     measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
     z = np.multiply.outer(grid.radial.nodes, p_rule.nodes)
     cos_theta = np.cos(grid.polar.nodes)
@@ -294,11 +294,22 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
     assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("n", [60, 61, 100])
-def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
-    # Pole states put all weight on one basis state: 0^0 = 1, not 0.
-    top = np.zeros((n + 1, 1))
-    top[0] = 1.0
-    one, zero = np.array([1.0 + 0j]), np.array([0j])
-    assert np.array_equal(pointer._dicke_power_stack(one, zero, n), top)
-    assert np.array_equal(pointer._dicke_power_stack(zero, one, n), top[::-1])
+@pytest.mark.parametrize("n", [5, 60, 61, 100])
+def test_field_spin_stack_is_dicke_expand_with_k_first(n, monkeypatch):
+    # One Dicke-power route: the field's spin factor on its Gauss momentum
+    # mesh is dicke_expand's, bit for bit, on both sides of the log-space
+    # threshold.
+    seen = []
+
+    def recorded(alpha, beta, n_spins):
+        stack = spincore.dicke_powers(alpha, beta, n_spins)
+        seen.append((alpha, beta, stack))
+        return stack
+
+    monkeypatch.setattr(pointer, "dicke_powers", recorded)
+    build_amplitude_field(
+        n, PointerModel(math.sqrt(n / 8.0)), build_outcome_grid(2.0, nodes_r=2, nodes_theta=2)
+    )
+    ((alpha, beta, stack),) = seen
+    assert stack.shape == (n + 1,) + alpha.shape
+    assert np.array_equal(stack, np.moveaxis(dicke_expand(alpha, beta, n).amplitudes, -1, 0))

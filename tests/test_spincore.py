@@ -13,6 +13,7 @@ from spinpointer.spincore import (
     collective_operators,
     dicke_basis_full,
     dicke_expand,
+    dicke_powers,
     direction_from_angles,
     direction_from_vector,
     full_tensor_rotation_oracle,
@@ -120,6 +121,10 @@ def test_dicke_expand_basis_states_across_log_space_threshold(n):
     phased = dicke_expand(0.0, 1j, n).amplitudes
     assert abs(phased[n] - 1j**n) < 1e-12
     assert np.all(phased[:n] == 0)
+    # The k-leading route the amplitude field uses, on a one-node mesh.
+    one, zero = np.array([1.0 + 0j]), np.array([0j])
+    assert np.array_equal(dicke_powers(one, zero, n), top[:, None])
+    assert np.array_equal(dicke_powers(zero, one, n), top[::-1, None])
 
 
 @pytest.mark.parametrize("n", [10, 100])
