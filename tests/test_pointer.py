@@ -294,6 +294,17 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
     assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("n", [60, 61, 100])
+def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
+    # Pole states put all weight on one basis state: 0^0 = 1, not 0. The
+    # field's spin stack is pointer.dicke_powers, with k leading.
+    top = np.zeros((n + 1, 1))
+    top[0] = 1.0
+    one, zero = np.array([1.0 + 0j]), np.array([0j])
+    assert np.array_equal(pointer.dicke_powers(one, zero, n), top)
+    assert np.array_equal(pointer.dicke_powers(zero, one, n), top[::-1])
+
+
 @pytest.mark.parametrize("n", [5, 60, 61, 100])
 def test_field_spin_stack_is_dicke_expand_with_k_first(n, monkeypatch):
     # One Dicke-power route: the field's spin factor on its Gauss momentum
