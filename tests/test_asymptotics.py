@@ -1,9 +1,11 @@
 """Fidelity lower bound and its large-ensemble scaling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinpointer import asymptotics
 from spinpointer.asymptotics import (
     delta_opt_formula,
     diag_radial_profile,
@@ -12,13 +14,14 @@ from spinpointer.asymptotics import (
     kraus_diagonal_element,
     optimal_scaling,
 )
-from spinpointer.errors import ConvergenceError, DomainError
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
 from spinpointer.estimation import average_fidelity
 from spinpointer.pointer import (
     MomentumQuadrature,
     PointerModel,
     adaptive_outcome_grid,
     build_amplitude_field,
+    momentum_profile,
     position_amplitudes,
 )
 from spinpointer.quadrature import gauss_legendre
@@ -77,6 +80,33 @@ def test_weak_coupling_profile_integrates_to_unit():
     assert total == pytest.approx(1.0, abs=0.01)
 
 
+def _spherical_profile(r, n, model, quad):
+    """W(r) on the spherical momentum mesh, one radius at a time: the phase
+    e^(i r p c) times alpha^n, summed over Gauss rules in |p| and c = cos(polar)."""
+    r_max = max(float(np.max(r)), 1.0)
+    n_c = max(32, n + 1, int(math.ceil(0.8 * r_max * quad.p_max(model))) + 16)
+    p_rule, c_rule = quad.gauss_rules(model, quad.effective_radial(r_max, model, n), n_c)
+    p, c = p_rule.nodes, c_rule.nodes
+    alpha = np.cos(0.5 * p)[:, None] - 1j * c * np.sin(0.5 * p)[:, None]
+    weighted = np.exp(n * np.log(alpha)) * c_rule.weights
+    radial = p_rule.weights * p * p * momentum_profile(p, model)
+    inner = [np.sum(np.exp(1j * ri * np.multiply.outer(p, c)) * weighted, axis=1) for ri in r]
+    return (2.0 * math.pi) ** -0.5 * (np.array(inner) @ radial)
+
+
+@pytest.mark.parametrize("n", [2, 30, 200, 1000])
+def test_diag_profile_matches_spherical_reference(n):
+    # The cylindrical marginal route must reproduce the spherical per-radius
+    # integral on the radial window the bound itself scores.
+    model, quad = PointerModel(delta_opt_formula(n)), MomentumQuadrature()
+    r_lo, r_hi = asymptotics._radial_window(n, model, quad)
+    r = gauss_legendre(40, r_lo, r_hi).nodes
+    w = diag_radial_profile(r, n, model, quad)
+    reference = _spherical_profile(r, n, model, quad)
+    assert np.isrealobj(w)
+    assert np.max(np.abs(w - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_lower_bound_below_average_fidelity():
     for n in (2, 3, 4):
         model = PointerModel(0.7)
@@ -93,10 +123,11 @@ def test_lower_bound_frozen_values():
 
 
 def test_epsilon_curve_band_and_frozen_values():
-    points = epsilon_curve([150, 300], spread_rule="formula")
+    points = epsilon_curve([150, 300, 1000], spread_rule="formula")
     eps = {p.n_spins: p.epsilon_n for p in points}
     assert eps[150] == pytest.approx(1.04196, abs=3e-4)
     assert eps[300] == pytest.approx(1.04871, abs=3e-4)
+    assert eps[1000] == pytest.approx(1.053493, abs=3e-4)
     for p in points:
         assert 0.9 < p.epsilon_n < 1.5
         assert p.epsilon_n > optimal_scaling(p.n_spins)
@@ -133,3 +164,18 @@ def test_unconverged_point_raises():
     coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
     with pytest.raises(ConvergenceError, match="lower-bound refinement moved by"):
         fidelity_lower_bound(2, PointerModel(0.05), quad=coarse)
+
+
+def test_oversized_momentum_mesh_is_refused_before_allocating():
+    # At spread 0.01 the bound would need about 141 000 radial momentum
+    # nodes; the refusal must come before any mesh is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="radial momentum nodes, cap 20000"):
+            fidelity_lower_bound(150, PointerModel(0.01))
+        with pytest.raises(CapabilityError):
+            diag_radial_profile(np.array([75.0]), 150, PointerModel(0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
