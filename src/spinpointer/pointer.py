@@ -18,10 +18,13 @@ r_max * p_max as configured. The spin factor on the momentum mesh,
 sqrt(C(n,k)) alpha^(n-k) beta^k, is spincore.dicke_powers with the k axis
 first, so each k slice that the polar moments contract is contiguous.
 
-The field is built in blocks of outcome radii. Each block needs j_l(r p)
-for every order l = 0..n_spins, taken from one table per block: scipy gives
-j_0 and j_1, and the rest follow by recurrence, upward where l <= r p and by
-downward ratios (Miller's algorithm) above it. The radial transform is then
+The field is built in blocks of outcome radii, each the most whole chunks of
+_CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
+_BLOCK_CELLS cells. The table's seeds j_0 and j_1 are closed forms, with
+scipy called only where r p <= 1; the cells are split once into those with
+r p < n_spins, which take the upward recurrence and downward ratios
+(Miller's algorithm) above l = r p, and the rest, which take the upward
+recurrence alone. Per chunk of the block's table, the radial transform is
 one real matrix product per order l, and the angular synthesis one complex
 matrix product per Dicke component k.
 """
@@ -41,9 +44,16 @@ from .spincore import Direction, DickeVector, dicke_powers
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 
-# Radial outcome nodes per worker task; fixed so that results are bitwise
-# independent of the worker count.
+# Outcome radii per matrix product. The bits of a GEMM depend on its row
+# count, so this stays 16: changing it would move the field's last digits.
 _CHUNK_RADIAL = 16
+
+# Cells per Bessel table, the unit of work of a worker task. A block of
+# outcome radii holds as many whole chunks as fit, so blocks depend only on
+# the grid, n and the momentum count, and values not on the worker count.
+# 2^18 cells (2 MB) left the peak memory of the README sweeps flat; 2^20
+# raised it by about 5 MB.
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,8 @@ class MomentumQuadrature:
                 raise DomainError(f"{name} must be at least 4, got {v}")
         if self.azimuthal_nodes < 4:
             raise DomainError(f"azimuthal_nodes must be at least 4, got {self.azimuthal_nodes}")
+        if not math.isfinite(self.cutoff_sigmas):
+            raise DomainError(f"cutoff_sigmas must be finite, got {self.cutoff_sigmas}")
         if self.cutoff_sigmas < 4:
             raise DomainError(f"cutoff_sigmas below 4 discards real probability mass")
 
@@ -193,8 +205,8 @@ def build_outcome_grid(
     theta_max: float = math.pi,
     polar_split: float | None = None,
 ) -> OutcomeGrid:
-    if not (r_max > r_min >= 0.0):
-        raise DomainError(f"need r_max > r_min >= 0, got [{r_min}, {r_max}]")
+    if not (math.isfinite(r_max) and r_max > r_min >= 0.0):
+        raise DomainError(f"need finite r_max > r_min >= 0, got [{r_min}, {r_max}]")
     if not (0.0 < theta_max <= math.pi):
         raise DomainError(f"polar extent must lie in (0, pi], got {theta_max}")
     radial = gauss_legendre(nodes_r, r_min, r_max)
@@ -286,55 +298,101 @@ def _legendre_normalized(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _radial_chunks(count: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK_RADIAL, count)) for lo in range(0, count, _CHUNK_RADIAL)]
+def _row_ranges(count: int, rows: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+
+
+def _block_rows(n: int, n_p: int) -> int:
+    """Outcome radii per Bessel table: the most whole _CHUNK_RADIAL chunks
+    whose (n+1) x rows x n_p table fits in _BLOCK_CELLS, and at least one."""
+    return max(1, _BLOCK_CELLS // ((n + 1) * _CHUNK_RADIAL * n_p)) * _CHUNK_RADIAL
+
+
+def _upward(table: np.ndarray, z: np.ndarray) -> None:
+    """Rows 2.. of table from its seed rows 0 and 1 by the upward recurrence."""
+    for l in range(1, table.shape[0] - 1):
+        table[l + 1] = (2 * l + 1) / z * table[l] - table[l - 1]
+
+
+def _miller(table: np.ndarray, z: np.ndarray) -> None:
+    """Rows 2.. of table: upward up to floor(z), Miller ratios above it."""
+    l_max = table.shape[0] - 1
+    last_upward = np.maximum(np.floor(z), 1.0)
+    start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+    ratio = np.zeros_like(z)
+    for l in range(start, 1, -1):
+        ratio = z / ((2 * l + 1) - z * ratio)
+        if l <= l_max:
+            table[l] = ratio
+    prev, cur = table[0], table[1]
+    for l in range(1, l_max):
+        prev, cur = cur, (2 * l + 1) / z * cur - prev
+        table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
 
 
 def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_l(z) for l = 0..l_max >= 1, stacked on axis 0.
 
-    j_0 and j_1 come from scipy. Orders l <= z follow the upward recurrence
-    j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1). Orders
-    above z come from the ratios r_l = j_l / j_{l-1} = z / (2l+1 - z r_{l+1}),
-    recurred downward from r = 0 at l_max plus a margin of order l_max^(1/3),
-    the width of the turning region around l = z (Miller's algorithm, DLMF
-    3.6(iii)); they are chained onto the upward value at floor(z). The
-    ratios are bounded, so tiny orders underflow to 0 and nothing overflows;
-    the upward values discarded above z may overflow harmlessly.
+    The seeds are closed forms, j_0 = sin z / z and j_1 = (j_0 - cos z) / z,
+    which are scipy's own formulas; only where z <= 1, where scipy switches
+    j_1 to AMOS because the closed form cancels (and where j_0(0) = 1),
+    does scipy's spherical_jn supply both. Orders l <= z follow the upward
+    recurrence j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1).
+    Orders above z come from the ratios r_l = j_l / j_{l-1} =
+    z / (2l+1 - z r_{l+1}), recurred downward from r = 0 at l_max plus a
+    margin of order l_max^(1/3), the width of the turning region around
+    l = z (Miller's algorithm, DLMF 3.6(iii)); they are chained onto the
+    upward value at floor(z). The ratios are bounded, so tiny orders
+    underflow to 0 and nothing overflows; the upward values discarded above
+    z may overflow harmlessly.
+
+    The cells are split once: those with z < l_max take the full recurrence,
+    the rest the upward one alone. Each set is computed as contiguous rows
+    and scattered into the table once; the arithmetic of every cell is the
+    same as if the whole table took the full recurrence.
     """
     z = np.asarray(z, dtype=float)
-    table = np.empty((l_max + 1,) + z.shape)
-    seeds = spherical_jn(np.arange(2).reshape((2,) + (1,) * z.ndim), z)
-    table[:2] = seeds
-    last_upward = np.maximum(np.floor(z), 1.0)
-    start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+    flat = z.ravel()
+    table = np.empty((l_max + 1, flat.size))
     with np.errstate(all="ignore"):
-        ratio = np.zeros_like(z)
-        for l in range(start, 1, -1):
-            ratio = z / ((2 * l + 1) - z * ratio)
-            if l <= l_max:
-                table[l] = ratio
-        prev, cur = seeds
-        for l in range(1, l_max):
-            prev, cur = cur, (2 * l + 1) / z * cur - prev
-            table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
-    return table
+        table[0] = np.sin(flat) / flat
+        table[1] = (table[0] - np.cos(flat)) / flat
+        small = np.flatnonzero(flat <= 1.0)
+        if small.size:
+            table[:2, small] = spherical_jn(np.arange(2)[:, None], flat[small])
+        if l_max > 1:
+            below = flat < l_max
+            for recur, cells in ((_miller, below), (_upward, ~below)):
+                if cells.all():
+                    recur(table, flat)
+                elif cells.any():
+                    idx = np.flatnonzero(cells)
+                    part = np.empty((l_max + 1, idx.size))
+                    part[:2] = table[:2, idx]
+                    recur(part, flat[idx])
+                    table[2:, idx] = part[2:]
+    return table.reshape((l_max + 1,) + z.shape)
 
 
-def _field_chunk(payload) -> np.ndarray:
-    """Amplitudes for one block of outcome radii; pure function of the payload."""
+def _field_block(payload) -> np.ndarray:
+    """Amplitudes for one block of outcome radii; pure function of the payload.
+
+    One Bessel table serves the whole block; the matrix products run per
+    _CHUNK_RADIAL rows of it.
+    """
     n, r_nodes, p_nodes, weighted, theta_coefs = payload
     n_theta = theta_coefs[0].shape[1]
     bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
-    # transform[k, l, a]: radial transform of the order-l moment for k flips
-    transform = np.zeros((n + 1, n + 1, r_nodes.size), dtype=complex)
-    for l in range(n + 1):
-        t = bessel[l] @ weighted[l * (l + 1) : (l + 1) * (l + 2)].T
-        transform[: l + 1, l].real = t[:, : l + 1].T
-        transform[: l + 1, l].imag = t[:, l + 1 :].T
     out = np.empty((r_nodes.size, n_theta, n + 1), dtype=complex)
-    for k in range(n + 1):
-        out[:, :, k] = _AMPLITUDE_PREFACTOR * (transform[k, k:].T @ theta_coefs[k])
+    for lo, hi in _row_ranges(r_nodes.size, _CHUNK_RADIAL):
+        # transform[k, l, a]: radial transform of the order-l moment for k flips
+        transform = np.zeros((n + 1, n + 1, hi - lo), dtype=complex)
+        for l in range(n + 1):
+            t = bessel[l, lo:hi] @ weighted[l * (l + 1) : (l + 1) * (l + 2)].T
+            transform[: l + 1, l].real = t[:, : l + 1].T
+            transform[: l + 1, l].imag = t[:, l + 1 :].T
+        for k in range(n + 1):
+            out[lo:hi, :, k] = _AMPLITUDE_PREFACTOR * (transform[k, k:].T @ theta_coefs[k])
     return out
 
 
@@ -357,13 +415,17 @@ def build_amplitude_field(
     l = n is exact because the spin factor is band-limited; the polar
     Gauss-Legendre rule is exact once it has at least n+1 nodes.
 
-    Each block of _CHUNK_RADIAL outcome radii builds its own table of
-    j_l(r p), l = 0..n, by recurrence from scipy's j_0 and j_1 (see
-    _bessel_table; it agrees with scipy's j_l to about 1e-15 absolute). The
-    radial transform of order l is one real product of that table's row l
-    with the real and imaginary parts of the weighted moments M_{lk}, all
-    k <= l at once; the angular synthesis is one complex product per k. The
-    blocks are fixed, so the values do not depend on ``workers``.
+    Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL radii
+    as keep its (n+1) x radii x momenta table within _BLOCK_CELLS, builds
+    one table of j_l(r p), l = 0..n, by recurrence from closed-form j_0 and
+    j_1, with scipy's values where r p <= 1 (see _bessel_table; it agrees
+    with scipy's j_l to about 1e-15 absolute). Per chunk of that table, the
+    radial transform of order l is one real product of row l with the real
+    and imaginary parts of the weighted moments M_{lk}, all k <= l at once;
+    the angular synthesis is one complex product per k. Blocks depend only
+    on the grid, n and the momentum count, and every product takes the same
+    rows whatever the block size, so the values depend neither on
+    ``workers`` nor on _BLOCK_CELLS; ``workers`` processes share the blocks.
     """
     n = int(n_spins)
     if n < 1:
@@ -399,16 +461,15 @@ def build_amplitude_field(
         theta_coefs.append(i_pow[k : n + 1][:, None] * ptab_t)
     del spin_stack  # the largest array; the radial blocks need only the moments
 
-    chunks = _radial_chunks(grid.radial.count)
     payloads = [
         (n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs)
-        for lo, hi in chunks
+        for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count))
     ]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            blocks = list(pool.map(_field_chunk, payloads))
+            blocks = list(pool.map(_field_block, payloads))
     else:
-        blocks = [_field_chunk(p) for p in payloads]
+        blocks = [_field_block(p) for p in payloads]
     values = np.concatenate(blocks, axis=0)
 
     w_r, w_t = grid.volume_weights()
@@ -503,6 +564,8 @@ def adaptive_outcome_grid(
     """
     if nodes_r < 1 or nodes_theta < 1:
         raise DomainError(f"need at least one outcome node per axis, got {nodes_r} x {nodes_theta}")
+    if not (0.0 < tail_mass < 1.0):
+        raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
     scan_nodes = _radial_resolution_floor(estimate, model.spread, min(nodes_r, 48))
     scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))

@@ -226,11 +226,14 @@ def _check_guess_rule_dominance() -> CheckResult:
 
 
 def _check_determinism(workers: int) -> CheckResult:
-    model = PointerModel(0.6)
-    grid = adaptive_outcome_grid(2, model)
-    one = build_amplitude_field(2, model, grid, workers=1)
-    again = build_amplitude_field(2, model, grid, workers=1)
-    many = build_amplitude_field(2, model, grid, workers=max(2, workers))
+    # n = 30 spans two blocks of radii at the default table budget, so the
+    # worker pool really runs.
+    n = 30
+    model = PointerModel(math.sqrt(n / 8))
+    grid = adaptive_outcome_grid(n, model)
+    one = build_amplitude_field(n, model, grid, workers=1)
+    again = build_amplitude_field(n, model, grid, workers=1)
+    many = build_amplitude_field(n, model, grid, workers=max(2, workers))
     same = np.array_equal(one.values, again.values) and np.array_equal(one.values, many.values)
     return _check("bitwise_determinism", 0.0 if same else 1.0, 0.0, "repeat and worker-count runs")
 

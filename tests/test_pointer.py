@@ -6,12 +6,13 @@ rotational covariance that the spherical decomposition must respect.
 """
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.special
 
-from spinpointer import pointer, spincore
+from spinpointer import pointer, spincore, validate
 from spinpointer.errors import DomainError
 from spinpointer.pointer import (
     MomentumQuadrature,
@@ -70,6 +71,11 @@ def test_momentum_quadrature_validation():
         MomentumQuadrature(radial_nodes=3)
     with pytest.raises(DomainError):
         MomentumQuadrature(cutoff_sigmas=2.0)
+    for cutoff in (math.inf, math.nan):
+        # Both used to construct, then fail in effective_radial with
+        # OverflowError or ValueError.
+        with pytest.raises(DomainError):
+            MomentumQuadrature(cutoff_sigmas=cutoff)
     quad = MomentumQuadrature(radial_nodes=50)
     p_rule, c_rule = quad.gauss_rules(PointerModel(1.0), 999, 40)
     assert (p_rule.count, c_rule.count) == (50, 40)
@@ -105,6 +111,15 @@ def test_outcome_grid_domain_errors():
         build_outcome_grid(1.0, r_min=-0.1)
     with pytest.raises(DomainError):
         build_outcome_grid(1.0, theta_max=4.0)
+    with pytest.raises(DomainError):  # used to return a grid of nan nodes
+        build_outcome_grid(math.inf)
+
+
+@pytest.mark.parametrize("tail_mass", [math.nan, -1.0, 0.0, 1.0, 2.0])
+def test_adaptive_grid_refuses_tail_mass_outside_unit_interval(tail_mass):
+    # nan and -1 used to return the untrimmed grid, 2 a cut at the first scan node.
+    with pytest.raises(DomainError):
+        adaptive_outcome_grid(2, PointerModel(0.5), tail_mass=tail_mass)
 
 
 @pytest.mark.parametrize("n_spins,spread", [(1, 0.05), (1, 1.0), (3, 0.3), (6, 1.0)])
@@ -217,23 +232,60 @@ def test_node_doubling_stability():
     assert abs(base.total_probability - fine.total_probability) < 1e-5
 
 
-def test_worker_count_is_bitwise_invisible():
-    # n = 30 takes the per-order matrix products through several radial chunks.
-    for n_spins, spread in ((2, 0.6), (30, math.sqrt(30 / 8))):
+def _block_count(field):
+    rows = pointer._block_rows(field.n_spins, field.counts.nodes_p_radial)
+    return len(pointer._row_ranges(field.grid.radial.count, rows))
+
+
+def test_worker_count_is_bitwise_invisible(monkeypatch):
+    # The pool maps blocks of radii. n = 30 spans two at the default budget
+    # (64 + 32 rows); n = 2 fits one, so its budget is cut to one chunk per
+    # block. Both take the per-order matrix products through several chunks.
+    for n_spins, spread, budget in ((2, 0.6, 1), (30, math.sqrt(30 / 8), pointer._BLOCK_CELLS)):
+        monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
         model = PointerModel(spread)
         grid = adaptive_outcome_grid(n_spins, model)
         assert grid.radial.count > 2 * pointer._CHUNK_RADIAL
         serial = build_amplitude_field(n_spins, model, grid, workers=1)
+        assert _block_count(serial) >= 2
         repeat = build_amplitude_field(n_spins, model, grid, workers=1)
         parallel = build_amplitude_field(n_spins, model, grid, workers=2)
         assert np.array_equal(serial.values, repeat.values)
         assert np.array_equal(serial.values, parallel.values)
 
 
-@pytest.mark.parametrize("l_max", [1, 4, 30, 100, 400])
-def test_bessel_table_matches_scipy(l_max):
+def test_validate_determinism_check_starts_the_worker_pool(monkeypatch):
+    pools = []
+
+    def recorded(*args, **kwargs):
+        pools.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(pointer, "ProcessPoolExecutor", recorded)
+    check = validate._check_determinism(1)
+    assert check.passed
+    assert pools == [{"max_workers": 2}]
+
+
+@pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (5, 0.7), (30, math.sqrt(30 / 8))])
+def test_block_size_is_bitwise_invisible(n_spins, spread, monkeypatch):
+    # One chunk per block, the default budget, and the whole grid in one block.
+    model = PointerModel(spread)
+    grid = adaptive_outcome_grid(n_spins, model)
+    fields, blocks = [], []
+    for budget in (1, pointer._BLOCK_CELLS, 2**30):
+        monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
+        fields.append(build_amplitude_field(n_spins, model, grid))
+        blocks.append(_block_count(fields[-1]))
+    assert blocks[0] == math.ceil(grid.radial.count / pointer._CHUNK_RADIAL)
+    assert blocks[2] == 1
+    for other in fields[1:]:
+        assert np.array_equal(fields[0].values, other.values)
+
+
+def _bessel_z(l_max):
     orders = np.arange(1, l_max + 1)
-    z = np.concatenate(
+    return np.concatenate(
         [
             np.logspace(-10, math.log10(500.0), 600),
             # just below, at and just above each order l = z
@@ -241,6 +293,11 @@ def test_bessel_table_matches_scipy(l_max):
             math.pi * np.arange(1, 160),  # zeros of j_0
         ]
     )
+
+
+@pytest.mark.parametrize("l_max", [1, 4, 30, 100, 400])
+def test_bessel_table_matches_scipy(l_max):
+    z = _bessel_z(l_max)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         table = pointer._bessel_table(l_max, z)
@@ -248,6 +305,40 @@ def test_bessel_table_matches_scipy(l_max):
     assert table.shape == reference.shape
     assert np.all(np.isfinite(table))
     assert np.max(np.abs(table - reference)) <= 1e-13
+
+
+def _every_cell_bessel_table(l_max, z):
+    """The field's Bessel table as first written: scipy's j_0 and j_1 on
+    every cell, and the upward recurrence and Miller ratios on every cell,
+    selected per order by l <= floor(z)."""
+    z = np.asarray(z, dtype=float)
+    table = np.empty((l_max + 1,) + z.shape)
+    seeds = scipy.special.spherical_jn(np.arange(2).reshape((2,) + (1,) * z.ndim), z)
+    table[:2] = seeds
+    last_upward = np.maximum(np.floor(z), 1.0)
+    start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+    with np.errstate(all="ignore"):
+        ratio = np.zeros_like(z)
+        for l in range(start, 1, -1):
+            ratio = z / ((2 * l + 1) - z * ratio)
+            if l <= l_max:
+                table[l] = ratio
+        prev, cur = seeds
+        for l in range(1, l_max):
+            prev, cur = cur, (2 * l + 1) / z * cur - prev
+            table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
+    return table
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 30, 100, 400])
+def test_bessel_table_is_every_cell_reference_bit_for_bit(l_max):
+    # Closed-form seeds and the split into Miller and upward cells change no
+    # bit: on the scipy test's points plus z = 1 (where scipy's j_1 switches
+    # branch), and on a field-like outer product of radii and momenta.
+    z = np.append(_bessel_z(l_max), 1.0)
+    assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
+    mesh = np.multiply.outer(np.linspace(0.05, 1.2 * l_max + 3.0, 33), np.linspace(1e-3, 2.5, 71))
+    assert np.array_equal(pointer._bessel_table(l_max, mesh), _every_cell_bessel_table(l_max, mesh))
 
 
 def test_field_uses_scipy_spherical_jn_by_its_module_name(monkeypatch):
@@ -261,7 +352,9 @@ def test_field_uses_scipy_spherical_jn_by_its_module_name(monkeypatch):
 
     monkeypatch.setattr(pointer, "spherical_jn", counted)
     build_amplitude_field(2, PointerModel(0.6), build_outcome_grid(3.0, nodes_r=20, nodes_theta=8))
-    assert len(calls) == 2  # one per radial chunk
+    # One table for the 20 radii, and scipy only where the closed forms cancel.
+    assert len(calls) == 1
+    assert all(np.all(np.asarray(args[1]) <= 1.0) for args in calls)
 
 
 def _per_order_field(n, model, grid, quad):
