@@ -106,8 +106,8 @@ def diag_radial_profile(
     """Radial profile W(r) of the diagonal Kraus element; W is real."""
     quad = quad or MomentumQuadrature()
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0):
-        raise DomainError("radii must be nonnegative")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise DomainError("radii must be finite and nonnegative")
     n_p = _radial_count(float(np.max(r, initial=1.0)), n_spins, model, quad)
     return _diag_profile_values(r, n_spins, model, quad.p_max(model), n_p)
 

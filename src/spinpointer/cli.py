@@ -9,7 +9,8 @@ Output contract: tables are CSV with two comment lines, `# schema=1` and
 `# config=<json>`, where the config echo holds every computation-defining
 setting; writing that JSON to a file and passing it back through --config
 reproduces the table byte for byte. Floats are printed with %.17g, line
-endings are always "\\n", and output is independent of the worker count.
+endings are always "\\n", and repeat runs print the same bytes. The field
+is built in one process; --workers is still accepted and has no effect.
 
 Exit codes: 0 success, 1 validate found a failing invariant, 2 invalid
 configuration, 3 a result failed its convergence check.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .asymptotics import delta_opt_formula, epsilon_curve, optimal_scaling
@@ -63,8 +63,7 @@ _CONFIG_KEYS = {
     "bloch": ("n", "delta", *_RANGE_KEYS, "nodes_p_radial", "nodes_p_polar",
               "p_cutoff_sigmas"),
     "asympt": ("n_min", "n_max", "n_step", "spread_rule", "nodes_r",
-               "nodes_theta", "nodes_p_radial", "nodes_p_polar",
-               "nodes_p_azimuthal", "p_cutoff_sigmas", "tol"),
+               "nodes_theta", "nodes_p_radial", "p_cutoff_sigmas", "tol"),
     "reference": ("n",),
     "validate": (),
 }
@@ -74,8 +73,8 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=["csv", "json"], default=default_format)
     sub.add_argument("--workers", type=int, default=None,
-                     help="process count; 0 means all cores "
-                          "(default: SPINPOINTER_WORKERS or 1)")
+                     help="accepted for older command lines; has no effect, "
+                          "the computation runs in one process")
     sub.add_argument("--config", default=None,
                      help="JSON file of settings; command line flags win")
 
@@ -88,9 +87,12 @@ def _add_delta_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta-steps", type=int, default=None)
 
 
-def _add_momentum_flags(sub: argparse.ArgumentParser, azimuthal: bool = True) -> None:
+def _add_momentum_flags(
+    sub: argparse.ArgumentParser, polar: bool = True, azimuthal: bool = True
+) -> None:
     sub.add_argument("--nodes-p-radial", type=int, default=None)
-    sub.add_argument("--nodes-p-polar", type=int, default=None)
+    if polar:
+        sub.add_argument("--nodes-p-polar", type=int, default=None)
     if azimuthal:
         sub.add_argument("--nodes-p-azimuthal", type=int, default=None)
     sub.add_argument("--p-cutoff-sigmas", type=float, default=None)
@@ -155,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--spread-rule", dest="spread_rule", default=None,
                       choices=["formula", "optimize"])
     _add_outcome_flags(asym)
-    _add_momentum_flags(asym)
+    # The lower bound's momentum rules follow the radial count alone.
+    _add_momentum_flags(asym, polar=False, azimuthal=False)
     asym.add_argument("--tol", type=float, default=None)
     _add_output_flags(asym, "csv")
 
@@ -213,24 +216,6 @@ def _merge(ns: argparse.Namespace) -> dict:
         if merged["delta"] is not None and any(merged[k] is not None for k in _RANGE_KEYS):
             raise ConfigError("config sets both a delta list and a delta range")
     return merged
-
-
-def _resolve_workers(ns: argparse.Namespace) -> int:
-    value = ns.workers
-    if value is None:
-        env = os.environ.get("SPINPOINTER_WORKERS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"SPINPOINTER_WORKERS must be an integer: {env!r}") from exc
-    if value is None:
-        value = 1
-    if value == 0:
-        value = os.cpu_count() or 1
-    if value < 0:
-        raise ConfigError(f"worker count must be >= 0, got {value}")
-    return value
 
 
 def _resolve_deltas(cfg: dict) -> list[float]:
@@ -367,7 +352,6 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     nodes_theta = _setting(cfg, "nodes_theta", 64, int)
     tol = _setting(cfg, "tol", 1e-3, float)
     quad = _momentum_quad(cfg)
-    workers = _resolve_workers(ns)
 
     echo = dict(
         command="sweep", n=n_list, delta=deltas, guess_rule=rule.value,
@@ -379,7 +363,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
     rows: list[list] = []
     failures: list[str] = []
     for n in n_list:
-        result = sweep_delta(n, deltas, rule, nodes_r, nodes_theta, quad, tol, workers)
+        result = sweep_delta(n, deltas, rule, nodes_r, nodes_theta, quad, tol)
         for point in result.points:
             cell = point.guess_rule
             if cell == GuessRule.BEST_OF_AXIS.value:
@@ -414,10 +398,8 @@ def _cmd_optimize(ns: argparse.Namespace) -> tuple[str, int]:
     nodes_theta = _setting(cfg, "nodes_theta", 64, int)
     tol = _setting(cfg, "tol", 1e-3, float)
     quad = _momentum_quad(cfg)
-    workers = _resolve_workers(ns)
 
-    result = find_delta_opt(n, (lo, hi), rule, 0.01, nodes_r, nodes_theta, quad,
-                            tol, workers)
+    result = find_delta_opt(n, (lo, hi), rule, 0.01, nodes_r, nodes_theta, quad, tol)
     echo = dict(
         command="optimize", n=n, delta_min=lo, delta_max=hi, guess_rule=rule.value,
         nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol, **_momentum_echo(cfg),
@@ -541,8 +523,7 @@ def _cmd_reference(ns: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
     _merge(ns)  # rejects unknown config keys
-    workers = _resolve_workers(ns)
-    results = validate_mod.run_checks(workers=workers)
+    results = validate_mod.run_checks()
     if ns.format == "csv":
         echo = dict(command="validate")
         columns = ["name", "passed", "measured", "threshold", "detail"]

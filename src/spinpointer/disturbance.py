@@ -56,7 +56,7 @@ def disturbance_lowest_order(n_spins: int, spread: float) -> float:
     """Lorentzian approximation 1/(1 + 8 spread^2 / n), valid at large n."""
     if n_spins < 1:
         raise DomainError(f"need n_spins >= 1, got {n_spins}")
-    if spread <= 0:
+    if not spread > 0:
         raise DomainError("spread must be positive")
     return 1.0 / (1.0 + 8.0 * spread * spread / n_spins)
 
@@ -174,7 +174,7 @@ def bloch_z_post_closed(n_spins: int, spread: float) -> float:
     (n/6) [1 + e^(-1/(8 spread^2)) (2 - 1/(2 spread^2))]."""
     if n_spins < 1:
         raise DomainError(f"need n_spins >= 1, got {n_spins}")
-    if spread <= 0:
+    if not spread > 0:
         raise DomainError("spread must be positive")
     x = 1.0 / (8.0 * spread * spread)
     return n_spins / 6.0 * (1.0 + math.exp(-x) * (2.0 - 4.0 * x))

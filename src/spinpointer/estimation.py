@@ -112,7 +112,6 @@ def average_fidelity(
     nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-3,
-    workers: int = 1,
     grid: OutcomeGrid | None = None,
 ) -> FidelityPoint:
     """Average guessing fidelity at one (n, spread) point.
@@ -122,12 +121,12 @@ def average_fidelity(
     times the tolerance raises ConvergenceError instead of returning a
     number that cannot be trusted.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     if grid is None:
         grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
-    field = build_amplitude_field(n_spins, model, grid, quad, workers=workers)
+    field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
 
     # Refine the momentum counts the base field actually used.
@@ -135,10 +134,9 @@ def average_fidelity(
     quad_ref = MomentumQuadrature(
         radial_nodes=scaled_count(counts.nodes_p_radial),
         polar_nodes=scaled_count(counts.nodes_p_polar),
-        azimuthal_nodes=scaled_count(counts.nodes_p_azimuthal),
         cutoff_sigmas=counts.cutoff_sigmas,
     )
-    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad_ref, workers=workers)
+    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad_ref)
     ref_plus, ref_minus = _score_weights(field_ref)
 
     if rule is GuessRule.PLUS_R:
@@ -173,7 +171,6 @@ def sweep_delta(
     nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-3,
-    workers: int = 1,
 ) -> SweepResult:
     """Fidelity at each pointer spread; per-point failures are collected,
     not fatal to the sweep."""
@@ -195,7 +192,6 @@ def sweep_delta(
                     nodes_theta=nodes_theta,
                     quad=quad,
                     tolerance=tolerance,
-                    workers=workers,
                 )
             )
         except ConvergenceError as exc:
@@ -220,7 +216,6 @@ def find_delta_opt(
     nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-3,
-    workers: int = 1,
 ) -> OptimizeResult:
     """Golden-section maximization of the average fidelity over the spread.
 
@@ -233,7 +228,7 @@ def find_delta_opt(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise DomainError(f"bad bracket [{lo}, {hi}]")
-    if delta_tolerance <= 0:
+    if not delta_tolerance > 0:
         raise DomainError("delta_tolerance must be positive")
 
     def f(spread: float) -> float:
@@ -245,7 +240,6 @@ def find_delta_opt(
             nodes_theta=nodes_theta,
             quad=quad,
             tolerance=tolerance,
-            workers=workers,
         ).fidelity
 
     cache = golden_section_max(f, lo, hi, delta_tolerance)

@@ -31,7 +31,6 @@ matrix product per Dicke component k.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,11 +47,11 @@ _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 # count, so this stays 16: changing it would move the field's last digits.
 _CHUNK_RADIAL = 16
 
-# Cells per Bessel table, the unit of work of a worker task. A block of
-# outcome radii holds as many whole chunks as fit, so blocks depend only on
-# the grid, n and the momentum count, and values not on the worker count.
-# 2^18 cells (2 MB) left the peak memory of the README sweeps flat; 2^20
-# raised it by about 5 MB.
+# Cells per Bessel table. A block of outcome radii holds as many whole
+# chunks as fit, so one table is built per block: the budget bounds the
+# table's memory and amortises its setup over the block's chunks. Blocks
+# depend only on the grid, n and the momentum count. 2^18 cells (2 MB) left
+# the peak memory of the README sweeps flat; 2^20 raised it by about 5 MB.
 _BLOCK_CELLS = 2**18
 
 
@@ -374,13 +373,14 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     return table.reshape((l_max + 1,) + z.shape)
 
 
-def _field_block(payload) -> np.ndarray:
-    """Amplitudes for one block of outcome radii; pure function of the payload.
+def _field_block(
+    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: list
+) -> np.ndarray:
+    """Amplitudes for one block of outcome radii, shape (radii, angles, n+1).
 
     One Bessel table serves the whole block; the matrix products run per
     _CHUNK_RADIAL rows of it.
     """
-    n, r_nodes, p_nodes, weighted, theta_coefs = payload
     n_theta = theta_coefs[0].shape[1]
     bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
     out = np.empty((r_nodes.size, n_theta, n + 1), dtype=complex)
@@ -401,7 +401,6 @@ def build_amplitude_field(
     model: PointerModel,
     grid: OutcomeGrid,
     quad: MomentumQuadrature | None = None,
-    workers: int = 1,
 ) -> AmplitudeField:
     """Assemble the Dicke amplitude field of E(r)|up^n> on the outcome grid.
 
@@ -422,10 +421,10 @@ def build_amplitude_field(
     with scipy's j_l to about 1e-15 absolute). Per chunk of that table, the
     radial transform of order l is one real product of row l with the real
     and imaginary parts of the weighted moments M_{lk}, all k <= l at once;
-    the angular synthesis is one complex product per k. Blocks depend only
-    on the grid, n and the momentum count, and every product takes the same
-    rows whatever the block size, so the values depend neither on
-    ``workers`` nor on _BLOCK_CELLS; ``workers`` processes share the blocks.
+    the angular synthesis is one complex product per k. The blocks are
+    built one after another in this process. They depend only on the grid,
+    n and the momentum count, and every product takes the same rows whatever
+    the block size, so the values do not depend on _BLOCK_CELLS.
     """
     n = int(n_spins)
     if n < 1:
@@ -461,16 +460,14 @@ def build_amplitude_field(
         theta_coefs.append(i_pow[k : n + 1][:, None] * ptab_t)
     del spin_stack  # the largest array; the radial blocks need only the moments
 
-    payloads = [
-        (n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs)
-        for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count))
-    ]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            blocks = list(pool.map(_field_block, payloads))
-    else:
-        blocks = [_field_block(p) for p in payloads]
-    values = np.concatenate(blocks, axis=0)
+    block_rows = _block_rows(n, p_rule.count)
+    values = np.concatenate(
+        [
+            _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs)
+            for lo, hi in _row_ranges(grid.radial.count, block_rows)
+        ],
+        axis=0,
+    )
 
     w_r, w_t = grid.volume_weights()
     density = np.sum(np.abs(values) ** 2, axis=2)

@@ -87,7 +87,7 @@ def trapezoid_periodic(n: int, period: float = 2.0 * math.pi) -> Rule1D:
     """Equal-weight rule for periodic integrands; exact for harmonics |m| < n."""
     if n < 1:
         raise DomainError(f"need at least one node, got {n}")
-    if period <= 0:
+    if not period > 0:
         raise DomainError("period must be positive")
     nodes = np.arange(n) * (period / n)
     weights = np.full(n, period / n)
@@ -112,7 +112,7 @@ def refinement_report(
     a change above ten times the tolerance raises ConvergenceError instead
     of returning a number that cannot be trusted.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     diff = abs(refined_value - value)
     if diff > 10.0 * tolerance:

@@ -119,13 +119,13 @@ def _check_momentum_normalization() -> CheckResult:
     return _check("momentum_profile_normalized", worst, 1e-8, "Int |profile|^2 d3p = 1")
 
 
-def _check_completeness(workers: int) -> CheckResult:
+def _check_completeness() -> CheckResult:
     worst = 0.0
     for n in (1, 2, 4, 6):
         for spread in (0.05, 0.3, 1.0, 3.0):
             model = PointerModel(spread)
             grid = adaptive_outcome_grid(n, model)
-            fld = build_amplitude_field(n, model, grid, workers=workers)
+            fld = build_amplitude_field(n, model, grid)
             worst = max(worst, abs(fld.total_probability - 1.0))
     return _check("kraus_completeness", worst, 1e-4, "total outcome probability, n <= 6")
 
@@ -225,17 +225,15 @@ def _check_guess_rule_dominance() -> CheckResult:
     return _check("best_of_axis_dominance", worst, 1e-12, "best >= max(plus, minus)")
 
 
-def _check_determinism(workers: int) -> CheckResult:
-    # n = 30 spans two blocks of radii at the default table budget, so the
-    # worker pool really runs.
+def _check_determinism() -> CheckResult:
+    # n = 30 spans two blocks of radii at the default table budget.
     n = 30
     model = PointerModel(math.sqrt(n / 8))
     grid = adaptive_outcome_grid(n, model)
-    one = build_amplitude_field(n, model, grid, workers=1)
-    again = build_amplitude_field(n, model, grid, workers=1)
-    many = build_amplitude_field(n, model, grid, workers=max(2, workers))
-    same = np.array_equal(one.values, again.values) and np.array_equal(one.values, many.values)
-    return _check("bitwise_determinism", 0.0 if same else 1.0, 0.0, "repeat and worker-count runs")
+    one = build_amplitude_field(n, model, grid)
+    again = build_amplitude_field(n, model, grid)
+    same = np.array_equal(one.values, again.values)
+    return _check("bitwise_determinism", 0.0 if same else 1.0, 0.0, "repeat runs")
 
 
 def _check_disturbance_range() -> CheckResult:
@@ -261,7 +259,7 @@ def _check_single_point_consistency() -> CheckResult:
     return _check("single_point_vs_field", worst, 1e-12, "position_amplitudes vs batched field")
 
 
-def run_checks(workers: int = 1) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     """Run the full invariant suite at the default scale."""
     return [
         _check_quadrature_exactness(),
@@ -269,7 +267,7 @@ def run_checks(workers: int = 1) -> list[CheckResult]:
         _check_coherent_overlap(),
         _check_collective_algebra(),
         _check_momentum_normalization(),
-        _check_completeness(workers),
+        _check_completeness(),
         _check_dominance(),
         _check_disturbance_oracle(),
         _check_bloch_paths(),
@@ -277,7 +275,7 @@ def run_checks(workers: int = 1) -> list[CheckResult]:
         _check_fidelity_refinement(),
         _check_lower_bound_ordering(),
         _check_guess_rule_dominance(),
-        _check_determinism(workers),
+        _check_determinism(),
         _check_disturbance_range(),
         _check_single_point_consistency(),
     ]

@@ -193,7 +193,7 @@ def test_07_inefficiency_band(capfd):
 
 def test_08_property_suite(tmp_path, capfd):
     start = time.perf_counter()
-    results = run_checks(workers=2)
+    results = run_checks()
     bad = [r.name for r in results if not r.passed]
     args = ["sweep", "--n", "2", "--delta", "0.4", "--delta", "0.8",
             "--nodes-r", "48", "--nodes-theta", "32"]

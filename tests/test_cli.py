@@ -1,8 +1,14 @@
 """Command line contract: schema, reproducibility, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spinpointer
 
 from spinpointer import cli
 from spinpointer.validate import CheckResult
@@ -88,19 +94,64 @@ def test_sweep_json_format(capsys):
     assert 0.5 < doc["rows"][0]["f_avg"] < 0.67
 
 
-def test_byte_identity_across_runs_and_workers(tmp_path, capsys, monkeypatch):
+def test_byte_identity_across_runs_and_workers(tmp_path, capsys):
     base = ["sweep", "--n", "1", "--delta", "0.4", "--delta", "0.7",
             "--nodes-r", "48", "--nodes-theta", "32"]
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv", "d.csv")]
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert cli.main(base + ["--out", str(paths[0])]) == 0
     assert cli.main(base + ["--out", str(paths[1])]) == 0
     assert cli.main(base + ["--workers", "2", "--out", str(paths[2])]) == 0
-    monkeypatch.setenv("SPINPOINTER_WORKERS", "3")
-    assert cli.main(base + ["--out", str(paths[3])]) == 0
     blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    assert blobs[0] == blobs[1] == blobs[2]
     assert b"\r" not in blobs[0]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "48", "--nodes-theta", "32"],
+        ["disturbance", "--n", "1", "--delta", "0.5", "--mark-delta-opt"],
+        ["optimize", "--n", "1", "--delta-min", "0.5", "--delta-max", "0.52",
+         "--nodes-r", "48", "--nodes-theta", "32"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_workers_flag_is_accepted_and_changes_nothing(args, capsys):
+    # The benchmark's command lines still pass `--workers 1`.
+    plain = run_cli(args, capsys)
+    flagged = run_cli(args + ["--workers", "1"], capsys)
+    assert plain[0] == 0
+    assert flagged == plain
+
+
+def test_cli_import_loads_no_process_pool():
+    env = dict(os.environ)
+    src = str(Path(spinpointer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, spinpointer.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("flag", ["--nodes-p-polar", "--nodes-p-azimuthal"])
+def test_asympt_refuses_momentum_angle_counts(flag, tmp_path, capsys):
+    # The lower bound reads no polar or azimuthal momentum count.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["asympt", "--n-min", "4", "--n-max", "4", flag, "8"])
+    assert exc.value.code == 2
+    config = tmp_path / "asympt.json"
+    config.write_text(json.dumps({"n_min": 4, "n_max": 4, flag[2:].replace("-", "_"): 8}))
+    code, out, err = run_cli(["asympt", "--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown config key" in err
 
 
 def test_config_round_trip(tmp_path, capsys):
@@ -273,7 +324,7 @@ def test_asympt_csv(capsys):
 def test_validate_exit_codes(capsys, monkeypatch):
     healthy = [CheckResult("alpha", True, 0.0, 1.0, "ok"),
                CheckResult("beta", True, 0.5, 1.0, "ok")]
-    monkeypatch.setattr(cli.validate_mod, "run_checks", lambda workers=1: healthy)
+    monkeypatch.setattr(cli.validate_mod, "run_checks", lambda: healthy)
     code, out, _ = run_cli(["validate"], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -281,7 +332,7 @@ def test_validate_exit_codes(capsys, monkeypatch):
     assert [c["name"] for c in doc["checks"]] == ["alpha", "beta"]
 
     broken = healthy + [CheckResult("gamma", False, 2.0, 1.0, "off")]
-    monkeypatch.setattr(cli.validate_mod, "run_checks", lambda workers=1: broken)
+    monkeypatch.setattr(cli.validate_mod, "run_checks", lambda: broken)
     code, out, _ = run_cli(["validate", "--format", "csv"], capsys)
     assert code == 1
     _, columns, rows = parse_csv(out)

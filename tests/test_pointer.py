@@ -6,13 +6,12 @@ rotational covariance that the spherical decomposition must respect.
 """
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.special
 
-from spinpointer import pointer, spincore, validate
+from spinpointer import pointer, spincore
 from spinpointer.errors import DomainError
 from spinpointer.pointer import (
     MomentumQuadrature,
@@ -237,39 +236,10 @@ def _block_count(field):
     return len(pointer._row_ranges(field.grid.radial.count, rows))
 
 
-def test_worker_count_is_bitwise_invisible(monkeypatch):
-    # The pool maps blocks of radii. n = 30 spans two at the default budget
-    # (64 + 32 rows); n = 2 fits one, so its budget is cut to one chunk per
-    # block. Both take the per-order matrix products through several chunks.
-    for n_spins, spread, budget in ((2, 0.6, 1), (30, math.sqrt(30 / 8), pointer._BLOCK_CELLS)):
-        monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
-        model = PointerModel(spread)
-        grid = adaptive_outcome_grid(n_spins, model)
-        assert grid.radial.count > 2 * pointer._CHUNK_RADIAL
-        serial = build_amplitude_field(n_spins, model, grid, workers=1)
-        assert _block_count(serial) >= 2
-        repeat = build_amplitude_field(n_spins, model, grid, workers=1)
-        parallel = build_amplitude_field(n_spins, model, grid, workers=2)
-        assert np.array_equal(serial.values, repeat.values)
-        assert np.array_equal(serial.values, parallel.values)
-
-
-def test_validate_determinism_check_starts_the_worker_pool(monkeypatch):
-    pools = []
-
-    def recorded(*args, **kwargs):
-        pools.append(kwargs)
-        return ProcessPoolExecutor(*args, **kwargs)
-
-    monkeypatch.setattr(pointer, "ProcessPoolExecutor", recorded)
-    check = validate._check_determinism(1)
-    assert check.passed
-    assert pools == [{"max_workers": 2}]
-
-
 @pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (5, 0.7), (30, math.sqrt(30 / 8))])
 def test_block_size_is_bitwise_invisible(n_spins, spread, monkeypatch):
-    # One chunk per block, the default budget, and the whole grid in one block.
+    # One chunk per block, the default budget, the whole grid in one block,
+    # and a repeat build of the last.
     model = PointerModel(spread)
     grid = adaptive_outcome_grid(n_spins, model)
     fields, blocks = [], []
@@ -277,9 +247,10 @@ def test_block_size_is_bitwise_invisible(n_spins, spread, monkeypatch):
         monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
         fields.append(build_amplitude_field(n_spins, model, grid))
         blocks.append(_block_count(fields[-1]))
+    repeat = build_amplitude_field(n_spins, model, grid)
     assert blocks[0] == math.ceil(grid.radial.count / pointer._CHUNK_RADIAL)
     assert blocks[2] == 1
-    for other in fields[1:]:
+    for other in fields[1:] + [repeat]:
         assert np.array_equal(fields[0].values, other.values)
 
 

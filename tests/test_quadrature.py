@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from spinpointer.asymptotics import diag_radial_profile, fidelity_lower_bound
+from spinpointer.disturbance import bloch_z_post_closed, disturbance_exact, disturbance_lowest_order
 from spinpointer.errors import ConvergenceError, DomainError
+from spinpointer.estimation import average_fidelity, find_delta_opt
+from spinpointer.pointer import PointerModel
 from spinpointer.quadrature import (
     REFINEMENT_FACTOR,
     Rule1D,
@@ -132,3 +136,29 @@ def test_domain_errors():
         refinement_report(1.0, 1.0, 0.0, "test integral", 1, 1.0)
     with pytest.raises(DomainError):
         Rule1D(nodes=np.zeros(3), weights=np.zeros(2), domain=(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: refinement_report(1.0, 1.0, math.nan, "test integral", 1, 1.0),
+        lambda: average_fidelity(1, PointerModel(0.5), tolerance=math.nan),
+        lambda: disturbance_exact(1, PointerModel(0.5), tolerance=math.nan),
+        lambda: fidelity_lower_bound(2, PointerModel(0.5), tolerance=math.nan),
+        lambda: find_delta_opt(1, (0.3, 0.6), delta_tolerance=math.nan),
+        lambda: disturbance_lowest_order(2, math.nan),
+        lambda: bloch_z_post_closed(2, math.nan),
+        lambda: trapezoid_periodic(4, math.nan),
+        lambda: diag_radial_profile([math.inf], 2, PointerModel(1.0)),
+        lambda: diag_radial_profile([math.nan], 2, PointerModel(1.0)),
+    ],
+    ids=[
+        "refinement_report", "average_fidelity", "disturbance_exact", "fidelity_lower_bound",
+        "find_delta_opt", "disturbance_lowest_order", "bloch_z_post_closed",
+        "trapezoid_periodic", "diag_radial_profile_inf", "diag_radial_profile_nan",
+    ],
+)
+def test_nan_and_infinite_settings_are_refused(call):
+    # nan passes every `x <= 0` guard, so each guard reads `not x > 0`.
+    with pytest.raises(DomainError):
+        call()
