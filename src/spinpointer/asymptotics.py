@@ -8,13 +8,27 @@ its m=0 term, and what remains is cos^n(theta/2) times a radial profile,
 a 1-D Fourier transform in the momentum p_z along the outcome axis:
 
     W(r) = (2 pi)^(-1/2) Integral dp_z e^(i r p_z) G(p_z),
-    G(p_z) = Integral_0^sqrt(p_max^2 - p_z^2) rho drho profile(|p|) alpha^n,
-    alpha = cos(|p|/2) - i p_z sin(|p|/2) / |p|.
+    G(p_z) = Integral_|p_z|^p_max s ds profile(s) alpha^n,    s = |p|,
+    alpha = cos(s/2) - i p_z sin(s/2) / s.
 
 G(-p_z) = conj G(p_z), so W is real and p_z runs over [0, p_max] only.
 
 |E_r|^2 is a pointwise lower bound on the outcome density, so scoring it
-like a fidelity integral lower-bounds the average fidelity.
+like a fidelity integral lower-bounds the average fidelity. Both outcome
+axes integrate exactly: Integral_0^pi sin(theta) cos^(2n+2)(theta/2) dtheta
+= 2/(n+2), and by Parseval r W(r) transforms to i G'(p_z), as G(+-p_max) = 0
+and |G'| is even. With alpha = e^(-i p_z/2) at s = p_z,
+
+    F_lower = (4 pi/(n+2)) Integral_0^inf r^2 W(r)^2 dr
+            = (8 pi/(n+2)) Integral_0^p_max |G'(p_z)|^2 dp_z
+              - (4 pi/(n+2)) Integral_0^inf r^2 W(-r)^2 dr,
+    G'(p_z) e^(i n p_z/2) = -p_z profile(p_z)
+        - i n Integral_p_z^p_max ds profile(s) sin(s/2) alpha^(n-1) e^(i n p_z/2).
+
+The factor e^(i n p_z/2) keeps |G'| and removes the fast phase, so one
+Gauss mesh in (p_z, s) serves any n. W lives around the drift r = n/2; its
+r < 0 part, taken over [0, 6 spread + 4], matters only at small n (0.06 at
+n = 1, spread 0.3).
 """
 from __future__ import annotations
 
@@ -24,13 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .pointer import MomentumQuadrature, OutcomeGrid, PointerModel, build_outcome_grid, momentum_profile
+from .pointer import MomentumQuadrature, PointerModel, momentum_profile
 from .quadrature import gauss_legendre, golden_section_max, refinement_report, scaled_count
 
-# Polar concentration for large ensembles: essentially all outcome
-# probability sits at angles below c / sqrt(n) from the input axis.
-_POLAR_CONCENTRATION = 10.0
-_LARGE_N = 150
 _MAX_RADIAL_NODES = 20_000  # the outcome grid's radial cap in pointer
 _BLOCK_CELLS = 1 << 18  # mesh cells per block of p_z rows, so memory stays bounded
 
@@ -126,66 +136,61 @@ def kraus_diagonal_element(
     return complex(math.cos(0.5 * polar) ** n_spins * w)
 
 
-def _radial_window(n_spins: int, model: PointerModel, quad: MomentumQuadrature) -> tuple[float, float]:
-    """Radial support of r^2 |W(r)|^2, found by a coarse scan.
-
-    For small ensembles the window is simply [0, n/2 + 6 spread + 2]; for
-    large ones the profile is a thin shell near the drift n/2 and windowing
-    keeps the node budget sane.
-    """
-    drift = 0.5 * n_spins
-    if n_spins < 50:
-        return 0.0, drift + 6.0 * model.spread + 2.0
-    width = 12.0 * (model.spread + 0.5 * math.sqrt(n_spins) + 1.0)
-    lo = max(0.0, drift - width)
-    hi = drift + width
-    scan = gauss_legendre(96, lo, hi)
-    w = diag_radial_profile(scan.nodes, n_spins, model, quad)
-    mass = (scan.nodes * w) ** 2
-    keep = np.nonzero(mass > 1e-12 * float(np.max(mass)))[0]
-    r_lo = scan.nodes[max(0, keep[0] - 2)] if keep[0] > 0 else lo
-    r_hi = scan.nodes[min(scan.count - 1, keep[-1] + 2)]
-    return float(r_lo), float(r_hi)
-
-
-def _bound_value(grid: OutcomeGrid, n_spins: int, model: PointerModel, p_max: float, n_p: int) -> float:
-    """Fidelity score of |E_r|^2 on one outcome grid and radial momentum count."""
-    w = _diag_profile_values(grid.radial.nodes, n_spins, model, p_max, n_p)
-    w_r, w_t = grid.volume_weights()
-    half = 0.5 * grid.polar.nodes
-    # |E|^2 separates into radius and angle factors; score is cos^2(half).
-    with np.errstate(under="ignore"):
-        polar_part = np.cos(half) ** (2 * n_spins + 2)
-    return float(np.sum(w_r * w * w) * float(w_t @ polar_part))
+def _slope_norm(n: int, model: PointerModel, p_max: float, n_p: int) -> float:
+    """Integral_0^p_max |G'(p_z)|^2 dp_z on an n_p x n_p Gauss mesh in (p_z, s),
+    in blocks of p_z rows; alpha^(n-1) is formed from alpha's modulus and argument."""
+    z_rule = gauss_legendre(n_p, 0.0, p_max)
+    t_rule = gauss_legendre(n_p, 0.0, 1.0)
+    slope_sq = np.empty(n_p)
+    rows = _BLOCK_CELLS // n_p  # at least 13 under the radial cap
+    for start in range(0, n_p, rows):
+        pz = z_rule.nodes[start : start + rows, None]
+        span = p_max - pz
+        s = pz + span * t_rule.nodes
+        sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
+        tilt = pz * sin_half / s  # alpha = cos_half - i tilt; s > p_z > 0 on Gauss nodes
+        log_modulus = 0.5 * (n - 1) * np.log(cos_half * cos_half + tilt * tilt)
+        phase = (n - 1) * np.arctan2(-tilt, cos_half) + 0.5 * n * pz
+        amp = (span * t_rule.weights) * momentum_profile(s, model) * sin_half * np.exp(log_modulus)
+        # G' e^(i n p_z/2) = -p_z profile(p_z) - i n Sum amp e^(i phase)
+        edge = pz[:, 0] * momentum_profile(pz[:, 0], model)
+        real = n * np.sum(amp * np.sin(phase), axis=1) - edge
+        imag = n * np.sum(amp * np.cos(phase), axis=1)
+        slope_sq[start : start + rows] = real * real + imag * imag
+    return float(z_rule.weights @ slope_sq)
 
 
 def fidelity_lower_bound(
     n_spins: int,
     model: PointerModel,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-4,
-    grid: OutcomeGrid | None = None,
 ) -> LowerBoundPoint:
-    """Score |E_r|^2 like a fidelity integral: a lower bound on F_av.
+    """Score |E_r|^2 like a fidelity integral: a lower bound on F_av, by the
+    |G'|^2 identity of the module notes.
 
-    For n >= 150 the polar nodes concentrate on [0, 10/sqrt(n)] and the
-    radial axis is windowed around the drift; the discarded caps carry
-    cos^(2n) tails far below the tolerance.
+    The (p_z, s) mesh takes _radial_count(0) nodes per axis, and the r < 0
+    term _radial_count(6 spread + 4) in r and for W; the refined pass scales
+    both. Counts above the cap are refused before anything is allocated.
     """
     n = int(n_spins)
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
+    if not tolerance > 0:
+        raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
-    if grid is None:
-        r_lo, r_hi = _radial_window(n, model, quad)
-        theta_max = math.pi if n < _LARGE_N else min(math.pi, _POLAR_CONCENTRATION / math.sqrt(n))
-        grid = build_outcome_grid(r_hi, nodes_r, nodes_theta, r_min=r_lo, theta_max=theta_max)
+    p_max, r_behind = quad.p_max(model), 6.0 * model.spread + 4.0
+    n_p = _radial_count(0.0, n, model, quad)
+    n_w = _radial_count(r_behind, n, model, quad)
 
-    n_p, p_max = _radial_count(grid.r_max, n, model, quad), quad.p_max(model)
-    base = _bound_value(grid, n, model, p_max, n_p)
-    refined = _bound_value(grid.refined(), n, model, p_max, scaled_count(n_p))
+    def score(n_p: int, n_w: int) -> float:
+        r_rule = gauss_legendre(n_w, 0.0, r_behind)
+        w_behind = _diag_profile_values(-r_rule.nodes, n, model, p_max, n_w)
+        behind = float(r_rule.weights @ (r_rule.nodes * w_behind) ** 2)
+        return 4.0 * math.pi / (n + 2) * (2.0 * _slope_norm(n, model, p_max, n_p) - behind)
+
+    base = score(n_p, n_w)
+    refined = score(scaled_count(n_p), scaled_count(n_w))
     report = refinement_report(base, refined, tolerance, "lower-bound", n, model.spread)
     return LowerBoundPoint(
         n_spins=n,
@@ -201,8 +206,6 @@ def fidelity_lower_bound(
 def epsilon_curve(
     n_values,
     spread_rule: str = "formula",
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-4,
 ) -> list[LowerBoundPoint]:
@@ -215,7 +218,7 @@ def epsilon_curve(
         raise DomainError(f"unknown spread rule {spread_rule!r}")
 
     def bound(n: int, spread: float) -> LowerBoundPoint:
-        return fidelity_lower_bound(n, PointerModel(spread=spread), nodes_r, nodes_theta, quad, tolerance)
+        return fidelity_lower_bound(n, PointerModel(spread=spread), quad, tolerance)
 
     points = []
     for n in map(int, n_values):

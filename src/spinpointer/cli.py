@@ -62,8 +62,8 @@ _CONFIG_KEYS = {
                     "mark_delta_opt"),
     "bloch": ("n", "delta", *_RANGE_KEYS, "nodes_p_radial", "nodes_p_polar",
               "p_cutoff_sigmas"),
-    "asympt": ("n_min", "n_max", "n_step", "spread_rule", "nodes_r",
-               "nodes_theta", "nodes_p_radial", "p_cutoff_sigmas", "tol"),
+    "asympt": ("n_min", "n_max", "n_step", "spread_rule", "nodes_p_radial",
+               "p_cutoff_sigmas", "tol"),
     "reference": ("n",),
     "validate": (),
 }
@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--n-step", type=int, default=None)
     asym.add_argument("--spread-rule", dest="spread_rule", default=None,
                       choices=["formula", "optimize"])
-    _add_outcome_flags(asym)
     # The lower bound's momentum rules follow the radial count alone.
     _add_momentum_flags(asym, polar=False, azimuthal=False)
     asym.add_argument("--tol", type=float, default=None)
@@ -484,18 +483,15 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
     if n_step < 1:
         raise ConfigError(f"n-step must be >= 1, got {n_step}")
     spread_rule = _setting(cfg, "spread_rule", "formula", str)
-    nodes_r = _setting(cfg, "nodes_r", 96, int)
-    nodes_theta = _setting(cfg, "nodes_theta", 64, int)
     tol = _setting(cfg, "tol", 1e-4, float)
     quad = _momentum_quad(cfg)
     n_values = list(range(n_min, n_max + 1, n_step))
 
     echo = dict(
         command="asympt", n_min=n_min, n_max=n_max, n_step=n_step,
-        spread_rule=spread_rule, nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol,
-        **_momentum_echo(cfg),
+        spread_rule=spread_rule, tol=tol, **_momentum_echo(cfg),
     )
-    points = epsilon_curve(n_values, spread_rule, nodes_r, nodes_theta, quad, tol)
+    points = epsilon_curve(n_values, spread_rule, quad, tol)
     columns = ["n_spins", "delta_used", "f_lower", "epsilon_n", "optimal_scaling"]
     rows = [[p.n_spins, p.spread, p.f_lower, p.epsilon_n, p.optimal_scaling]
             for p in points]

@@ -100,6 +100,8 @@ def disturbance_exact(
     n = int(n_spins)
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
+    if not tolerance > 0:
+        raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     p_rule, c_rule = _disturbance_rules(n, model, quad)
     base = _disturbance_value(n, model, p_rule, c_rule)

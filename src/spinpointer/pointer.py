@@ -155,10 +155,9 @@ class QuadratureCounts:
 class OutcomeGrid:
     """Product grid over outcome radius and polar angle (azimuth is symmetric).
 
-    The radial rule covers (r_min, r_max]; r_min is 0 unless the caller
-    windows the radial axis (useful at large n where the probability sits in
-    a thin shell around radius n/2). The polar rule may be split at a given
-    angle so hemisphere masses are exact partial sums.
+    The radial rule covers (0, r_max] and the polar rule [0, pi]; the polar
+    rule may be split at a given angle so hemisphere masses are exact
+    partial sums.
     """
 
     radial: Rule1D
@@ -169,14 +168,6 @@ class OutcomeGrid:
     def r_max(self) -> float:
         return self.radial.domain[1]
 
-    @property
-    def r_min(self) -> float:
-        return self.radial.domain[0]
-
-    @property
-    def theta_max(self) -> float:
-        return self.polar.domain[1]
-
     def refined(self) -> "OutcomeGrid":
         """The same region with both node counts scaled by the refinement
         factor; the refined polar rule is not split."""
@@ -184,8 +175,6 @@ class OutcomeGrid:
             self.r_max,
             nodes_r=scaled_count(self.radial.count),
             nodes_theta=scaled_count(self.polar.count),
-            r_min=self.r_min,
-            theta_max=self.theta_max,
         )
 
     def volume_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -200,27 +189,23 @@ def build_outcome_grid(
     r_max: float,
     nodes_r: int = 96,
     nodes_theta: int = 64,
-    r_min: float = 0.0,
-    theta_max: float = math.pi,
     polar_split: float | None = None,
 ) -> OutcomeGrid:
-    if not (math.isfinite(r_max) and r_max > r_min >= 0.0):
-        raise DomainError(f"need finite r_max > r_min >= 0, got [{r_min}, {r_max}]")
-    if not (0.0 < theta_max <= math.pi):
-        raise DomainError(f"polar extent must lie in (0, pi], got {theta_max}")
-    radial = gauss_legendre(nodes_r, r_min, r_max)
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise DomainError(f"need finite r_max > 0, got {r_max}")
+    radial = gauss_legendre(nodes_r, 0.0, r_max)
     if polar_split is None:
-        polar = gauss_legendre(nodes_theta, 0.0, theta_max)
+        polar = gauss_legendre(nodes_theta, 0.0, math.pi)
         split_index = None
     else:
-        if not (0.0 < polar_split < theta_max):
+        if not (0.0 < polar_split < math.pi):
             raise DomainError("polar split must lie inside the polar domain")
         lower = gauss_legendre(nodes_theta // 2, 0.0, polar_split)
-        upper = gauss_legendre(nodes_theta - nodes_theta // 2, polar_split, theta_max)
+        upper = gauss_legendre(nodes_theta - nodes_theta // 2, polar_split, math.pi)
         polar = Rule1D(
             nodes=np.concatenate([lower.nodes, upper.nodes]),
             weights=np.concatenate([lower.weights, upper.weights]),
-            domain=(0.0, theta_max),
+            domain=(0.0, math.pi),
         )
         split_index = lower.count
     return OutcomeGrid(radial=radial, polar=polar, polar_split_index=split_index)

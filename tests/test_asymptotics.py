@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinpointer import asymptotics
 from spinpointer.asymptotics import (
     delta_opt_formula,
     diag_radial_profile,
@@ -97,14 +96,35 @@ def _spherical_profile(r, n, model, quad):
 @pytest.mark.parametrize("n", [2, 30, 200, 1000])
 def test_diag_profile_matches_spherical_reference(n):
     # The cylindrical marginal route must reproduce the spherical per-radius
-    # integral on the radial window the bound itself scores.
+    # integral across the shell around the drift n/2 where W lives.
     model, quad = PointerModel(delta_opt_formula(n)), MomentumQuadrature()
-    r_lo, r_hi = asymptotics._radial_window(n, model, quad)
-    r = gauss_legendre(40, r_lo, r_hi).nodes
+    drift, half = 0.5 * n, 4.0 * (model.spread + 0.5 * math.sqrt(n) + 1.0)
+    r = gauss_legendre(40, max(0.0, drift - half), drift + half).nodes
     w = diag_radial_profile(r, n, model, quad)
     reference = _spherical_profile(r, n, model, quad)
     assert np.isrealobj(w)
     assert np.max(np.abs(w - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def _r_grid_bound(n, model):
+    """The bound in its outcome-radius form, (4 pi/(n+2)) Integral_0^R r^2 W(r)^2 dr,
+    with W from diag_radial_profile on one Gauss rule in r. R = n/2 + 10 spread
+    + 8 leaves a tail below 1e-14; the rule takes R p_max + 64 nodes."""
+    r_max = 0.5 * n + 10.0 * model.spread + 8.0
+    count = int(math.ceil(r_max * MomentumQuadrature().p_max(model))) + 64
+    rule = gauss_legendre(count, 0.0, r_max)
+    w = diag_radial_profile(rule.nodes, n, model)
+    return 4.0 * math.pi / (n + 2) * float(rule.weights @ (rule.nodes * w) ** 2)
+
+
+@pytest.mark.parametrize(
+    "n, spread", [(1, 0.3), (2, 0.1), (4, 2.0), (30, math.sqrt(3.75)), (150, math.sqrt(18.75))]
+)
+def test_lower_bound_matches_radial_integral(n, spread):
+    # The |G'|^2 form less its r < 0 term (0.062, 0.081 and 0.019 at the
+    # first three points) must equal the direct integral over r >= 0.
+    model = PointerModel(spread)
+    assert fidelity_lower_bound(n, model).f_lower == pytest.approx(_r_grid_bound(n, model), abs=1e-10)
 
 
 def test_lower_bound_below_average_fidelity():
@@ -123,11 +143,12 @@ def test_lower_bound_frozen_values():
 
 
 def test_epsilon_curve_band_and_frozen_values():
-    points = epsilon_curve([150, 300, 1000], spread_rule="formula")
+    points = epsilon_curve([150, 300, 1000, 10_000], spread_rule="formula")
     eps = {p.n_spins: p.epsilon_n for p in points}
     assert eps[150] == pytest.approx(1.04196, abs=3e-4)
     assert eps[300] == pytest.approx(1.04871, abs=3e-4)
     assert eps[1000] == pytest.approx(1.053493, abs=3e-4)
+    assert eps[10_000] == pytest.approx(1.055349, abs=3e-4)
     for p in points:
         assert 0.9 < p.epsilon_n < 1.5
         assert p.epsilon_n > optimal_scaling(p.n_spins)

@@ -140,9 +140,12 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("flag", ["--nodes-p-polar", "--nodes-p-azimuthal"])
+@pytest.mark.parametrize(
+    "flag", ["--nodes-p-polar", "--nodes-p-azimuthal", "--nodes-r", "--nodes-theta"]
+)
 def test_asympt_refuses_momentum_angle_counts(flag, tmp_path, capsys):
-    # The lower bound reads no polar or azimuthal momentum count.
+    # The lower bound reads no polar or azimuthal momentum count, and it
+    # integrates both outcome axes exactly, so it has no outcome grid.
     with pytest.raises(SystemExit) as exc:
         cli.main(["asympt", "--n-min", "4", "--n-max", "4", flag, "8"])
     assert exc.value.code == 2

@@ -106,10 +106,6 @@ def test_outcome_grid_polar_split():
 def test_outcome_grid_domain_errors():
     with pytest.raises(DomainError):
         build_outcome_grid(0.0)
-    with pytest.raises(DomainError):
-        build_outcome_grid(1.0, r_min=-0.1)
-    with pytest.raises(DomainError):
-        build_outcome_grid(1.0, theta_max=4.0)
     with pytest.raises(DomainError):  # used to return a grid of nan nodes
         build_outcome_grid(math.inf)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spinpointer import asymptotics, disturbance
 from spinpointer.asymptotics import diag_radial_profile, fidelity_lower_bound
 from spinpointer.disturbance import bloch_z_post_closed, disturbance_exact, disturbance_lowest_order
 from spinpointer.errors import ConvergenceError, DomainError
@@ -162,3 +163,20 @@ def test_nan_and_infinite_settings_are_refused(call):
     # nan passes every `x <= 0` guard, so each guard reads `not x > 0`.
     with pytest.raises(DomainError):
         call()
+
+
+def _quadrature_ran(*args, **kwargs):
+    raise AssertionError("quadrature ran before the tolerance was checked")
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0])
+def test_bad_tolerance_is_refused_before_any_quadrature(tolerance, monkeypatch):
+    # A bad tolerance used to cost both refinement passes before the refusal
+    # (0.28 s for the bound at n = 400); now it is the first check.
+    for name in ("_slope_norm", "_diag_profile_values"):
+        monkeypatch.setattr(asymptotics, name, _quadrature_ran)
+    monkeypatch.setattr(disturbance, "_disturbance_value", _quadrature_ran)
+    with pytest.raises(DomainError):
+        fidelity_lower_bound(400, PointerModel(math.sqrt(50.0)), tolerance=tolerance)
+    with pytest.raises(DomainError):
+        disturbance_exact(2, PointerModel(0.5), tolerance=tolerance)
