@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import gauss_legendre, golden_section_max, refinement_report, scaled_count
+from .quadrature import gauss_legendre, golden_section_max, refinement_report
 
-_MAX_RADIAL_NODES = 20_000  # the outcome grid's radial cap in pointer
 _BLOCK_CELLS = 1 << 18  # mesh cells per block of p_z rows, so memory stays bounded
 
 
@@ -74,13 +74,10 @@ def optimal_scaling(n_spins: int) -> float:
     return 1.0 / (1.0 + 2.0 / n_spins)
 
 
-def _radial_count(r_max: float, n_spins: int, model: PointerModel, quad: MomentumQuadrature) -> int:
-    """Radial momentum count N_p for W on radii up to r_max (an explicit count
-    wins), refused above the cap before anything is allocated."""
-    n_p = quad.radial_nodes or quad.effective_radial(r_max, model, n_spins)
-    if n_p > _MAX_RADIAL_NODES:
-        raise CapabilityError(f"lower bound needs {n_p} radial momentum nodes, cap {_MAX_RADIAL_NODES}")
-    return n_p
+def _alpha_power(cos_half: np.ndarray, tilt: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """|alpha^m| and arg(alpha^m) for alpha = cos_half - i tilt, with no complex log."""
+    modulus = np.exp(0.5 * m * np.log(cos_half * cos_half + tilt * tilt))
+    return modulus, m * np.arctan2(-tilt, cos_half)
 
 
 def _diag_profile_values(r, n_spins: int, model: PointerModel, p_max: float, n_p: int) -> np.ndarray:
@@ -95,12 +92,12 @@ def _diag_profile_values(r, n_spins: int, model: PointerModel, p_max: float, n_p
         rho_max = np.sqrt(p_max * p_max - pz * pz)
         rho = rho_max * rho_ref.nodes
         p = np.sqrt(pz * pz + rho * rho)
-        # sin(|p|/2)/|p| as 0.5 sinc, smooth at p = 0; alpha^n by n*log(alpha)
-        # with an integer exponent, so the log branch is moot.
-        alpha = np.cos(0.5 * p) - 0.5j * pz * np.sinc(p / (2.0 * math.pi))
-        power = np.exp(n_spins * np.log(alpha))
-        measure = (rho_max * rho_ref.weights) * rho * momentum_profile(p, model)
-        marginal[start : start + rows] = np.sum(measure * power, axis=1)
+        # sin(|p|/2)/|p| as 0.5 sinc, smooth at p = 0.
+        tilt = 0.5 * pz * np.sinc(p / (2.0 * math.pi))
+        modulus, phase = _alpha_power(np.cos(0.5 * p), tilt, n_spins)
+        amp = (rho_max * rho_ref.weights) * rho * momentum_profile(p, model) * modulus
+        marginal[start : start + rows].real = np.sum(amp * np.cos(phase), axis=1)
+        marginal[start : start + rows].imag = np.sum(amp * np.sin(phase), axis=1)
     weighted = z_rule.weights * marginal
     phase = np.multiply.outer(r, z_rule.nodes)
     fourier = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
@@ -118,7 +115,7 @@ def diag_radial_profile(
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise DomainError("radii must be finite and nonnegative")
-    n_p = _radial_count(float(np.max(r, initial=1.0)), n_spins, model, quad)
+    n_p = quad.radial_count(quad.effective_radial(float(np.max(r, initial=1.0)), model, n_spins))
     return _diag_profile_values(r, n_spins, model, quad.p_max(model), n_p)
 
 
@@ -138,7 +135,7 @@ def kraus_diagonal_element(
 
 def _slope_norm(n: int, model: PointerModel, p_max: float, n_p: int) -> float:
     """Integral_0^p_max |G'(p_z)|^2 dp_z on an n_p x n_p Gauss mesh in (p_z, s),
-    in blocks of p_z rows; alpha^(n-1) is formed from alpha's modulus and argument."""
+    in blocks of p_z rows."""
     z_rule = gauss_legendre(n_p, 0.0, p_max)
     t_rule = gauss_legendre(n_p, 0.0, 1.0)
     slope_sq = np.empty(n_p)
@@ -149,9 +146,9 @@ def _slope_norm(n: int, model: PointerModel, p_max: float, n_p: int) -> float:
         s = pz + span * t_rule.nodes
         sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
         tilt = pz * sin_half / s  # alpha = cos_half - i tilt; s > p_z > 0 on Gauss nodes
-        log_modulus = 0.5 * (n - 1) * np.log(cos_half * cos_half + tilt * tilt)
-        phase = (n - 1) * np.arctan2(-tilt, cos_half) + 0.5 * n * pz
-        amp = (span * t_rule.weights) * momentum_profile(s, model) * sin_half * np.exp(log_modulus)
+        modulus, phase = _alpha_power(cos_half, tilt, n - 1)
+        phase = phase + 0.5 * n * pz
+        amp = (span * t_rule.weights) * momentum_profile(s, model) * sin_half * modulus
         # G' e^(i n p_z/2) = -p_z profile(p_z) - i n Sum amp e^(i phase)
         edge = pz[:, 0] * momentum_profile(pz[:, 0], model)
         real = n * np.sum(amp * np.sin(phase), axis=1) - edge
@@ -169,9 +166,9 @@ def fidelity_lower_bound(
     """Score |E_r|^2 like a fidelity integral: a lower bound on F_av, by the
     |G'|^2 identity of the module notes.
 
-    The (p_z, s) mesh takes _radial_count(0) nodes per axis, and the r < 0
-    term _radial_count(6 spread + 4) in r and for W; the refined pass scales
-    both. Counts above the cap are refused before anything is allocated.
+    The (p_z, s) mesh takes the radial count for radius 0 per axis, and the
+    r < 0 term the one for radius 6 spread + 4; the counts of both passes
+    are resolved first, so one above the cap is refused before any work.
     """
     n = int(n_spins)
     if n < 1:
@@ -180,8 +177,10 @@ def fidelity_lower_bound(
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     p_max, r_behind = quad.p_max(model), 6.0 * model.spread + 4.0
-    n_p = _radial_count(0.0, n, model, quad)
-    n_w = _radial_count(r_behind, n, model, quad)
+    automatic = [quad.effective_radial(r_max, model, n) for r_max in (0.0, r_behind)]
+    (n_p, n_w), fine = (
+        [quad.radial_count(a, refined) for a in automatic] for refined in (False, True)
+    )
 
     def score(n_p: int, n_w: int) -> float:
         r_rule = gauss_legendre(n_w, 0.0, r_behind)
@@ -190,7 +189,7 @@ def fidelity_lower_bound(
         return 4.0 * math.pi / (n + 2) * (2.0 * _slope_norm(n, model, p_max, n_p) - behind)
 
     base = score(n_p, n_w)
-    refined = score(scaled_count(n_p), scaled_count(n_w))
+    refined = score(*fine)
     report = refinement_report(base, refined, tolerance, "lower-bound", n, model.spread)
     return LowerBoundPoint(
         n_spins=n,
@@ -217,6 +216,7 @@ def epsilon_curve(
     if spread_rule not in ("formula", "optimize"):
         raise DomainError(f"unknown spread rule {spread_rule!r}")
 
+    @lru_cache(maxsize=None)  # the best spread is among the evaluated ones
     def bound(n: int, spread: float) -> LowerBoundPoint:
         return fidelity_lower_bound(n, PointerModel(spread=spread), quad, tolerance)
 

@@ -195,6 +195,8 @@ def _load_config_file(path: str, command: str) -> dict:
 def _merge(ns: argparse.Namespace) -> dict:
     """Config-file values fill in flags the user did not give."""
     command = ns.command
+    if ns.workers is not None and ns.workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {ns.workers}")
     file_cfg = _load_config_file(ns.config, command) if ns.config else {}
     merged = {}
     for key in _CONFIG_KEYS[command]:

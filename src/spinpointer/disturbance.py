@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import refinement_report, trapezoid_periodic
+from .quadrature import gauss_legendre, refinement_report, trapezoid_periodic
 from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
@@ -68,15 +68,17 @@ def disturbance_series_copt(n_spins: int) -> float:
     return 0.5 + 23.0 / (1440.0 * n_spins * n_spins)
 
 
-def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadrature):
-    """Radial/polar rules scaled to the integrand band.
+def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadrature, refined=False):
+    """Radial/polar rules of the base or refinement pass, scaled to the band.
 
     The rotation factor contains harmonics up to cos(n p), so the radial
     count grows with n * p_max; the polar integrand is a polynomial of
     degree 2n in cos(theta_p), exact once the rule has n+1 nodes.
     """
-    n_p = max(64, int(math.ceil(1.5 * n_spins * quad.p_max(model) / math.pi)) + 32)
-    return quad.gauss_rules(model, n_p, max(64, n_spins + 1))
+    band = math.ceil(1.5 * n_spins * quad.p_max(model) / math.pi) + 32
+    n_p = quad.radial_count(max(64, band), refined)
+    n_c = quad.polar_count(max(64, n_spins + 1), refined)
+    return gauss_legendre(n_p, 0.0, quad.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
 
 
 def _disturbance_value(n_spins: int, model: PointerModel, p_rule, c_rule) -> float:
@@ -103,9 +105,10 @@ def disturbance_exact(
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
-    p_rule, c_rule = _disturbance_rules(n, model, quad)
-    base = _disturbance_value(n, model, p_rule, c_rule)
-    refined = _disturbance_value(n, model, p_rule.refined(), c_rule.refined())
+    # The refinement pass first, so a count above the cap is refused before any rule.
+    fine = _disturbance_rules(n, model, quad, refined=True)
+    base = _disturbance_value(n, model, *_disturbance_rules(n, model, quad))
+    refined = _disturbance_value(n, model, *fine)
     report = refinement_report(base, refined, tolerance, "disturbance", n, model.spread)
     return DisturbancePoint(
         n_spins=n,

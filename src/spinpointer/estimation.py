@@ -25,7 +25,7 @@ from .pointer import (
     adaptive_outcome_grid,
     build_amplitude_field,
 )
-from .quadrature import golden_section_max, refinement_report, scaled_count
+from .quadrature import golden_section_max, refinement_report
 
 
 class GuessRule(Enum):
@@ -129,26 +129,14 @@ def average_fidelity(
     field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
 
-    # Refine the momentum counts the base field actually used.
-    counts = field.counts
-    quad_ref = MomentumQuadrature(
-        radial_nodes=scaled_count(counts.nodes_p_radial),
-        polar_nodes=scaled_count(counts.nodes_p_polar),
-        cutoff_sigmas=counts.cutoff_sigmas,
-    )
-    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad_ref)
+    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad.refined(field.counts))
     ref_plus, ref_minus = _score_weights(field_ref)
 
-    if rule is GuessRule.PLUS_R:
+    # Best-of-axis is resolved per (n, spread): whichever axis end scores better.
+    if rule is GuessRule.PLUS_R or (rule is GuessRule.BEST_OF_AXIS and ref_plus >= ref_minus):
         branch, base, refined = "plus_r", base_plus, ref_plus
-    elif rule is GuessRule.MINUS_R:
-        branch, base, refined = "minus_r", base_minus, ref_minus
     else:
-        # Resolved per (n, spread): whichever axis end scores better.
-        if ref_plus >= ref_minus:
-            branch, base, refined = "plus_r", base_plus, ref_plus
-        else:
-            branch, base, refined = "minus_r", base_minus, ref_minus
+        branch, base, refined = "minus_r", base_minus, ref_minus
 
     report = refinement_report(base, refined, tolerance, "fidelity", n_spins, model.spread)
     return FidelityPoint(
@@ -219,9 +207,10 @@ def find_delta_opt(
 ) -> OptimizeResult:
     """Golden-section maximization of the average fidelity over the spread.
 
-    The fidelity curve is unimodal on the default bracket; if the maximum
-    lands at a bracket edge the boundary flag is set and the caller should
-    widen the bracket (for n=1 the curve is edge-maximal by nature).
+    The curve is not unimodal: it dips near spread 0.2 and rises toward the
+    strong-coupling limit at the lower edge. The golden section keeps one
+    basin. The edges are evaluated too, so an edge maximum is flagged: the
+    flag is set when the best spread lies within 2 delta_tolerance of an edge.
     """
     if bracket is None:
         bracket = default_spread_bracket(n_spins)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import spherical_jn
 
-from .errors import DomainError, NumericError
+from .errors import CapabilityError, DomainError, NumericError
 from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
 from .spincore import Direction, DickeVector, dicke_powers
 
@@ -46,6 +46,10 @@ _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 # Outcome radii per matrix product. The bits of a GEMM depend on its row
 # count, so this stays 16: changing it would move the field's last digits.
 _CHUNK_RADIAL = 16
+
+# Radial nodes per rule, momentum and outcome alike: Gauss node generation is
+# quadratic in the count, and the field's spin stack holds (n+1) N_p N_c cells.
+MAX_RADIAL_NODES = 20_000
 
 # Cells per Bessel table. A block of outcome radii holds as many whole
 # chunks as fit, so one table is built per block: the budget bounds the
@@ -89,13 +93,13 @@ def position_profile(x, model: PointerModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumQuadrature:
-    """Spherical momentum-space quadrature configuration.
+    """Spherical momentum-space quadrature, and the one node-count policy.
 
-    ``None`` counts mean automatic scaling: each integrand supplies its own
-    automatic counts to ``gauss_rules``, and explicit counts are taken as
-    given. The azimuthal count only matters on paths where the azimuth is
-    integrated numerically (full-tensor oracles, Bloch integrals); the
-    amplitude-field path integrates it analytically.
+    Each integrand supplies its own automatic counts; an explicit count wins
+    over them, and the refinement pass takes scaled_count of the base count.
+    A radial count above MAX_RADIAL_NODES, of either pass, is refused before
+    its rule is built. The azimuthal count only matters where the azimuth is
+    integrated numerically (full-tensor oracle, Bloch integrals).
     """
 
     radial_nodes: int | None = None
@@ -128,15 +132,30 @@ class MomentumQuadrature:
         band = r_max + 0.5 * n_spins
         return max(32, int(math.ceil(1.5 * band * self.p_max(model))))
 
-    def gauss_rules(self, model: PointerModel, radial: int, polar: int) -> tuple[Rule1D, Rule1D]:
-        """Gauss-Legendre rules on [0, p_max] and [-1, 1].
+    def radial_count(self, automatic: int, refined: bool = False) -> int:
+        """Radial count of one rule: the explicit count, else the caller's
+        automatic one, and scaled_count of that for the refinement pass."""
+        count = automatic if self.radial_nodes is None else int(self.radial_nodes)
+        count = scaled_count(count) if refined else count
+        if count > MAX_RADIAL_NODES:
+            raise CapabilityError(
+                f"quadrature needs {count} radial momentum nodes, cap {MAX_RADIAL_NODES}")
+        return count
 
-        An explicit count wins; otherwise the caller's automatic count
-        (``radial``, ``polar``) is used.
-        """
-        n_p = radial if self.radial_nodes is None else int(self.radial_nodes)
-        n_c = polar if self.polar_nodes is None else int(self.polar_nodes)
+    def polar_count(self, automatic: int, refined: bool = False) -> int:
+        """Polar count of one rule, by the radial policy without its cap."""
+        count = automatic if self.polar_nodes is None else int(self.polar_nodes)
+        return scaled_count(count) if refined else count
+
+    def gauss_rules(self, model: PointerModel, radial: int, polar: int) -> tuple[Rule1D, Rule1D]:
+        """Gauss-Legendre rules on [0, p_max] and [-1, 1] for automatic counts."""
+        n_p, n_c = self.radial_count(radial), self.polar_count(polar)
         return gauss_legendre(n_p, 0.0, self.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
+
+    def refined(self, counts: QuadratureCounts) -> MomentumQuadrature:
+        """The refinement pass of a field whose base pass used ``counts``."""
+        radial, polar = scaled_count(counts.nodes_p_radial), scaled_count(counts.nodes_p_polar)
+        return replace(self, radial_nodes=radial, polar_nodes=polar)
 
 
 @dataclass(frozen=True)
@@ -397,7 +416,7 @@ def build_amplitude_field(
 
     with M_{lk}(p) the polar moment of the k-flips spin factor. Truncation at
     l = n is exact because the spin factor is band-limited; the polar
-    Gauss-Legendre rule is exact once it has at least n+1 nodes.
+    Gauss-Legendre rule is exact from n+1 nodes on, so no count goes below.
 
     Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL radii
     as keep its (n+1) x radii x momenta table within _BLOCK_CELLS, builds
@@ -415,11 +434,9 @@ def build_amplitude_field(
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
     quad = quad or MomentumQuadrature()
-    p_rule, c_rule = quad.gauss_rules(
-        model, quad.effective_radial(grid.r_max, model, n), max(32, n + 1)
-    )
-    if c_rule.count <= n:
-        c_rule = gauss_legendre(n + 1, -1.0, 1.0)
+    n_p = quad.radial_count(quad.effective_radial(grid.r_max, model, n))
+    p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
+    c_rule = gauss_legendre(max(n + 1, quad.polar_count(32)), -1.0, 1.0)
 
     alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
     spin_stack = dicke_powers(alpha, beta, n)  # (n+1, n_p, n_c)
@@ -483,15 +500,12 @@ def position_amplitudes(
         raise DomainError(f"outcome radius must be positive, got {radius}")
     if not (0.0 <= polar <= math.pi):
         raise DomainError(f"polar angle {polar} outside [0, pi]")
-    quad = quad or MomentumQuadrature()
+    # The grid ends at the radius, so the field's radial count is keyed to it.
     eps = 1e-9 * max(1.0, radius)
     grid = OutcomeGrid(
         radial=Rule1D(np.array([radius]), np.array([1.0]), (radius - eps, radius)),
         polar=Rule1D(np.array([polar]), np.array([1.0]), (0.0, math.pi)),
     )
-    # Node budget keyed to the actual radius, not a grid extent.
-    if quad.radial_nodes is None:
-        quad = replace(quad, radial_nodes=quad.effective_radial(radius, model, n_spins))
     field_one = build_amplitude_field(n_spins, model, grid, quad)
     amps = field_one.values[0, 0] * np.exp(1j * np.arange(n_spins + 1) * azimuth)
     return DickeVector(n_spins=n_spins, amplitudes=amps)
@@ -521,10 +535,10 @@ def _radial_resolution_floor(r_max: float, spread: float, requested: int) -> int
     The conditional outcome is the initial position displaced by the spin
     projection, so the density lives on shells of radial width ~spread; the
     mid-interval Gauss-Legendre spacing pi*r_max/(2 n) must stay below that.
-    Capped so pathological spreads degrade into a refinement failure instead
-    of an allocation blowup.
+    Capped at MAX_RADIAL_NODES so pathological spreads degrade into a
+    refinement failure instead of an allocation blowup.
     """
-    return max(requested, min(int(math.ceil(2.5 * r_max / spread)), 20_000))
+    return max(requested, min(int(math.ceil(2.5 * r_max / spread)), MAX_RADIAL_NODES))
 
 
 def adaptive_outcome_grid(

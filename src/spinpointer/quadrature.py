@@ -30,7 +30,6 @@ class Rule1D:
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
-    kind: str = "gauss"
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
@@ -38,18 +37,10 @@ class Rule1D:
         a, b = self.domain
         if not (b > a):
             raise DomainError(f"empty integration domain [{a}, {b}]")
-        if self.kind not in ("gauss", "trapezoid"):
-            raise DomainError(f"unknown rule kind {self.kind!r}")
 
     @property
     def count(self) -> int:
         return self.nodes.size
-
-    def refined(self) -> "Rule1D":
-        n = scaled_count(self.count)
-        if self.kind == "trapezoid":
-            return trapezoid_periodic(n, self.domain[1] - self.domain[0])
-        return gauss_legendre(n, self.domain[0], self.domain[1])
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ def trapezoid_periodic(n: int, period: float = 2.0 * math.pi) -> Rule1D:
         raise DomainError("period must be positive")
     nodes = np.arange(n) * (period / n)
     weights = np.full(n, period / n)
-    return Rule1D(nodes=nodes, weights=weights, domain=(0.0, float(period)), kind="trapezoid")
+    return Rule1D(nodes=nodes, weights=weights, domain=(0.0, float(period)))
 
 
 def scaled_count(n: int) -> int:

@@ -118,11 +118,15 @@ def test_byte_identity_across_runs_and_workers(tmp_path, capsys):
     ids=lambda args: args[0],
 )
 def test_workers_flag_is_accepted_and_changes_nothing(args, capsys):
-    # The benchmark's command lines still pass `--workers 1`.
+    # The benchmark's command lines still pass `--workers 1`; a count below 1
+    # is refused, as it was when the flag still chose a process count.
     plain = run_cli(args, capsys)
     flagged = run_cli(args + ["--workers", "1"], capsys)
     assert plain[0] == 0
     assert flagged == plain
+    for count in ("0", "-3"):
+        code, out, err = run_cli(args + ["--workers", count], capsys)
+        assert (code, out) == (2, "") and "worker count must be >= 1" in err
 
 
 def test_cli_import_loads_no_process_pool():

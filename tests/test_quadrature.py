@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from spinpointer import asymptotics, disturbance
+from spinpointer import asymptotics, cli, disturbance, estimation, quadrature
 from spinpointer.asymptotics import diag_radial_profile, fidelity_lower_bound
 from spinpointer.disturbance import bloch_z_post_closed, disturbance_exact, disturbance_lowest_order
-from spinpointer.errors import ConvergenceError, DomainError
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
 from spinpointer.estimation import average_fidelity, find_delta_opt
-from spinpointer.pointer import PointerModel
+from spinpointer.pointer import MomentumQuadrature, PointerModel
 from spinpointer.quadrature import (
     REFINEMENT_FACTOR,
     Rule1D,
@@ -23,7 +23,7 @@ from spinpointer.quadrature import (
 
 def _refine(f, rule, tolerance):
     """Refinement report of one rule's integral of f against its refined rule."""
-    finer = rule.refined()
+    finer = gauss_legendre(scaled_count(rule.count), *rule.domain)
     base = float(rule.weights @ f(rule.nodes))
     refined = float(finer.weights @ f(finer.nodes))
     return refinement_report(base, refined, tolerance, "test integral", 1, 1.0)
@@ -63,13 +63,6 @@ def test_trapezoid_exact_for_low_harmonics():
     for m in (1, 2, 3, 7):
         assert float(rule.weights @ np.cos(m * rule.nodes)) == pytest.approx(0.0, abs=1e-13)
         assert float(rule.weights @ np.sin(m * rule.nodes)) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_trapezoid_refined_keeps_kind():
-    rule = trapezoid_periodic(8)
-    finer = rule.refined()
-    assert finer.kind == "trapezoid"
-    assert finer.count == scaled_count(8)
 
 
 def test_scaled_count_rounds_up():
@@ -180,3 +173,70 @@ def test_bad_tolerance_is_refused_before_any_quadrature(tolerance, monkeypatch):
         fidelity_lower_bound(400, PointerModel(math.sqrt(50.0)), tolerance=tolerance)
     with pytest.raises(DomainError):
         disturbance_exact(2, PointerModel(0.5), tolerance=tolerance)
+
+
+def test_momentum_count_policy(monkeypatch, capsys):
+    # MomentumQuadrature resolves every momentum count of the field, the
+    # disturbance route and the lower bound: an explicit count wins, the
+    # refinement pass takes scaled_count of the base counts, and no Gauss
+    # rule above the 20 000-node cap is ever built.
+    legendre = quadrature._legendre_reference
+
+    def capped_legendre(n):
+        assert n <= 20_000, f"a {n}-node Gauss rule was built"
+        return legendre(n)
+
+    monkeypatch.setattr(quadrature, "_legendre_reference", capped_legendre)
+    used = {"field": [], "disturbance": [], "bound": []}
+
+    def recorded(module, name, route, counts_of):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            result = function(*args)
+            used[route].append(counts_of(args, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # The scan build of the outcome grid goes through pointer's own name.
+    recorded(estimation, "build_amplitude_field", "field",
+             lambda args, field: (field.counts.nodes_p_radial, field.counts.nodes_p_polar))
+    recorded(disturbance, "_disturbance_value", "disturbance",
+             lambda args, value: (args[2].count, args[3].count))
+    recorded(asymptotics, "_diag_profile_values", "bound", lambda args, w: args[-1])
+    recorded(asymptotics, "_slope_norm", "bound", lambda args, norm: args[-1])
+    model = PointerModel(0.7)
+    for quad in (MomentumQuadrature(radial_nodes=40, polar_nodes=8), None):
+        for counts in used.values():
+            counts.clear()
+        average_fidelity(2, model, nodes_r=48, nodes_theta=32, quad=quad, tolerance=1.0)
+        disturbance_exact(2, model, quad, tolerance=1.0)
+        fidelity_lower_bound(2, model, quad, tolerance=1.0)
+        bound = used["bound"]
+        used["bound"] = [tuple(bound[:2]), tuple(bound[2:])]
+        for route, (base, refined) in used.items():
+            assert refined == tuple(scaled_count(count) for count in base), route
+        if quad is not None:
+            assert used == {"field": [(40, 8), (60, 12)], "disturbance": [(40, 8), (60, 12)],
+                            "bound": [(40, 40), (60, 60)]}
+    assert used["field"][0][1] == 32 and used["disturbance"][0] == (64, 64)
+
+    refused = [
+        lambda: average_fidelity(100, PointerModel(0.025)),  # 24 037 radial nodes
+        lambda: disturbance_exact(100, PointerModel(0.005)),  # 38 230 radial nodes
+        lambda: average_fidelity(1, model, quad=MomentumQuadrature(radial_nodes=20_001)),
+        lambda: disturbance_exact(1, model, MomentumQuadrature(radial_nodes=20_001)),
+        lambda: fidelity_lower_bound(2, model, MomentumQuadrature(radial_nodes=20_001)),
+        # Their refinement passes would take 20 001 nodes.
+        lambda: disturbance_exact(1, model, MomentumQuadrature(radial_nodes=13_334)),
+        lambda: fidelity_lower_bound(2, model, MomentumQuadrature(radial_nodes=13_334)),
+    ]
+    for call in refused:
+        with pytest.raises(CapabilityError, match="radial momentum nodes, cap 20000"):
+            call()
+    for args in (["sweep", "--n", "1", "--delta", "0.5"],
+                 ["disturbance", "--n", "1", "--delta", "0.5"],
+                 ["asympt", "--n-min", "4", "--n-max", "4"]):
+        assert cli.main(args + ["--nodes-p-radial", "20001"]) == 2
+        assert "cap 20000" in capsys.readouterr().err
