@@ -128,8 +128,10 @@ def average_fidelity(
         grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
     field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
+    counts = field.counts
+    del field  # only its counts outlive it: the refined build is the larger
 
-    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad.refined(field.counts))
+    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad.refined(counts))
     ref_plus, ref_minus = _score_weights(field_ref)
 
     # Best-of-axis is resolved per (n, spread): whichever axis end scores better.
@@ -147,7 +149,7 @@ def average_fidelity(
         error_estimate=report.abs_diff,
         accepted=report.accepted,
         branch=branch,
-        counts=field.counts,
+        counts=counts,
     )
 
 

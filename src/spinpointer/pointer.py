@@ -15,8 +15,10 @@ the plane wave reduces the angular momentum integrals to exact polar
 Gauss-Legendre sums truncated at angular order n_spins. Only the radial
 momentum axis keeps the oscillation burden, and its node count scales with
 r_max * p_max as configured. The spin factor on the momentum mesh,
-sqrt(C(n,k)) alpha^(n-k) beta^k, is spincore.dicke_powers with the k axis
-first, so each k slice that the polar moments contract is contiguous.
+sqrt(C(n,k)) alpha^(n-k) beta^k, streams one contiguous k row at a time
+from spincore.dicke_power_rows into the polar moments, which one packed
+table of P~_lm per polar axis supplies; no (n+1) N_p N_c stack is held.
+The moments, (n+1)(n+2) N_p floats, are the largest array of a build.
 
 The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
@@ -38,7 +40,7 @@ from scipy.special import spherical_jn
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
-from .spincore import Direction, DickeVector, dicke_powers
+from .spincore import Direction, DickeVector, dicke_power_rows
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
@@ -48,7 +50,7 @@ _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 _CHUNK_RADIAL = 16
 
 # Radial nodes per rule, momentum and outcome alike: Gauss node generation is
-# quadratic in the count, and the field's spin stack holds (n+1) N_p N_c cells.
+# quadratic in the count, and the field's moments hold (n+1)(n+2) N_p floats.
 MAX_RADIAL_NODES = 20_000
 
 # Cells per Bessel table. A block of outcome radii holds as many whole
@@ -167,7 +169,6 @@ class QuadratureCounts:
     nodes_p_radial: int
     nodes_p_polar: int
     nodes_p_azimuthal: int
-    cutoff_sigmas: float
 
 
 @dataclass(frozen=True)
@@ -247,10 +248,11 @@ class AmplitudeField:
     counts: QuadratureCounts
     values: np.ndarray = field(repr=False)
     total_probability: float
+    _density: np.ndarray = field(repr=False)
 
     def density(self) -> np.ndarray:
-        """Outcome probability density p(r, theta) on the grid."""
-        return np.sum(np.abs(self.values) ** 2, axis=2)
+        """Outcome probability density p(r, theta) on the grid, computed once by the build."""
+        return self._density
 
 
 def _alpha_beta_polar(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,39 +268,35 @@ def _alpha_beta_polar(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     return alpha, beta
 
 
-def _legendre_normalized(l_max: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Spherical-harmonic-normalized associated Legendre functions.
+def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
+    """Spherical-harmonic-normalized associated Legendre functions, packed.
 
-    Returns rows l = m..l_max of P~_{l m}(x) where Y_{l m} = P~_{l m} e^(i m phi);
-    upward recursion in l is stable in this normalization.
+    Row l(l+1)/2 + m holds P~_{l m}(x), 0 <= m <= l <= l_max, where
+    Y_{l m} = P~_{l m} e^(i m phi). Each P~_{m m} is seeded from its log,
+    P~_{m+1, m} from it, and every order m <= l-2 of degree l takes one
+    upward step at once, stable in this normalization.
     """
-    x = np.asarray(x, dtype=float)
-    if m < 0 or l_max < m:
-        raise DomainError("need 0 <= m <= l_max")
-    rows = np.empty((l_max - m + 1, x.size))
-    # Seed ln P~_mm; for m=0 it is the constant 1/sqrt(4 pi).
-    if m == 0:
-        pmm = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))
-    else:
+    table = np.empty(((l_max + 1) * (l_max + 2) // 2, x.size))
+    table[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    with np.errstate(divide="ignore"):
+        log_1mx2 = np.log(np.clip(1.0 - x * x, 0.0, None))
+    for l in range(1, l_max + 1):
+        row, prev, prev2 = l * (l + 1) // 2, (l - 1) * l // 2, (l - 2) * (l - 1) // 2
         log_norm = 0.5 * (
-            math.log(2 * m + 1)
+            math.log(2 * l + 1)
             - math.log(4.0 * math.pi)
-            + math.lgamma(2 * m + 1)
-            - 2.0 * math.lgamma(m + 1)
-            - m * math.log(4.0)
+            + math.lgamma(2 * l + 1)
+            - 2.0 * math.lgamma(l + 1)
+            - l * math.log(4.0)
         )
-        with np.errstate(divide="ignore"):
-            log_sin = 0.5 * m * np.log(np.clip(1.0 - x * x, 0.0, None))
-        sign = -1.0 if m % 2 else 1.0
-        pmm = sign * np.exp(log_norm + log_sin)
-    rows[0] = pmm
-    if l_max > m:
-        rows[1] = x * math.sqrt(2 * m + 3.0) * pmm
-    for l in range(m + 2, l_max + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = -a * math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        rows[l - m] = a * x * rows[l - m - 1] + b * rows[l - m - 2]
-    return rows
+        table[row + l] = (-1.0 if l % 2 else 1.0) * np.exp(log_norm + 0.5 * l * log_1mx2)
+        table[row + l - 1] = x * math.sqrt(2 * l + 1.0) * table[prev + l - 1]
+        if l > 1:
+            m = np.arange(l - 1)
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+            b = -a * np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+            table[row : row + l - 1] = a * x * table[prev : prev + l - 1] + b * table[prev2 : prev2 + l - 1]
+    return table
 
 
 def _row_ranges(count: int, rows: int) -> list[tuple[int, int]]:
@@ -378,16 +376,16 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
 
 
 def _field_block(
-    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: list
-) -> np.ndarray:
-    """Amplitudes for one block of outcome radii, shape (radii, angles, n+1).
+    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: list,
+    out: np.ndarray,
+) -> None:
+    """Write the amplitudes for one block of outcome radii into out, shape
+    (radii, angles, n+1).
 
     One Bessel table serves the whole block; the matrix products run per
     _CHUNK_RADIAL rows of it.
     """
-    n_theta = theta_coefs[0].shape[1]
     bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
-    out = np.empty((r_nodes.size, n_theta, n + 1), dtype=complex)
     for lo, hi in _row_ranges(r_nodes.size, _CHUNK_RADIAL):
         # transform[k, l, a]: radial transform of the order-l moment for k flips
         transform = np.zeros((n + 1, n + 1, hi - lo), dtype=complex)
@@ -397,7 +395,6 @@ def _field_block(
             transform[: l + 1, l].imag = t[:, l + 1 :].T
         for k in range(n + 1):
             out[lo:hi, :, k] = _AMPLITUDE_PREFACTOR * (transform[k, k:].T @ theta_coefs[k])
-    return out
 
 
 def build_amplitude_field(
@@ -418,17 +415,22 @@ def build_amplitude_field(
     l = n is exact because the spin factor is band-limited; the polar
     Gauss-Legendre rule is exact from n+1 nodes on, so no count goes below.
 
-    Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL radii
-    as keep its (n+1) x radii x momenta table within _BLOCK_CELLS, builds
-    one table of j_l(r p), l = 0..n, by recurrence from closed-form j_0 and
-    j_1, with scipy's values where r p <= 1 (see _bessel_table; it agrees
-    with scipy's j_l to about 1e-15 absolute). Per chunk of that table, the
-    radial transform of order l is one real product of row l with the real
-    and imaginary parts of the weighted moments M_{lk}, all k <= l at once;
-    the angular synthesis is one complex product per k. The blocks are
-    built one after another in this process. They depend only on the grid,
-    n and the momentum count, and every product takes the same rows whatever
-    the block size, so the values do not depend on _BLOCK_CELLS.
+    The spin factor streams one Dicke component k at a time from
+    spincore.dicke_power_rows; its orders l >= k of the packed Legendre
+    table turn it into the radially weighted moments, of (n+1)(n+2) x N_p
+    floats, which bound the build's memory. Each block of outcome radii, as
+    many whole chunks of _CHUNK_RADIAL radii as keep its (n+1) x radii x
+    momenta table within _BLOCK_CELLS, builds one table of j_l(r p),
+    l = 0..n, by recurrence from closed-form j_0 and j_1, with scipy's
+    values where r p <= 1 (see _bessel_table; it agrees with scipy's j_l to
+    about 1e-15 absolute). Per chunk of that table, the radial transform of
+    order l is one real product of row l with the real and imaginary parts
+    of the weighted moments M_{lk}, all k <= l at once; the angular
+    synthesis is one complex product per k, written into its slice of the
+    field. The blocks are built one after another in this process. They
+    depend only on the grid, n and the momentum count, and every product
+    takes the same rows whatever the block size, so the values do not
+    depend on _BLOCK_CELLS.
     """
     n = int(n_spins)
     if n < 1:
@@ -438,52 +440,45 @@ def build_amplitude_field(
     p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
     c_rule = gauss_legendre(max(n + 1, quad.polar_count(32)), -1.0, 1.0)
 
-    alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
-    spin_stack = dicke_powers(alpha, beta, n)  # (n+1, n_p, n_c)
-    if not np.all(np.isfinite(spin_stack)):
-        raise NumericError("spin factor overflowed; parameters out of range")
-
     # Radially weighted polar moments M_{lk}(p) and outcome-angle tables,
     # built once. Rows l(l+1) .. (l+1)(l+2)-1 of weighted belong to order l:
     # the real parts of k = 0..l, then their imaginary parts.
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
     weighted = np.empty(((n + 1) * (n + 2), p_rule.count))
     theta_coefs = []
-    cos_theta = np.cos(grid.polar.nodes)
+    legendre_c = _legendre_table(n, c_rule.nodes)
+    legendre_t = _legendre_table(n, np.cos(grid.polar.nodes))
     i_pow = 1j ** np.arange(n + 1)
-    for k in range(n + 1):
-        ptab_c = _legendre_normalized(n, k, c_rule.nodes)  # (n-k+1, n_c)
-        moments = ((ptab_c * c_rule.weights) @ spin_stack[k].T) * radial_measure
+    alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
+    for k, spin in enumerate(dicke_power_rows(alpha, beta, n)):  # spin: (n_p, n_c)
+        if not np.all(np.isfinite(spin)):
+            raise NumericError("spin factor overflowed; parameters out of range")
         orders = np.arange(k, n + 1)
+        packed = orders * (orders + 1) // 2 + k
+        moments = ((legendre_c[packed] * c_rule.weights) @ spin.T) * radial_measure
         rows = orders * (orders + 1) + k
         weighted[rows] = moments.real
         weighted[rows + orders + 1] = moments.imag
-        ptab_t = _legendre_normalized(n, k, cos_theta)
-        theta_coefs.append(i_pow[k : n + 1][:, None] * ptab_t)
-    del spin_stack  # the largest array; the radial blocks need only the moments
+        theta_coefs.append(i_pow[k : n + 1][:, None] * legendre_t[packed])
+    del legendre_c, legendre_t, alpha, beta, spin, moments
 
-    block_rows = _block_rows(n, p_rule.count)
-    values = np.concatenate(
-        [
-            _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs)
-            for lo, hi in _row_ranges(grid.radial.count, block_rows)
-        ],
-        axis=0,
-    )
+    values = np.empty((grid.radial.count, grid.polar.count, n + 1), dtype=complex)
+    for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count)):
+        _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
+    del weighted, theta_coefs  # before the density's temporaries, which would stack on them
 
     w_r, w_t = grid.volume_weights()
     density = np.sum(np.abs(values) ** 2, axis=2)
-    total = float(w_r @ density @ w_t)
     counts = QuadratureCounts(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
         nodes_p_radial=p_rule.count,
         nodes_p_polar=c_rule.count,
         nodes_p_azimuthal=quad.azimuthal_nodes,
-        cutoff_sigmas=quad.cutoff_sigmas,
     )
     return AmplitudeField(
-        n_spins=n, model=model, grid=grid, counts=counts, values=values, total_probability=total
+        n_spins=n, model=model, grid=grid, counts=counts, values=values,
+        total_probability=float(w_r @ density @ w_t), _density=density,
     )
 
 

@@ -106,18 +106,19 @@ def rotated_up_amplitudes(p: np.ndarray) -> tuple[complex, complex]:
     return complex(u[0, 0]), complex(u[1, 0])
 
 
-def dicke_powers(alpha, beta, n_spins: int) -> np.ndarray:
-    """sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, stacked on axis 0.
+def dicke_power_rows(alpha, beta, n_spins: int):
+    """Yield sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, one row at a time.
 
-    alpha and beta are scalars or arrays of one shape; the result has shape
-    (n+1, *shape), so each k slice is contiguous. Both are flattened before
-    any arithmetic, so a scalar runs the same numpy loops as an array and
-    each element's powers are bit for bit those of a scalar call.
+    alpha and beta are scalars or arrays of one shape, and each row has that
+    shape. Both are flattened before any arithmetic, so a scalar runs the
+    same numpy loops as an array and each element's powers are bit for bit
+    those of a scalar call.
 
-    Up to n = 60 the powers are running products, one factor at a time.
-    Above it the binomial and the powers are summed in log space and each k
-    takes one exp; integer exponents make any branch of the complex log
-    exact. A zero amplitude to the power 0 counts as 1.
+    Up to n = 60 the powers are running products, one factor at a time, and
+    the n+1 powers of alpha are held until their rows are yielded. Above it
+    the binomial and the powers are summed in log space and each row takes
+    one exp, so no stack is held; integer exponents make any branch of the
+    complex log exact. A zero amplitude to the power 0 counts as 1.
     """
     n = int(n_spins)
     if n < 1:
@@ -129,34 +130,36 @@ def dicke_powers(alpha, beta, n_spins: int) -> np.ndarray:
     shape = a.shape
     a = a.reshape(-1)
     b = b.reshape(-1)
-    out = np.empty((n + 1, a.size), dtype=complex)
     if n <= _LOG_SPACE_THRESHOLD:
         powers_a = [np.ones_like(a)]
         for _ in range(n):
             powers_a.append(powers_a[-1] * a)
         beta_pow = np.ones_like(b)
         for k in range(n + 1):
-            out[k] = math.sqrt(math.comb(n, k)) * powers_a[n - k] * beta_pow
+            yield (math.sqrt(math.comb(n, k)) * powers_a.pop() * beta_pow).reshape(shape)
             if k < n:
                 beta_pow = beta_pow * b
-        return out.reshape((n + 1,) + shape)
-    log_comb = 0.5 * np.array(
-        [math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)) for k in range(n + 1)]
-    )
+        return
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(a)
         log_b = np.log(b)
-        for k in range(n + 1):
-            # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
-            expo = log_comb[k]
+    for k in range(n + 1):
+        # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
+        expo = 0.5 * (math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
             if k < n:
                 expo = expo + (n - k) * log_a
             if k > 0:
                 expo = expo + k * log_b
             term = np.exp(expo)
-            # A nan here comes from a zero amplitude: the term is a true zero.
-            out[k] = np.where(np.isnan(term), 0.0, term)
-    return out.reshape((n + 1,) + shape)
+        # A nan here comes from a zero amplitude: the term is a true zero.
+        yield np.where(np.isnan(term), 0.0, term).reshape(shape)
+
+
+def dicke_powers(alpha, beta, n_spins: int) -> np.ndarray:
+    """The rows of dicke_power_rows stacked on axis 0: shape (n+1, *shape),
+    so each k slice is contiguous."""
+    return np.array(list(dicke_power_rows(alpha, beta, n_spins)))
 
 
 def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:

@@ -7,6 +7,7 @@ w1(r) r_hat.sigma, and both radial weights reduce to closed Gaussian
 integrals, leaving one ordinary radial quadrature for the fidelity.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,16 @@ def test_domain_errors():
         sweep_delta(1, [0.9, 0.4])
     with pytest.raises(DomainError):
         GuessRule.from_string("sideways")
+
+
+def test_exact_fidelity_peak_memory_at_n_100():
+    # The spin factor streams into the polar moments, the field is written in
+    # place and the base field is released before the refined build. With the
+    # spin factor held as one (n+1, N_p, N_c) stack the traced peak was 110.5 MiB.
+    tracemalloc.start()
+    try:
+        average_fidelity(100, PointerModel(math.sqrt(12.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20

@@ -324,6 +324,48 @@ def test_field_uses_scipy_spherical_jn_by_its_module_name(monkeypatch):
     assert all(np.all(np.asarray(args[1]) <= 1.0) for args in calls)
 
 
+def _legendre_per_order(l_max, m, x):
+    """Rows l = m..l_max of P~_{l m}(x), one order m per call: the field's
+    Legendre recurrence as first written."""
+    rows = np.empty((l_max - m + 1, x.size))
+    if m == 0:
+        pmm = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))
+    else:
+        log_norm = 0.5 * (
+            math.log(2 * m + 1)
+            - math.log(4.0 * math.pi)
+            + math.lgamma(2 * m + 1)
+            - 2.0 * math.lgamma(m + 1)
+            - m * math.log(4.0)
+        )
+        with np.errstate(divide="ignore"):
+            log_sin = 0.5 * m * np.log(np.clip(1.0 - x * x, 0.0, None))
+        sign = -1.0 if m % 2 else 1.0
+        pmm = sign * np.exp(log_norm + log_sin)
+    rows[0] = pmm
+    if l_max > m:
+        rows[1] = x * math.sqrt(2 * m + 3.0) * pmm
+    for l in range(m + 2, l_max + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = -a * math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        rows[l - m] = a * x * rows[l - m - 1] + b * rows[l - m - 2]
+    return rows
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 30, 100, 400])
+def test_legendre_table_is_per_order_recurrence_bit_for_bit(l_max):
+    # The packed table runs every order of one degree at once and changes no
+    # bit: on the field's polar Gauss nodes, on the cosines of a split polar
+    # grid, and at x = +-1, where the seed's log is -inf.
+    split = build_outcome_grid(1.0, nodes_theta=64, polar_split=1.0).polar.nodes
+    for x in (gauss_legendre(l_max + 3, -1.0, 1.0).nodes, np.cos(split), np.array([-1.0, 1.0, 0.0])):
+        table = pointer._legendre_table(l_max, x)
+        assert table.shape == ((l_max + 1) * (l_max + 2) // 2, x.size)
+        for m in range(l_max + 1):
+            orders = np.arange(m, l_max + 1)
+            assert np.array_equal(table[orders * (orders + 1) // 2 + m], _legendre_per_order(l_max, m, x))
+
+
 def _per_order_field(n, model, grid, quad):
     """The synthesis formula of build_amplitude_field summed one (k, l) term
     at a time, with scipy's j_l for every order."""
@@ -335,8 +377,8 @@ def _per_order_field(n, model, grid, quad):
     cos_theta = np.cos(grid.polar.nodes)
     out = np.zeros((grid.radial.count, grid.polar.count, n + 1), dtype=complex)
     for k in range(n + 1):
-        ptab_c = pointer._legendre_normalized(n, k, c_rule.nodes)
-        ptab_t = pointer._legendre_normalized(n, k, cos_theta)
+        ptab_c = _legendre_per_order(n, k, c_rule.nodes)
+        ptab_t = _legendre_per_order(n, k, cos_theta)
         for l in range(k, n + 1):
             moment = (ptab_c[l - k] * c_rule.weights) @ spin[k].T
             radial = scipy.special.spherical_jn(l, z) @ (moment * measure)
@@ -357,30 +399,33 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
 @pytest.mark.parametrize("n", [60, 61, 100])
 def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
     # Pole states put all weight on one basis state: 0^0 = 1, not 0. The
-    # field's spin stack is pointer.dicke_powers, with k leading.
+    # field's spin factor is the rows of pointer.dicke_power_rows, k first.
     top = np.zeros((n + 1, 1))
     top[0] = 1.0
     one, zero = np.array([1.0 + 0j]), np.array([0j])
-    assert np.array_equal(pointer.dicke_powers(one, zero, n), top)
-    assert np.array_equal(pointer.dicke_powers(zero, one, n), top[::-1])
+    assert np.array_equal(np.stack(list(pointer.dicke_power_rows(one, zero, n))), top)
+    assert np.array_equal(np.stack(list(pointer.dicke_power_rows(zero, one, n))), top[::-1])
 
 
 @pytest.mark.parametrize("n", [5, 60, 61, 100])
 def test_field_spin_stack_is_dicke_expand_with_k_first(n, monkeypatch):
-    # One Dicke-power route: the field's spin factor on its Gauss momentum
-    # mesh is dicke_expand's, bit for bit, on both sides of the log-space
-    # threshold.
+    # One Dicke-power route: the rows the field consumes on its Gauss
+    # momentum mesh, stacked, are dicke_expand's, bit for bit, on both sides
+    # of the log-space threshold.
     seen = []
 
     def recorded(alpha, beta, n_spins):
-        stack = spincore.dicke_powers(alpha, beta, n_spins)
-        seen.append((alpha, beta, stack))
-        return stack
+        rows = []
+        seen.append((alpha, beta, rows))
+        for row in spincore.dicke_power_rows(alpha, beta, n_spins):
+            rows.append(row.copy())
+            yield row
 
-    monkeypatch.setattr(pointer, "dicke_powers", recorded)
+    monkeypatch.setattr(pointer, "dicke_power_rows", recorded)
     build_amplitude_field(
         n, PointerModel(math.sqrt(n / 8.0)), build_outcome_grid(2.0, nodes_r=2, nodes_theta=2)
     )
-    ((alpha, beta, stack),) = seen
+    ((alpha, beta, rows),) = seen
+    stack = np.stack(rows)
     assert stack.shape == (n + 1,) + alpha.shape
     assert np.array_equal(stack, np.moveaxis(dicke_expand(alpha, beta, n).amplitudes, -1, 0))
