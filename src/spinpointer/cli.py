@@ -5,12 +5,18 @@ optimize drive the fidelity code, disturbance and bloch the disturbance
 code, asympt the lower-bound curve, reference prints closed-form
 constants, and validate runs the invariant suite.
 
+Each subcommand's parser is the one list of its settings: a --config file
+may set any of its flags, named as the flag with "-" written "_", except
+the output flags --out, --format, --workers and --config.
+
 Output contract: tables are CSV with two comment lines, `# schema=1` and
 `# config=<json>`, where the config echo holds every computation-defining
 setting; writing that JSON to a file and passing it back through --config
-reproduces the table byte for byte. Floats are printed with %.17g, line
-endings are always "\\n", and repeat runs print the same bytes. The field
-is built in one process; --workers is still accepted and has no effect.
+reproduces the table byte for byte. Floats are printed with %.17g, a cell
+holding a comma, quote or newline is quoted as in RFC 4180, line endings
+are always "\\n", and repeat runs print the same bytes. JSON documents
+carry the same `schema` and `config`. The field is built in one process;
+--workers is still accepted and has no effect.
 
 Exit codes: 0 success, 1 validate found a failing invariant, 2 invalid
 configuration, 3 a result failed its convergence check.
@@ -18,6 +24,8 @@ configuration, 3 a result failed its convergence check.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -48,25 +56,11 @@ class ConfigError(ValueError):
 
 _RANGE_KEYS = ("delta_min", "delta_max", "delta_steps")
 
-# Keys each subcommand accepts in a --config file; "command" is also
-# accepted and must match the subcommand being run.
-_CONFIG_KEYS = {
-    "sweep": ("n", "delta", *_RANGE_KEYS, "guess_rule", "nodes_r", "nodes_theta",
-              "nodes_p_radial", "nodes_p_polar", "nodes_p_azimuthal",
-              "p_cutoff_sigmas", "tol"),
-    "optimize": ("n", "delta_min", "delta_max", "guess_rule", "nodes_r",
-                 "nodes_theta", "nodes_p_radial", "nodes_p_polar",
-                 "nodes_p_azimuthal", "p_cutoff_sigmas", "tol"),
-    "disturbance": ("n", "delta", *_RANGE_KEYS, "nodes_p_radial",
-                    "nodes_p_polar", "p_cutoff_sigmas", "tol",
-                    "mark_delta_opt"),
-    "bloch": ("n", "delta", *_RANGE_KEYS, "nodes_p_radial", "nodes_p_polar",
-              "p_cutoff_sigmas"),
-    "asympt": ("n_min", "n_max", "n_step", "spread_rule", "nodes_p_radial",
-               "p_cutoff_sigmas", "tol"),
-    "reference": ("n",),
-    "validate": (),
-}
+# Parsed names that are not settings of the computation, so no config file
+# sets them; "command" may appear in one and must name the subcommand run.
+_NOT_CONFIG = ("command", "out", "format", "workers", "config")
+
+_GUESS_RULES = [r.value.replace("_", "-") for r in GuessRule] + [r.value for r in GuessRule]
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -115,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ensemble size; repeat for several sizes")
     _add_delta_flags(sweep)
     sweep.add_argument("--guess-rule", dest="guess_rule", default=None,
-                       choices=["plus-r", "minus-r", "best-of-axis",
-                                "plus_r", "minus_r", "best_of_axis"])
+                       choices=_GUESS_RULES)
     _add_outcome_flags(sweep)
     _add_momentum_flags(sweep)
     sweep.add_argument("--tol", type=float, default=None)
@@ -127,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--delta-min", type=float, default=None, help="bracket low edge")
     opt.add_argument("--delta-max", type=float, default=None, help="bracket high edge")
     opt.add_argument("--guess-rule", dest="guess_rule", default=None,
-                     choices=["plus-r", "minus-r", "best-of-axis",
-                              "plus_r", "minus_r", "best_of_axis"])
+                     choices=_GUESS_RULES)
     _add_outcome_flags(opt)
     _add_momentum_flags(opt)
     opt.add_argument("--tol", type=float, default=None)
@@ -171,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str, command: str) -> dict:
+def _load_config_file(path: str, command: str, allowed: list[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -181,7 +173,6 @@ def _load_config_file(path: str, command: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    allowed = _CONFIG_KEYS[command]
     for key in raw:
         if key == "command":
             if raw[key] != command:
@@ -193,15 +184,13 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _merge(ns: argparse.Namespace) -> dict:
-    """Config-file values fill in flags the user did not give."""
-    command = ns.command
+    """The subcommand's settings: config-file values fill in flags the user
+    did not give. The settings are the parsed flags, less the output ones."""
     if ns.workers is not None and ns.workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {ns.workers}")
-    file_cfg = _load_config_file(ns.config, command) if ns.config else {}
-    merged = {}
-    for key in _CONFIG_KEYS[command]:
-        flag = getattr(ns, key, None)
-        merged[key] = flag if flag is not None else file_cfg.get(key)
+    flags = {key: value for key, value in vars(ns).items() if key not in _NOT_CONFIG}
+    file_cfg = _load_config_file(ns.config, ns.command, list(flags)) if ns.config else {}
+    merged = {key: file_cfg.get(key) if flag is None else flag for key, flag in flags.items()}
     # A spread list and a spread range are alternatives; a flag from one
     # group silences the other group's config-file values.
     if "delta" in merged:
@@ -320,32 +309,24 @@ def _momentum_echo(cfg: dict) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _render(columns: list[str], rows: list[list], echo: dict, fmt: str) -> str:
+def _render(columns: list[str], rows: list[list], echo: dict, fmt: str,
+            key: str = "rows", single: bool = False) -> str:
+    """The one writer of each format. CSV: the two comment lines, then the
+    table. JSON: ``schema``, ``config`` and the rows as objects under
+    ``key``, or the only row itself when ``single``."""
     if fmt == "json":
-        doc = {
-            "schema": 1,
-            "config": echo,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
+        records = [dict(zip(columns, row)) for row in rows]
+        doc = {"schema": 1, "config": echo, key: records[0] if single else records}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    lines = [
-        "# schema=1",
-        "# config=" + json.dumps(echo, sort_keys=True, separators=(",", ":")),
-        ",".join(columns),
-    ]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.write("# schema=1\n# config=%s\n" % json.dumps(echo, sort_keys=True, separators=(",", ":")))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return out.getvalue()
 
 
-def _render_record(record: dict, echo: dict, fmt: str) -> str:
-    if fmt == "csv":
-        return _render(list(record.keys()), [list(record.values())], echo, "csv")
-    doc = {"schema": 1, "config": echo, "result": record}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_sweep(cfg: dict, fmt: str) -> tuple[str, int]:
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
     rule = GuessRule.from_string(_setting(cfg, "guess_rule", "plus_r", str))
@@ -379,11 +360,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[str, int]:
         failures.extend(f"n={n} delta={s:g}: {msg}" for s, msg in result.failures)
     for line in failures:
         print(f"sweep point failed: {line}", file=sys.stderr)
-    return _render(columns, rows, echo, ns.format), 3 if failures else 0
+    return _render(columns, rows, echo, fmt), 3 if failures else 0
 
 
-def _cmd_optimize(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_optimize(cfg: dict, fmt: str) -> tuple[str, int]:
     n = _setting(cfg, "n", None, int)
     if n is None:
         raise ConfigError("no ensemble size given (use --n)")
@@ -405,19 +385,12 @@ def _cmd_optimize(ns: argparse.Namespace) -> tuple[str, int]:
         command="optimize", n=n, delta_min=lo, delta_max=hi, guess_rule=rule.value,
         nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol, **_momentum_echo(cfg),
     )
-    record = {
-        "n_spins": result.n_spins,
-        "delta_opt": result.delta_opt,
-        "f_max": result.f_max,
-        "f_opt": result.f_opt,
-        "gap": result.gap,
-        "boundary_flag": result.boundary_flag,
-    }
-    return _render_record(record, echo, ns.format), 0
+    columns = ["n_spins", "delta_opt", "f_max", "f_opt", "gap", "boundary_flag"]
+    row = [getattr(result, column) for column in columns]
+    return _render(columns, [row], echo, fmt, key="result", single=True), 0
 
 
-def _cmd_disturbance(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_disturbance(cfg: dict, fmt: str) -> tuple[str, int]:
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
     mark = _setting(cfg, "mark_delta_opt", False, bool)
@@ -449,11 +422,10 @@ def _cmd_disturbance(ns: argparse.Namespace) -> tuple[str, int]:
             ])
     for line in failures:
         print(f"disturbance point failed: {line}", file=sys.stderr)
-    return _render(columns, rows, echo, ns.format), 3 if failures else 0
+    return _render(columns, rows, echo, fmt), 3 if failures else 0
 
 
-def _cmd_bloch(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_bloch(cfg: dict, fmt: str) -> tuple[str, int]:
     n_list = _resolve_n_list(cfg)
     deltas = _resolve_deltas(cfg)
     quad = _momentum_quad(cfg)
@@ -469,11 +441,10 @@ def _cmd_bloch(ns: argparse.Namespace) -> tuple[str, int]:
                 rep.n_spins, rep.spread, rep.sz_initial, rep.sz_post_closed,
                 rep.sz_post_numeric, rep.sx_post, rep.sy_post,
             ])
-    return _render(columns, rows, echo, ns.format), 0
+    return _render(columns, rows, echo, fmt), 0
 
 
-def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_asympt(cfg: dict, fmt: str) -> tuple[str, int]:
     if cfg.get("n_min") is None or cfg.get("n_max") is None:
         raise ConfigError("give both --n-min and --n-max")
     n_min, n_max = _convert("n_min", cfg["n_min"], int), _convert("n_max", cfg["n_max"], int)
@@ -497,11 +468,10 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[str, int]:
     columns = ["n_spins", "delta_used", "f_lower", "epsilon_n", "optimal_scaling"]
     rows = [[p.n_spins, p.spread, p.f_lower, p.epsilon_n, p.optimal_scaling]
             for p in points]
-    return _render(columns, rows, echo, ns.format), 0
+    return _render(columns, rows, echo, fmt), 0
 
 
-def _cmd_reference(ns: argparse.Namespace) -> tuple[str, int]:
-    cfg = _merge(ns)
+def _cmd_reference(cfg: dict, fmt: str) -> tuple[str, int]:
     n_list = _resolve_n_list(cfg)
     echo = dict(command="reference", n=n_list)
     columns = ["n_spins", "f_opt", "strong_coupling_limit", "d_min",
@@ -509,25 +479,16 @@ def _cmd_reference(ns: argparse.Namespace) -> tuple[str, int]:
     rows = [[n, optimal_fidelity(n), strong_coupling_limit(n), min_disturbance(n),
              delta_opt_formula(n), optimal_scaling(n), disturbance_series_copt(n)]
             for n in n_list]
-    if ns.format == "csv":
-        return _render(columns, rows, echo, "csv"), 0
-    doc = {
-        "schema": 1,
-        "config": echo,
-        "result": [dict(zip(columns, row)) for row in rows],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
+    return _render(columns, rows, echo, fmt, key="result"), 0
 
 
-def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
-    _merge(ns)  # rejects unknown config keys
+def _cmd_validate(cfg: dict, fmt: str) -> tuple[str, int]:
     results = validate_mod.run_checks()
-    if ns.format == "csv":
-        echo = dict(command="validate")
+    if fmt == "csv":
         columns = ["name", "passed", "measured", "threshold", "detail"]
         rows = [[r.name, r.passed, r.measured, r.threshold, r.detail]
                 for r in results]
-        text = _render(columns, rows, echo, "csv")
+        text = _render(columns, rows, dict(command="validate"), fmt)
     else:
         text = validate_mod.report_json(results)
     return text, 0 if all(r.passed for r in results) else 1
@@ -553,10 +514,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        text, code = _HANDLERS[ns.command](ns)
+        text, code = _HANDLERS[ns.command](_merge(ns), ns.format)
     except (ConfigError, DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

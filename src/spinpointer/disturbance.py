@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import gauss_legendre, refinement_report, trapezoid_periodic
+from .quadrature import refinement_report, trapezoid_periodic
 from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
@@ -76,9 +76,7 @@ def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadratu
     degree 2n in cos(theta_p), exact once the rule has n+1 nodes.
     """
     band = math.ceil(1.5 * n_spins * quad.p_max(model) / math.pi) + 32
-    n_p = quad.radial_count(max(64, band), refined)
-    n_c = quad.polar_count(max(64, n_spins + 1), refined)
-    return gauss_legendre(n_p, 0.0, quad.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
+    return quad.gauss_rules(model, max(64, band), max(64, n_spins + 1), refined)
 
 
 def _disturbance_value(n_spins: int, model: PointerModel, p_rule, c_rule) -> float:

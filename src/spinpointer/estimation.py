@@ -19,7 +19,6 @@ from .errors import ConvergenceError, DomainError
 from .pointer import (
     AmplitudeField,
     MomentumQuadrature,
-    OutcomeGrid,
     PointerModel,
     QuadratureCounts,
     adaptive_outcome_grid,
@@ -112,7 +111,6 @@ def average_fidelity(
     nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-3,
-    grid: OutcomeGrid | None = None,
 ) -> FidelityPoint:
     """Average guessing fidelity at one (n, spread) point.
 
@@ -124,8 +122,7 @@ def average_fidelity(
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
-    if grid is None:
-        grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
+    grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
     field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
     counts = field.counts

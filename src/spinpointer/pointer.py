@@ -149,9 +149,13 @@ class MomentumQuadrature:
         count = automatic if self.polar_nodes is None else int(self.polar_nodes)
         return scaled_count(count) if refined else count
 
-    def gauss_rules(self, model: PointerModel, radial: int, polar: int) -> tuple[Rule1D, Rule1D]:
-        """Gauss-Legendre rules on [0, p_max] and [-1, 1] for automatic counts."""
-        n_p, n_c = self.radial_count(radial), self.polar_count(polar)
+    def gauss_rules(
+        self, model: PointerModel, radial: int, polar: int, refined: bool = False
+    ) -> tuple[Rule1D, Rule1D]:
+        """Gauss-Legendre rules on [0, p_max] and [-1, 1] for automatic counts,
+        of the base or the refinement pass. Both counts are resolved, and an
+        over-cap one refused, before either rule is built."""
+        n_p, n_c = self.radial_count(radial, refined), self.polar_count(polar, refined)
         return gauss_legendre(n_p, 0.0, self.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
 
     def refined(self, counts: QuadratureCounts) -> MomentumQuadrature:

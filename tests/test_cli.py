@@ -1,4 +1,5 @@
 """Command line contract: schema, reproducibility, exit codes."""
+import csv
 import json
 import math
 import os
@@ -161,17 +162,50 @@ def test_asympt_refuses_momentum_angle_counts(flag, tmp_path, capsys):
     assert "unknown config key" in err
 
 
-def test_config_round_trip(tmp_path, capsys):
-    first = tmp_path / "first.csv"
-    assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "48",
-                     "--nodes-theta", "32", "--out", str(first)]) == 0
-    header = first.read_text().splitlines()[1]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "48", "--nodes-theta", "32"],
+        ["optimize", "--n", "1", "--delta-min", "0.5", "--delta-max", "0.52",
+         "--nodes-r", "48", "--nodes-theta", "32"],
+        ["disturbance", "--n", "1", "--n", "2", "--delta", "0.5", "--mark-delta-opt"],
+        ["bloch", "--n", "2", "--delta-min", "0.3", "--delta-max", "0.6", "--delta-steps", "2"],
+        ["asympt", "--n-min", "2", "--n-max", "6", "--n-step", "2"],
+        ["reference", "--n", "1", "--n", "3", "--format", "csv"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_config_round_trip(args, tmp_path, capsys):
+    # The config echo, saved and passed back through --config with the same
+    # output flags, reproduces the document byte for byte.
+    output = args[args.index("--format"):] if "--format" in args else []
+    first = tmp_path / "first"
+    assert cli.main(args + ["--out", str(first)]) == 0
+    text = first.read_text()
+    if text.startswith("# schema=1\n"):
+        config = json.loads(text.splitlines()[1][len("# config="):])
+    else:
+        config = json.loads(text)["config"]
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(header[len("# config="):])
-    second = tmp_path / "second.csv"
-    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(second)]) == 0
+    cfg_path.write_text(json.dumps(config))
+    second = tmp_path / "second"
+    assert cli.main([args[0], "--config", str(cfg_path), *output, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("out", "elsewhere.csv"), ("format", "csv"), ("workers", 1),
+                   ("config", "other.json")],
+)
+def test_output_flags_are_not_config_keys(key, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": [1], key: value}))
+    code, out, err = run_cli(["reference", "--config", str(cfg_path)], capsys)
+    assert (code, out) == (2, "")
+    assert "unknown config key" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_flags_win_over_config(tmp_path, capsys):
@@ -345,6 +379,19 @@ def test_validate_exit_codes(capsys, monkeypatch):
     _, columns, rows = parse_csv(out)
     assert columns == ["name", "passed", "measured", "threshold", "detail"]
     assert rows[-1][1] == "false"
+
+
+def test_validate_csv_quotes_cells_holding_commas_and_quotes(capsys, monkeypatch):
+    detail = 'n <= 10, spread in {0.3, 1, 3}; "wide" spreads'
+    checks = [CheckResult("alpha", True, 0.0, 1.0, "ok"),
+              CheckResult("beta", True, 0.5, 1.0, detail)]
+    monkeypatch.setattr(cli.validate_mod, "run_checks", lambda: checks)
+    code, out, _ = run_cli(["validate", "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[2:]))
+    assert rows[0] == ["name", "passed", "measured", "threshold", "detail"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[4] for row in rows[1:]] == ["ok", detail]
 
 
 def test_out_file_silences_stdout(tmp_path, capsys):

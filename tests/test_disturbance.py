@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from spinpointer import pointer
 from spinpointer.disturbance import (
     bloch_post_numeric,
     bloch_z_post_closed,
@@ -89,6 +90,17 @@ def test_factorized_route_matches_full_tensor():
         assert disturbance_exact(n, model).d_exact == pytest.approx(full, abs=1e-8)
     with pytest.raises(CapabilityError):
         disturbance_oracle_full(4, PointerModel(0.7))
+
+
+def test_over_cap_refinement_is_refused_before_any_rule(monkeypatch):
+    # The base count fits under the cap and its refinement pass does not:
+    # both counts are resolved, and the refusal raised, before a rule is built.
+    def no_rule(*args):
+        raise AssertionError("a Gauss rule was built")
+
+    monkeypatch.setattr(pointer, "gauss_legendre", no_rule)
+    with pytest.raises(CapabilityError, match="22500 radial momentum nodes, cap 20000"):
+        disturbance_exact(1, PointerModel(0.5), MomentumQuadrature(radial_nodes=15_000))
 
 
 def _node_loop(model, quad):
