@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 
 # Above this size binomials leave the exact-integer comfort zone and the
 # amplitude products underflow stagewise; switch to log-gamma accumulation.
@@ -88,6 +88,8 @@ def su2_rotation(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise DomainError("momentum must be a 3-vector")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("momentum must be finite")
     angle = float(np.linalg.norm(p))
     half_sinc = 0.5 * np.sinc(angle / (2.0 * math.pi))  # sin(|p|/2)/|p|
     c = math.cos(0.5 * angle)
@@ -212,12 +214,22 @@ def collective_operators(n_spins: int) -> CollectiveOperators:
 def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
     """exp(-i p.S) built on the full 2^n product space, for certification only.
 
-    Constructs S as explicit Kronecker sums and exponentiates the dense
-    matrix, sidestepping every symmetric-subspace shortcut used elsewhere.
-    p has shape (..., 3) and the result (..., 2^n, 2^n); scipy's expm runs
-    its per-matrix algorithm on each slice, so a stacked call gives the bits
-    of one call per momentum. Cost grows as 4^n, so requests beyond n=4 are
-    refused.
+    Constructs S as explicit Kronecker sums, site by site for each axis, and
+    exponentiates the dense Hermitian matrix h = p.S through its
+    eigendecomposition, exp(-i h) = V diag(exp(-i w)) V^H, sidestepping
+    every symmetric-subspace shortcut used elsewhere. p has shape (..., 3)
+    and the result (..., 2^n, 2^n). numpy's eigh and matmul run LAPACK and
+    BLAS once per slice, so a stacked call gives the bits of one call per
+    momentum.
+
+    scipy's expm (scaled Pade) stays the reference, an algorithm that shares
+    nothing with the eigendecomposition: every call also exponentiates the
+    slice of largest 1-norm with it and raises NumericError unless the two
+    agree within 1e-13 max(1, |h|_1), so a faulty eigen route cannot pass
+    quietly. An empty stack returns its empty result.
+
+    Cost grows as 4^n, so requests beyond n=4 are refused; non-finite
+    momenta raise DomainError.
     """
     n = int(n_spins)
     if n < 1:
@@ -227,6 +239,8 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim < 1 or p.shape[-1] != 3:
         raise DomainError("momentum must be a 3-vector or a stack of them")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("momentum must be finite")
     paulis = [
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -240,7 +254,16 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
             for other in range(n):
                 op = np.kron(op, 0.5 * paulis[axis] if other == site else np.eye(2))
             h += p[..., axis, None, None] * op
-    return expm(-1j * h)
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    norms = np.abs(h).sum(axis=-2).max(axis=-1)
+    if norms.size:
+        worst = np.unravel_index(np.argmax(norms), norms.shape)
+        err = float(np.max(np.abs(u[worst] - expm(-1j * h[worst]))))
+        tol = 1e-13 * max(1.0, float(norms[worst]))
+        if not err <= tol:
+            raise NumericError(f"eigen route differs from expm by {err:.3e} (tolerance {tol:.3e})")
+    return u
 
 
 def dicke_basis_full(n_spins: int) -> np.ndarray:

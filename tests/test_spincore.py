@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from spinpointer.errors import CapabilityError, DomainError
+from spinpointer import spincore
+from spinpointer.errors import CapabilityError, DomainError, NumericError
 from spinpointer.spincore import (
     CollectiveOperators,
     Direction,
@@ -204,6 +206,77 @@ def test_stacked_oracle_equals_one_call_per_momentum(n):
         assert np.array_equal(stacked[i], full_tensor_rotation_oracle(p[i], n))
     grid = full_tensor_rotation_oracle(p.reshape(2, 3, 3), n)
     assert np.array_equal(grid.reshape(stacked.shape), stacked)
+
+
+def _product_space_spin(n):
+    """S_x, S_y, S_z on the 2^n product space, one embedded site at a time."""
+    sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    return [
+        sum(np.kron(np.kron(np.eye(2**site), 0.5 * s), np.eye(2 ** (n - site - 1))) for site in range(n))
+        for s in sigma
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_oracle_matches_scipy_expm_slice_by_slice(n):
+    rng = np.random.default_rng(40 + n)
+    spin = _product_space_spin(n)
+    for magnitude in (0.0, 1e-8, 1.0, 13.3, 40.0):
+        directions = rng.normal(size=(4, 3))
+        p = magnitude * directions / np.linalg.norm(directions, axis=1)[:, None]
+        stacked = full_tensor_rotation_oracle(p, n)
+        for momentum, u in zip(p, stacked):
+            h = sum(component * s for component, s in zip(momentum, spin))
+            reference = scipy.linalg.expm(-1j * h)
+            assert np.max(np.abs(u - reference)) <= 1e-14 * max(1.0, n * magnitude)
+
+
+def test_oracle_checks_its_largest_slice_against_expm(monkeypatch):
+    expm_calls = []
+
+    def counted_expm(a):
+        expm_calls.append(a.shape)
+        return scipy.linalg.expm(a)
+
+    monkeypatch.setattr(spincore, "expm", counted_expm)
+    p = np.array([[0.1, 0.0, 0.2], [3.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
+    full_tensor_rotation_oracle(p, 2)
+    full_tensor_rotation_oracle(p[0], 2)
+    assert expm_calls == [(4, 4), (4, 4)]
+
+    eigh = np.linalg.eigh
+
+    def shifted(h, shift_slice):
+        w, v = eigh(h)
+        w = w.copy()
+        w[shift_slice] += 1e-9
+        return w, v
+
+    # Every eigenvalue shifted by 1e-9 moves u by about 1e-9, far above 1e-13.
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shifted(h, Ellipsis))
+    with pytest.raises(NumericError, match="differs from expm"):
+        full_tensor_rotation_oracle(p, 2)
+    with pytest.raises(NumericError, match="differs from expm"):
+        full_tensor_rotation_oracle(p[0], 2)
+    # Only the slice of largest 1-norm is checked, and it is the one shifted.
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shifted(h, 1))
+    with pytest.raises(NumericError, match="differs from expm"):
+        full_tensor_rotation_oracle(p, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_momentum_is_refused(bad):
+    with pytest.raises(DomainError, match="finite"):
+        su2_rotation(np.array([0.1, bad, 0.2]))
+    with pytest.raises(DomainError, match="finite"):
+        rotated_up_amplitudes(np.array([bad, 0.0, 0.0]))
+    stack = np.zeros((3, 3))
+    stack[2, 1] = bad
+    for n in (1, 4):
+        with pytest.raises(DomainError, match="finite"):
+            full_tensor_rotation_oracle(stack, n)
+        with pytest.raises(DomainError, match="finite"):
+            full_tensor_rotation_oracle(stack[2], n)
 
 
 def test_full_tensor_basis_is_orthonormal():
