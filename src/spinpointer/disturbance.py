@@ -62,10 +62,14 @@ def disturbance_lowest_order(n_spins: int, spread: float) -> float:
 
 
 def disturbance_series_copt(n_spins: int) -> float:
-    """Disturbance at spread = sqrt(n/8) through second order: 1/2 + 23/(1440 n^2)."""
+    """Disturbance at spread = sqrt(n/8) through second order: 1/2 - 23/(1440 n^2).
+
+    The exact n^2 (D - 1/2) there is -0.016087 at n = 100 and -0.016010 at
+    n = 300, tending to -23/1440 = -0.015972.
+    """
     if n_spins < 1:
         raise DomainError(f"need n_spins >= 1, got {n_spins}")
-    return 0.5 + 23.0 / (1440.0 * n_spins * n_spins)
+    return 0.5 - 23.0 / (1440.0 * n_spins * n_spins)
 
 
 def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadrature, refined=False):

@@ -11,14 +11,17 @@ to the spins, with the plane-wave normalization fixed so that the Kraus set
 is complete. For input all-up the Dicke-k component of E(r)|up..up> carries
 the single azimuthal harmonic e^(i k phi_p), so the momentum azimuth is
 integrable in closed form; combining this with the partial-wave expansion of
-the plane wave reduces the angular momentum integrals to exact polar
-Gauss-Legendre sums truncated at angular order n_spins. Only the radial
-momentum axis keeps the oscillation burden, and its node count scales with
-r_max * p_max as configured. The spin factor on the momentum mesh,
-sqrt(C(n,k)) alpha^(n-k) beta^k, streams one contiguous k row at a time
-from spincore.dicke_power_rows into the polar moments, which one packed
-table of P~_lm per polar axis supplies; no (n+1) N_p N_c stack is held.
-The moments, (n+1)(n+2) N_p floats, are the largest array of a build.
+the plane wave leaves, per angular order l <= n_spins, the polar moment
+M_lk(p) of the k-flips spin factor. Expanded over the momentum direction,
+exp(-i p.S) is one rank-l spherical tensor per l, so by the Wigner-Eckart
+theorem M_lk(p) = (-1)^k c_lk g_l(p): a Clebsch-Gordan coefficient
+c_lk = <j j; l -k | j j-k>, j = n/2, times a reduced moment g_l(p) that is a
+Gegenbauer polynomial in cos(p/2) (Varshalovich, Moskalev and Khersonskii,
+Quantum Theory of Angular Momentum, World Scientific, 1988). Both are
+closed forms, so no polar momentum quadrature is left, and the field is
+real at outcome azimuth 0. Only the radial momentum axis keeps the
+oscillation burden, and its node count scales with r_max * p_max as
+configured.
 
 The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
@@ -27,8 +30,8 @@ scipy called only where r p <= 1; the cells are split once into those with
 r p < n_spins, which take the upward recurrence and downward ratios
 (Miller's algorithm) above l = r p, and the rest, which take the upward
 recurrence alone. Per chunk of the block's table, the radial transform is
-one real matrix product per order l, and the angular synthesis one complex
-matrix product per Dicke component k.
+one real product per order l, and the angular synthesis one real matrix
+product per Dicke component k.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from scipy.special import spherical_jn
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
-from .spincore import Direction, DickeVector, dicke_power_rows
+from .spincore import Direction, DickeVector
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
@@ -50,7 +53,7 @@ _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 _CHUNK_RADIAL = 16
 
 # Radial nodes per rule, momentum and outcome alike: Gauss node generation is
-# quadratic in the count, and the field's moments hold (n+1)(n+2) N_p floats.
+# quadratic in the count, and the field's Bessel tables grow with it.
 MAX_RADIAL_NODES = 20_000
 
 # Cells per Bessel table. A block of outcome radii holds as many whole
@@ -240,8 +243,9 @@ class AmplitudeField:
     """Dicke amplitudes of E(r)|up^n> on an outcome grid, at outcome azimuth 0.
 
     values[a, b, k] is the k-flips amplitude at radius radial.nodes[a] and
-    polar angle polar.nodes[b]; a nonzero outcome azimuth multiplies
-    component k by e^(i k azimuth). total_probability is the grid integral
+    polar angle polar.nodes[b]. At azimuth 0 every amplitude is real, so
+    values is float64; a nonzero outcome azimuth multiplies component k by
+    e^(i k azimuth). total_probability is the grid integral
     of the outcome density and should be 1 up to the quadrature tolerance
     and the discarded radial tail.
     """
@@ -259,17 +263,62 @@ class AmplitudeField:
         return self._density
 
 
-def _alpha_beta_polar(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-spin amplitudes on a (radial, polar) momentum mesh.
+def _log_factorials(top: int) -> np.ndarray:
+    """log(i!) for i = 0..top."""
+    return np.array([math.lgamma(i + 1.0) for i in range(top + 1)])
 
-    alpha and the azimuth-stripped beta for exp(-i p.sigma/2)|up> with the
-    momentum direction at cos(polar) = c; the full beta carries e^(i phi).
+
+def _couplings(n: int, k: int, log_fact: np.ndarray) -> np.ndarray:
+    """c_lk = <j j; l -k | j j-k>, j = n/2, for l = k..n.
+
+    The Racah sum of this coefficient has a single term:
+    c_lk^2 = (n+1)! (n-k)! (l+k)! / ((n+l+1)! (n-l)! k! (l-k)!).
+    log_fact holds log(i!) up to 2n+1.
     """
-    pp, cc = np.meshgrid(p, c, indexing="ij")
-    half = 0.5 * pp
-    alpha = np.cos(half) - 1j * cc * np.sin(half)
-    beta = -1j * np.sin(half) * np.sqrt(np.clip(1.0 - cc * cc, 0.0, None))
-    return alpha, beta
+    l = np.arange(k, n + 1)
+    f = log_fact
+    return np.exp(0.5 * (f[n + 1] + f[n - k] + f[l + k] - f[n + l + 1] - f[n - l] - f[k] - f[l - k]))
+
+
+def _reduced_moments(n: int, p: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """Rows l = 0..n of i^l g_l(p), the real reduced polar moments.
+
+    The order-0 moment has the closed form (Rodrigues' formula and the
+    Laplace integral of the Gegenbauer polynomials)
+
+        M_l0(p) = sqrt((2l+1)/(4 pi)) 2^(l+1) n! l! / (n+l+1)!
+                  (-i sin(p/2))^l C^(l+1)_(n-l)(cos(p/2)),
+
+    and g_l = M_l0 / c_l0. C^(l+1)_m / C^(l+1)_m(1) comes from the bounded
+    recurrence C_(m+1) = (2(m+l+1) x C_m - m C_(m-1)) / (m+2l+2), run for
+    every l at once; row l stops at m = n-l. C(1), 1/c_l0 and
+    l log|sin(p/2)| share one exponent, and sign(sin(p/2))^l is applied
+    apart from it, since p may pass 2 pi. log_fact holds log(i!) up to 2n+1.
+    """
+    half_sin, x = np.sin(0.5 * p), np.cos(0.5 * p)
+    lam = np.arange(1.0, n + 2.0)[:, None]  # lambda = l + 1
+    gegen = np.empty((n + 1, p.size))
+    gegen[n] = 1.0
+    prev, cur = np.zeros((n + 1, p.size)), np.ones((n + 1, p.size))
+    for m in range(n):
+        rows = n - m  # orders l < n - m still need C_(m+1)
+        prev[:rows] = (2.0 * (m + lam[:rows]) * x * cur[:rows] - m * prev[:rows]) / (m + 2.0 * lam[:rows])
+        prev, cur = cur, prev
+        gegen[rows - 1] = cur[rows - 1]
+
+    l = np.arange(n + 1)
+    f = log_fact
+    log_c0 = 0.5 * (f[n] + f[n + 1] - f[n - l] - f[n + l + 1])
+    log_scale = (0.5 * np.log((2 * l + 1) / (4.0 * math.pi)) + (l + 1) * math.log(2.0)
+                 + f[n] + f[l] - f[n - l] - f[2 * l + 1] - log_c0)
+    expo = np.repeat(log_scale[:, None], p.size, axis=1)
+    # Near n = 1500 the exponent passes the float range where the Gegenbauer
+    # ratio is tiny; the result is then not finite, which callers refuse.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expo[1:] += np.multiply.outer(l[1:], np.log(np.abs(half_sin)))
+        gegen *= np.exp(expo)
+    gegen[1::2, half_sin < 0] *= -1.0
+    return gegen
 
 
 def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -386,19 +435,17 @@ def _field_block(
     """Write the amplitudes for one block of outcome radii into out, shape
     (radii, angles, n+1).
 
-    One Bessel table serves the whole block; the matrix products run per
+    One Bessel table serves the whole block; the products run per
     _CHUNK_RADIAL rows of it.
     """
     bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
     for lo, hi in _row_ranges(r_nodes.size, _CHUNK_RADIAL):
-        # transform[k, l, a]: radial transform of the order-l moment for k flips
-        transform = np.zeros((n + 1, n + 1, hi - lo), dtype=complex)
+        # transform[l, a]: radial transform of the order-l reduced moment
+        transform = np.empty((n + 1, hi - lo))
         for l in range(n + 1):
-            t = bessel[l, lo:hi] @ weighted[l * (l + 1) : (l + 1) * (l + 2)].T
-            transform[: l + 1, l].real = t[:, : l + 1].T
-            transform[: l + 1, l].imag = t[:, l + 1 :].T
+            transform[l] = bessel[l, lo:hi] @ weighted[l]
         for k in range(n + 1):
-            out[lo:hi, :, k] = _AMPLITUDE_PREFACTOR * (transform[k, k:].T @ theta_coefs[k])
+            out[lo:hi, :, k] = transform[k:].T @ theta_coefs[k]
 
 
 def build_amplitude_field(
@@ -416,25 +463,29 @@ def build_amplitude_field(
             * Integral dp p^2 profile(p) j_l(r p) M_{lk}(p)
 
     with M_{lk}(p) the polar moment of the k-flips spin factor. Truncation at
-    l = n is exact because the spin factor is band-limited; the polar
-    Gauss-Legendre rule is exact from n+1 nodes on, so no count goes below.
+    l = n is exact because the spin factor is band-limited. By the
+    Wigner-Eckart theorem M_{lk} = (-1)^k c_lk g_l, and g_l carries
+    (-i)^l, which cancels the i^l: component k is the real sum
 
-    The spin factor streams one Dicke component k at a time from
-    spincore.dicke_power_rows; its orders l >= k of the packed Legendre
-    table turn it into the radially weighted moments, of (n+1)(n+2) x N_p
-    floats, which bound the build's memory. Each block of outcome radii, as
-    many whole chunks of _CHUNK_RADIAL radii as keep its (n+1) x radii x
-    momenta table within _BLOCK_CELLS, builds one table of j_l(r p),
-    l = 0..n, by recurrence from closed-form j_0 and j_1, with scipy's
-    values where r p <= 1 (see _bessel_table; it agrees with scipy's j_l to
-    about 1e-15 absolute). Per chunk of that table, the radial transform of
-    order l is one real product of row l with the real and imaginary parts
-    of the weighted moments M_{lk}, all k <= l at once; the angular
-    synthesis is one complex product per k, written into its slice of the
-    field. The blocks are built one after another in this process. They
-    depend only on the grid, n and the momentum count, and every product
-    takes the same rows whatever the block size, so the values do not
-    depend on _BLOCK_CELLS.
+        2^(3/2) sqrt(pi) * sum_{l=k}^{n} (-1)^k c_lk P~_{lk}(cos theta) R_l(r),
+        R_l(r) = Integral dp p^2 profile(p) j_l(r p) i^l g_l(p)
+
+    (see _couplings and _reduced_moments; Varshalovich et al. 1988). The
+    closed forms equal a polar Gauss-Legendre rule of n+1 or more nodes,
+    which counts.nodes_p_polar still reports. The radially weighted reduced
+    moments are (n+1) x N_p floats; a non-finite one raises NumericError.
+
+    Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
+    radii as keep its (n+1) x radii x momenta table within _BLOCK_CELLS,
+    builds one table of j_l(r p), l = 0..n, by recurrence from closed-form
+    j_0 and j_1, with scipy's values where r p <= 1 (see _bessel_table; it
+    agrees with scipy's j_l to about 1e-15 absolute). Per chunk of that
+    table, R_l is one real product of row l with the weighted moment of
+    order l, and the angular synthesis one real product per k, written into
+    its slice of the field. The blocks are built one after another in this
+    process. They depend only on the grid, n and the momentum count, and
+    every product takes the same rows whatever the block size, so the values
+    do not depend on _BLOCK_CELLS.
     """
     n = int(n_spins)
     if n < 1:
@@ -442,42 +493,32 @@ def build_amplitude_field(
     quad = quad or MomentumQuadrature()
     n_p = quad.radial_count(quad.effective_radial(grid.r_max, model, n))
     p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
-    c_rule = gauss_legendre(max(n + 1, quad.polar_count(32)), -1.0, 1.0)
 
-    # Radially weighted polar moments M_{lk}(p) and outcome-angle tables,
-    # built once. Rows l(l+1) .. (l+1)(l+2)-1 of weighted belong to order l:
-    # the real parts of k = 0..l, then their imaginary parts.
+    # Radially weighted reduced moments, row l for order l, and the
+    # outcome-angle coefficients of each k, built once.
+    log_fact = _log_factorials(2 * n + 1)
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
-    weighted = np.empty(((n + 1) * (n + 2), p_rule.count))
-    theta_coefs = []
-    legendre_c = _legendre_table(n, c_rule.nodes)
+    weighted = _reduced_moments(n, p_rule.nodes, log_fact) * radial_measure
+    if not np.all(np.isfinite(weighted)):
+        raise NumericError("reduced moments overflowed; parameters out of range")
     legendre_t = _legendre_table(n, np.cos(grid.polar.nodes))
-    i_pow = 1j ** np.arange(n + 1)
-    alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
-    for k, spin in enumerate(dicke_power_rows(alpha, beta, n)):  # spin: (n_p, n_c)
-        if not np.all(np.isfinite(spin)):
-            raise NumericError("spin factor overflowed; parameters out of range")
+    theta_coefs = []
+    for k in range(n + 1):
         orders = np.arange(k, n + 1)
-        packed = orders * (orders + 1) // 2 + k
-        moments = ((legendre_c[packed] * c_rule.weights) @ spin.T) * radial_measure
-        rows = orders * (orders + 1) + k
-        weighted[rows] = moments.real
-        weighted[rows + orders + 1] = moments.imag
-        theta_coefs.append(i_pow[k : n + 1][:, None] * legendre_t[packed])
-    del legendre_c, legendre_t, alpha, beta, spin, moments
+        coef = (-_AMPLITUDE_PREFACTOR if k % 2 else _AMPLITUDE_PREFACTOR) * _couplings(n, k, log_fact)
+        theta_coefs.append(coef[:, None] * legendre_t[orders * (orders + 1) // 2 + k])
 
-    values = np.empty((grid.radial.count, grid.polar.count, n + 1), dtype=complex)
+    values = np.empty((grid.radial.count, grid.polar.count, n + 1))
     for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count)):
         _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
-    del weighted, theta_coefs  # before the density's temporaries, which would stack on them
 
     w_r, w_t = grid.volume_weights()
-    density = np.sum(np.abs(values) ** 2, axis=2)
+    density = np.sum(values * values, axis=2)
     counts = QuadratureCounts(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
         nodes_p_radial=p_rule.count,
-        nodes_p_polar=c_rule.count,
+        nodes_p_polar=max(n + 1, quad.polar_count(32)),
         nodes_p_azimuthal=quad.azimuthal_nodes,
     )
     return AmplitudeField(

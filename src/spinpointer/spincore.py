@@ -269,6 +269,8 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
 def dicke_basis_full(n_spins: int) -> np.ndarray:
     """Rows are the symmetric basis states embedded in the 2^n product space."""
     n = int(n_spins)
+    if n < 1:
+        raise DomainError(f"need n_spins >= 1, got {n}")
     if n > 4:
         raise CapabilityError(f"full tensor embedding capped at n_spins=4, got {n}")
     dim = 2**n

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import fidelity_lower_bound, kraus_diagonal_element
-from .disturbance import bloch_post_numeric, disturbance_exact, disturbance_oracle_full
+from .disturbance import (
+    bloch_post_numeric,
+    disturbance_exact,
+    disturbance_oracle_full,
+    disturbance_series_copt,
+)
 from .estimation import GuessRule, average_fidelity, optimal_fidelity
 from .pointer import (
     MomentumQuadrature,
@@ -247,6 +252,16 @@ def _check_disturbance_range() -> CheckResult:
     return _check("disturbance_range_and_decay", worst, 0.0 + 1e-12, "0 <= D <= 1; D(50) < 1e-3")
 
 
+def _check_disturbance_series() -> CheckResult:
+    # The second-order series at spread sqrt(n/8) against the exact value, on
+    # the scale of its own n^-2 term, 23/1440.
+    worst = 0.0
+    for n in (100, 300):
+        exact = disturbance_exact(n, PointerModel(math.sqrt(n / 8.0))).d_exact
+        worst = max(worst, abs(n * n * (exact - disturbance_series_copt(n))))
+    return _check("disturbance_series", worst, 0.05 * 23.0 / 1440.0, "n^2 |D - series| at n = 100, 300")
+
+
 def _check_single_point_consistency() -> CheckResult:
     # One-point evaluation path agrees with the batched field path.
     model = PointerModel(0.7)
@@ -277,6 +292,7 @@ def run_checks() -> list[CheckResult]:
         _check_guess_rule_dominance(),
         _check_determinism(),
         _check_disturbance_range(),
+        _check_disturbance_series(),
         _check_single_point_consistency(),
     ]
 

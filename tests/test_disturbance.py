@@ -171,7 +171,12 @@ def test_lowest_order_lorentzian():
 
 
 def test_series_and_minimum_constants():
-    assert disturbance_series_copt(200) == pytest.approx(0.5 + 23.0 / (1440.0 * 200**2), abs=1e-15)
+    # The second-order term against the exact disturbance at spread sqrt(n/8):
+    # n^2 (D - 1/2) tends to -23/1440 from below.
+    for n in (100, 300):
+        exact = disturbance_exact(n, PointerModel(math.sqrt(n / 8.0))).d_exact
+        assert n * n * (exact - 0.5) < 0.0
+        assert abs(n * n * (exact - disturbance_series_copt(n))) < 0.05 * 23.0 / 1440.0
     assert min_disturbance(1) == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert min_disturbance(2) == pytest.approx(0.6, abs=1e-15)
     assert min_disturbance(3) == pytest.approx(4.0 / 7.0, abs=1e-15)

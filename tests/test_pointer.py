@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 
 from spinpointer import pointer, spincore
-from spinpointer.errors import DomainError
+from spinpointer.errors import DomainError, NumericError
 from spinpointer.pointer import (
     MomentumQuadrature,
     PointerModel,
@@ -27,7 +27,7 @@ from spinpointer.pointer import (
     radial_cumulative,
 )
 from spinpointer.quadrature import gauss_legendre
-from spinpointer.spincore import dicke_expand, direction_from_angles
+from spinpointer.spincore import direction_from_angles
 
 
 def test_momentum_profile_peak_value():
@@ -366,11 +366,25 @@ def test_legendre_table_is_per_order_recurrence_bit_for_bit(l_max):
             assert np.array_equal(table[orders * (orders + 1) // 2 + m], _legendre_per_order(l_max, m, x))
 
 
+def _alpha_beta_polar(p, c):
+    """Single-spin amplitudes on a (radial, polar) momentum mesh.
+
+    alpha and the azimuth-stripped beta for exp(-i p.sigma/2)|up> with the
+    momentum direction at cos(polar) = c; the full beta carries e^(i phi).
+    """
+    pp, cc = np.meshgrid(p, c, indexing="ij")
+    half = 0.5 * pp
+    alpha = np.cos(half) - 1j * cc * np.sin(half)
+    beta = -1j * np.sin(half) * np.sqrt(np.clip(1.0 - cc * cc, 0.0, None))
+    return alpha, beta
+
+
 def _per_order_field(n, model, grid, quad):
     """The synthesis formula of build_amplitude_field summed one (k, l) term
-    at a time, with scipy's j_l for every order."""
+    at a time, with polar Gauss-Legendre moments and scipy's j_l for every
+    order."""
     p_rule, c_rule = quad.gauss_rules(model, 0, 0)
-    alpha, beta = pointer._alpha_beta_polar(p_rule.nodes, c_rule.nodes)
+    alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
     spin = spincore.dicke_powers(alpha, beta, n)
     measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
     z = np.multiply.outer(grid.radial.nodes, p_rule.nodes)
@@ -398,34 +412,93 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
 
 @pytest.mark.parametrize("n", [60, 61, 100])
 def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
-    # Pole states put all weight on one basis state: 0^0 = 1, not 0. The
-    # field's spin factor is the rows of pointer.dicke_power_rows, k first.
+    # Pole states put all weight on one basis state: 0^0 = 1, not 0, on both
+    # sides of spincore.dicke_power_rows' log-space threshold.
     top = np.zeros((n + 1, 1))
     top[0] = 1.0
     one, zero = np.array([1.0 + 0j]), np.array([0j])
-    assert np.array_equal(np.stack(list(pointer.dicke_power_rows(one, zero, n))), top)
-    assert np.array_equal(np.stack(list(pointer.dicke_power_rows(zero, one, n))), top[::-1])
+    assert np.array_equal(np.stack(list(spincore.dicke_power_rows(one, zero, n))), top)
+    assert np.array_equal(np.stack(list(spincore.dicke_power_rows(zero, one, n))), top[::-1])
 
 
-@pytest.mark.parametrize("n", [5, 60, 61, 100])
-def test_field_spin_stack_is_dicke_expand_with_k_first(n, monkeypatch):
-    # One Dicke-power route: the rows the field consumes on its Gauss
-    # momentum mesh, stacked, are dicke_expand's, bit for bit, on both sides
-    # of the log-space threshold.
-    seen = []
+def _polar_moments(n, p):
+    """M_lk(p) by polar Gauss-Legendre quadrature, the reference for the
+    closed forms: the k-flips spin factor on a (radial, polar) mesh,
+    projected on the packed P~_lk table. Rule of n+1 nodes, exact for the
+    degree-2n polynomial integrand."""
+    c_rule = gauss_legendre(n + 1, -1.0, 1.0)
+    alpha, beta = _alpha_beta_polar(p, c_rule.nodes)
+    legendre = pointer._legendre_table(n, c_rule.nodes)
+    moments = {}
+    for k, spin in enumerate(spincore.dicke_power_rows(alpha, beta, n)):
+        for l in range(k, n + 1):
+            moments[l, k] = (legendre[l * (l + 1) // 2 + k] * c_rule.weights) @ spin.T
+    return moments
 
-    def recorded(alpha, beta, n_spins):
-        rows = []
-        seen.append((alpha, beta, rows))
-        for row in spincore.dicke_power_rows(alpha, beta, n_spins):
-            rows.append(row.copy())
-            yield row
 
-    monkeypatch.setattr(pointer, "dicke_power_rows", recorded)
-    build_amplitude_field(
-        n, PointerModel(math.sqrt(n / 8.0)), build_outcome_grid(2.0, nodes_r=2, nodes_theta=2)
-    )
-    ((alpha, beta, rows),) = seen
-    stack = np.stack(rows)
-    assert stack.shape == (n + 1,) + alpha.shape
-    assert np.array_equal(stack, np.moveaxis(dicke_expand(alpha, beta, n).amplitudes, -1, 0))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30, 60, 61, 100])
+def test_closed_form_moments_match_polar_quadrature(n):
+    # M_lk = (-1)^k c_lk g_l, and _reduced_moments holds i^l g_l. The momenta
+    # pass 2 pi, where sin(p/2) changes sign, and cross the polar
+    # quadrature's log-space threshold at n = 60.
+    p = np.linspace(0.0, 14.0, 141)[1:]
+    log_fact = pointer._log_factorials(2 * n + 1)
+    reduced = pointer._reduced_moments(n, p, log_fact)
+    assert reduced.shape == (n + 1, p.size) and reduced.dtype == np.float64
+    reference = _polar_moments(n, p)
+    largest = max(np.max(np.abs(m)) for m in reference.values())
+    worst = 0.0
+    for k in range(n + 1):
+        couplings = pointer._couplings(n, k, log_fact)
+        for l in range(k, n + 1):
+            closed = (-1) ** k * couplings[l - k] * (-1j) ** l * reduced[l]
+            worst = max(worst, np.max(np.abs(closed - reference[l, k])))
+    assert worst <= 1e-12 * largest
+
+
+@pytest.mark.parametrize("n", [3, 8, 200])
+def test_couplings_sum_rule_and_order_zero_closed_form(n):
+    log_fact = pointer._log_factorials(2 * n + 1)
+    table = np.zeros((n + 1, n + 1))  # table[l, k] = c_lk
+    for k in range(n + 1):
+        table[k:, k] = pointer._couplings(n, k, log_fact)
+    # Each c_lk is the exp of a sum of log-factorials up to log((2n+1)!), so
+    # its relative error scales with that magnitude: about 4e-13 at n = 200.
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * log_fact[-1])
+    assert np.max(np.abs(np.sum(table**2, axis=1) - 1.0)) <= tol
+    for l in range(n + 1):
+        c_l0_sq = math.exp(
+            math.lgamma(n + 1) + math.lgamma(n + 2) - math.lgamma(n - l + 1) - math.lgamma(n + l + 2)
+        )
+        assert table[l, 0] ** 2 == pytest.approx(c_l0_sq, rel=1e-12)
+    if n == 3:
+        exact = [math.factorial(n) * math.factorial(n + 1)
+                 / (math.factorial(n - l) * math.factorial(n + l + 1)) for l in range(n + 1)]
+        assert table[:, 0] ** 2 == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("spread", [0.3, math.sqrt(1000 / 8.0)])
+def test_reduced_moments_finite_at_n_1000(spread):
+    # Up to the momentum cutoff of 8 sigma; at spread 0.3 it passes 4 pi.
+    n = 1000
+    p = np.linspace(0.0, MomentumQuadrature().p_max(PointerModel(spread)), 400)
+    log_fact = pointer._log_factorials(2 * n + 1)
+    reduced = pointer._reduced_moments(n, p, log_fact)
+    assert np.all(np.isfinite(reduced))
+    # |g_l| is the reduced element of a unitary: at most 1/sqrt(pi) here.
+    assert np.max(np.abs(reduced)) <= 1.0
+    for k in (0, 1, n // 2, n):
+        assert np.all(np.isfinite(pointer._couplings(n, k, log_fact)))
+
+
+def test_field_refuses_overflowing_reduced_moments():
+    # At n = 1600 the folded exponent of the middle orders leaves the float
+    # range: the build raises instead of returning non-finite amplitudes.
+    grid = build_outcome_grid(1.0, nodes_r=1, nodes_theta=1)
+    with pytest.raises(NumericError):
+        build_amplitude_field(1600, PointerModel(0.3), grid, MomentumQuadrature(radial_nodes=32))
+
+
+def test_field_values_are_real():
+    fld = build_amplitude_field(3, PointerModel(0.4), build_outcome_grid(4.0, nodes_r=20, nodes_theta=8))
+    assert fld.values.dtype == np.float64

@@ -292,6 +292,12 @@ def test_oracle_size_cap():
         dicke_basis_full(5)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_full_tensor_basis_refuses_fewer_than_one_spin(n):
+    with pytest.raises(DomainError):
+        dicke_basis_full(n)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         dicke_expand(1.0, 0.0, 0)
