@@ -123,6 +123,9 @@ def average_fidelity(
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
+    # The refinement pass's radial count, resolved here so that an over-cap
+    # one is refused before the base build rather than after it.
+    quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins), refined=True)
     field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
     counts = field.counts

@@ -25,13 +25,14 @@ configured.
 
 The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
-_BLOCK_CELLS cells. The table's seeds j_0 and j_1 are closed forms, with
-scipy called only where r p <= 1; the cells are split once into those with
-r p < n_spins, which take the upward recurrence and downward ratios
-(Miller's algorithm) above l = r p, and the rest, which take the upward
-recurrence alone. Per chunk of the block's table, the radial transform is
-one real product per order l, and the angular synthesis one real matrix
-product per Dicke component k.
+_BLOCK_CELLS cells. The table's seeds are j_0 = sin z / z and, for j_1,
+the closed form above z = r p = 1 and its Maclaurin series at or below it;
+scipy's spherical_jn only spot-checks the series, at one cell per table.
+The cells are split once into those with r p < n_spins, which take the
+upward recurrence and downward ratios (Miller's algorithm) above l = r p,
+and the rest, which take the upward recurrence alone. Per chunk of the
+block's table, the radial transform is one real product per order l, and
+the angular synthesis one real matrix product per Dicke component k.
 """
 from __future__ import annotations
 
@@ -62,6 +63,16 @@ MAX_RADIAL_NODES = 20_000
 # depend only on the grid, n and the momentum count. 2^18 cells (2 MB) left
 # the peak memory of the README sweeps flat; 2^20 raised it by about 5 MB.
 _BLOCK_CELLS = 2**18
+
+# Maclaurin coefficients of j_1(z) / z in z^2 (DLMF 10.53.1),
+# c_k = (-1/2)^k / (k! (2k+3)!!); ten terms truncate below 1e-18 relative on
+# [0, 1]. Each denominator is an exact integer below 2^53.
+_J1_SERIES = tuple(
+    (-0.5) ** k / (math.factorial(k) * math.prod(range(3, 2 * k + 4, 2))) for k in range(10))
+
+# Largest |series - scipy| for j_1 on [0, 1] is 5.0e-16 (near z = 0.91);
+# the spot check against scipy allows ten times that.
+_SEED_TOLERANCE = 5e-15
 
 
 @dataclass(frozen=True)
@@ -384,14 +395,54 @@ def _miller(table: np.ndarray, z: np.ndarray) -> None:
         table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
 
 
+def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows j_0(z) and j_1(z) for z >= 0, shape (2,) + z.shape; written into
+    out, a (2, z.size) array such as a table's first rows, when one is given.
+
+    j_0 = sin z / z on every cell, with j_0(0) = 1; on 0 < z <= 1 this is
+    bit for bit scipy's j_0. j_1 = (j_0 - cos z) / z above z = 1, scipy's
+    own closed form there. At z <= 1 that form cancels, and j_1 is the
+    Maclaurin series of _J1_SERIES instead, by Horner in z^2.
+
+    scipy stays as the reference: every call evaluates spherical_jn(1, z) at
+    its largest cell with z <= 1 and raises NumericError unless the series
+    agrees within _SEED_TOLERANCE.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    seeds = np.empty((2, flat.size)) if out is None else out
+    j0, j1 = seeds
+    with np.errstate(all="ignore"):
+        np.divide(np.sin(flat, out=j0), flat, out=j0)
+        np.divide(np.subtract(j0, np.cos(flat, out=j1), out=j1), flat, out=j1)
+    j0[flat == 0.0] = 1.0
+    small = flat <= 1.0
+    zs = flat[small]
+    if zs.size:
+        z2 = zs * zs
+        series = z2 * _J1_SERIES[-1]
+        for c in _J1_SERIES[-2:0:-1]:
+            series += c
+            series *= z2
+        series += _J1_SERIES[0]
+        series *= zs
+        j1[small] = series
+        top = np.argmax(zs)
+        err = abs(series[top] - spherical_jn(1, zs[top]))
+        if not err <= _SEED_TOLERANCE:
+            raise NumericError(
+                f"j_1 series differs from scipy by {err:.3e} at z = {zs[top]!r} "
+                f"(tolerance {_SEED_TOLERANCE:.1e})")
+    return seeds.reshape((2,) + z.shape)
+
+
 def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_l(z) for l = 0..l_max >= 1, stacked on axis 0.
 
-    The seeds are closed forms, j_0 = sin z / z and j_1 = (j_0 - cos z) / z,
-    which are scipy's own formulas; only where z <= 1, where scipy switches
-    j_1 to AMOS because the closed form cancels (and where j_0(0) = 1),
-    does scipy's spherical_jn supply both. Orders l <= z follow the upward
-    recurrence j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1).
+    The seeds j_0 and j_1 come from _bessel_seeds: closed forms, and the
+    Maclaurin series of j_1 where z <= 1, spot-checked against scipy once
+    per table. Orders l <= z follow the upward recurrence
+    j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1).
     Orders above z come from the ratios r_l = j_l / j_{l-1} =
     z / (2l+1 - z r_{l+1}), recurred downward from r = 0 at l_max plus a
     margin of order l_max^(1/3), the width of the turning region around
@@ -408,12 +459,8 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     table = np.empty((l_max + 1, flat.size))
+    _bessel_seeds(flat, out=table[:2])
     with np.errstate(all="ignore"):
-        table[0] = np.sin(flat) / flat
-        table[1] = (table[0] - np.cos(flat)) / flat
-        small = np.flatnonzero(flat <= 1.0)
-        if small.size:
-            table[:2, small] = spherical_jn(np.arange(2)[:, None], flat[small])
         if l_max > 1:
             below = flat < l_max
             for recur, cells in ((_miller, below), (_upward, ~below)):
@@ -477,15 +524,16 @@ def build_amplitude_field(
 
     Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
     radii as keep its (n+1) x radii x momenta table within _BLOCK_CELLS,
-    builds one table of j_l(r p), l = 0..n, by recurrence from closed-form
-    j_0 and j_1, with scipy's values where r p <= 1 (see _bessel_table; it
-    agrees with scipy's j_l to about 1e-15 absolute). Per chunk of that
-    table, R_l is one real product of row l with the weighted moment of
-    order l, and the angular synthesis one real product per k, written into
-    its slice of the field. The blocks are built one after another in this
-    process. They depend only on the grid, n and the momentum count, and
-    every product takes the same rows whatever the block size, so the values
-    do not depend on _BLOCK_CELLS.
+    builds one table of j_l(r p), l = 0..n, by recurrence from j_0 and j_1
+    in closed form, and j_1 from its Maclaurin series where r p <= 1, which
+    scipy's spherical_jn spot-checks once per table (see _bessel_seeds and
+    _bessel_table; the table agrees with scipy's j_l to about 1e-15
+    absolute). Per chunk of that table, R_l is one real product of row l
+    with the weighted moment of order l, and the angular synthesis one real
+    product per k, written into its slice of the field. The blocks are
+    built one after another in this process. They depend only on the grid,
+    n and the momentum count, and every product takes the same rows
+    whatever the block size, so the values do not depend on _BLOCK_CELLS.
     """
     n = int(n_spins)
     if n < 1:

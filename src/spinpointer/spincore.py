@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -211,10 +212,32 @@ def collective_operators(n_spins: int) -> CollectiveOperators:
     return CollectiveOperators(n_spins=n, sx=sx, sy=sy, sz=sz.astype(complex))
 
 
+@lru_cache(maxsize=4)
+def _site_operators(n: int) -> np.ndarray:
+    """Read-only (3, n, 2^n, 2^n) stack: entry [axis, site] is sigma_axis / 2
+    on that site and the identity on the others, as an explicit Kronecker
+    product. Built once per n; the oracle caps n at 4."""
+    paulis = [
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    ops = np.empty((3, n, 2**n, 2**n), dtype=complex)
+    for axis in range(3):
+        for site in range(n):
+            op = np.eye(1, dtype=complex)
+            for other in range(n):
+                op = np.kron(op, 0.5 * paulis[axis] if other == site else np.eye(2))
+            ops[axis, site] = op
+    ops.setflags(write=False)
+    return ops
+
+
 def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
     """exp(-i p.S) built on the full 2^n product space, for certification only.
 
-    Constructs S as explicit Kronecker sums, site by site for each axis, and
+    Constructs S as explicit Kronecker sums, site by site for each axis (the
+    site operators are built once per n, see _site_operators), and
     exponentiates the dense Hermitian matrix h = p.S through its
     eigendecomposition, exp(-i h) = V diag(exp(-i w)) V^H, sidestepping
     every symmetric-subspace shortcut used elsewhere. p has shape (..., 3)
@@ -241,18 +264,10 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
         raise DomainError("momentum must be a 3-vector or a stack of them")
     if not np.all(np.isfinite(p)):
         raise DomainError("momentum must be finite")
-    paulis = [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
     dim = 2**n
     h = np.zeros(p.shape[:-1] + (dim, dim), dtype=complex)
-    for axis in range(3):
-        for site in range(n):
-            op = np.eye(1, dtype=complex)
-            for other in range(n):
-                op = np.kron(op, 0.5 * paulis[axis] if other == site else np.eye(2))
+    for axis, site_ops in enumerate(_site_operators(n)):
+        for op in site_ops:
             h += p[..., axis, None, None] * op
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))

@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinpointer.errors import ConvergenceError, DomainError
+from spinpointer import estimation, pointer
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
 from spinpointer.estimation import (
     GuessRule,
     average_fidelity,
@@ -21,7 +22,7 @@ from spinpointer.estimation import (
     strong_coupling_limit,
     sweep_delta,
 )
-from spinpointer.pointer import MomentumQuadrature, PointerModel
+from spinpointer.pointer import MomentumQuadrature, PointerModel, adaptive_outcome_grid
 from spinpointer.quadrature import gauss_legendre
 
 
@@ -176,6 +177,29 @@ def test_unconverged_point_raises():
     coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
     with pytest.raises(ConvergenceError):
         average_fidelity(2, PointerModel(0.05), quad=coarse)
+
+
+def test_over_cap_refinement_is_refused_after_the_scan_alone(monkeypatch):
+    # The cap admits the scan's and the base pass's radial counts but not the
+    # refinement pass's, so only the scan may be built before the refusal.
+    n_spins, model, quad = 1, PointerModel(0.5), MomentumQuadrature()
+    scan = quad.effective_radial(0.5 * n_spins + 6.0 * model.spread, model, n_spins)
+    grid = adaptive_outcome_grid(n_spins, model)
+    base = quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins))
+    cap = max(scan, base)
+    assert quad.radial_count(base, refined=True) > cap
+    monkeypatch.setattr(pointer, "MAX_RADIAL_NODES", cap)
+    builds, build = [], pointer.build_amplitude_field
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pointer, "build_amplitude_field", counted)
+    monkeypatch.setattr(estimation, "build_amplitude_field", counted)
+    with pytest.raises(CapabilityError, match=f"cap {cap}"):
+        average_fidelity(n_spins, model, quad=quad)
+    assert len(builds) == 1
 
 
 def test_domain_errors():

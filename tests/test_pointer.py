@@ -275,12 +275,12 @@ def test_bessel_table_matches_scipy(l_max):
 
 
 def _every_cell_bessel_table(l_max, z):
-    """The field's Bessel table as first written: scipy's j_0 and j_1 on
+    """The field's Bessel table as first written: the seeds j_0 and j_1 on
     every cell, and the upward recurrence and Miller ratios on every cell,
     selected per order by l <= floor(z)."""
     z = np.asarray(z, dtype=float)
     table = np.empty((l_max + 1,) + z.shape)
-    seeds = scipy.special.spherical_jn(np.arange(2).reshape((2,) + (1,) * z.ndim), z)
+    seeds = pointer._bessel_seeds(z)
     table[:2] = seeds
     last_upward = np.maximum(np.floor(z), 1.0)
     start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
@@ -299,13 +299,35 @@ def _every_cell_bessel_table(l_max, z):
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 30, 100, 400])
 def test_bessel_table_is_every_cell_reference_bit_for_bit(l_max):
-    # Closed-form seeds and the split into Miller and upward cells change no
-    # bit: on the scipy test's points plus z = 1 (where scipy's j_1 switches
-    # branch), and on a field-like outer product of radii and momenta.
+    # Seeding once per table and the split into Miller and upward cells
+    # change no bit: on the scipy test's points plus z = 1 (where the seeds
+    # switch from the j_1 series to the closed form), and on a field-like
+    # outer product of radii and momenta.
     z = np.append(_bessel_z(l_max), 1.0)
     assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
     mesh = np.multiply.outer(np.linspace(0.05, 1.2 * l_max + 3.0, 33), np.linspace(1e-3, 2.5, 71))
     assert np.array_equal(pointer._bessel_table(l_max, mesh), _every_cell_bessel_table(l_max, mesh))
+
+
+def test_bessel_seeds_match_scipy():
+    z = np.concatenate([[0.0, 1.0], np.logspace(-150, 0, 601), np.linspace(0.0, 1.0, 200_001)])
+    seeds = pointer._bessel_seeds(z)
+    reference = scipy.special.spherical_jn(np.arange(2)[:, None], z)
+    assert seeds[0, 0] == 1.0 and seeds[1, 0] == 0.0
+    assert np.max(np.abs(seeds - reference)) <= pointer._SEED_TOLERANCE
+    # Where the closed form j_1 = (sin z / z - cos z) / z has not cancelled yet.
+    upper = z[z > 0.5]
+    closed = (np.sin(upper) / upper - np.cos(upper)) / upper
+    assert np.max(np.abs(seeds[1, z > 0.5] - closed)) <= pointer._SEED_TOLERANCE
+
+
+def test_bessel_seed_spot_check_refuses_a_wrong_reference(monkeypatch):
+    def off(order, z):
+        return scipy.special.spherical_jn(order, z) + 1e-12
+
+    monkeypatch.setattr(pointer, "spherical_jn", off)
+    with pytest.raises(NumericError, match="j_1 series differs from scipy"):
+        build_amplitude_field(2, PointerModel(0.6), build_outcome_grid(3.0, nodes_r=20, nodes_theta=8))
 
 
 def test_field_uses_scipy_spherical_jn_by_its_module_name(monkeypatch):

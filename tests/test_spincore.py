@@ -264,6 +264,22 @@ def test_oracle_checks_its_largest_slice_against_expm(monkeypatch):
         full_tensor_rotation_oracle(p, 2)
 
 
+def test_oracle_builds_its_kronecker_site_operators_once_per_n(monkeypatch):
+    p = np.array([[0.3, -0.1, 0.7], [1.0, 2.0, -0.5]])
+    first = full_tensor_rotation_oracle(p, 3)
+    kron_calls = []
+    kron = np.kron
+
+    def counted_kron(a, b):
+        kron_calls.append((np.shape(a), np.shape(b)))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    assert np.array_equal(full_tensor_rotation_oracle(p, 3), first)
+    assert kron_calls == []
+    assert not spincore._site_operators(3).flags.writeable
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_momentum_is_refused(bad):
     with pytest.raises(DomainError, match="finite"):
