@@ -46,7 +46,6 @@ from .pointer import (
     hemisphere_masses,
     momentum_profile,
     position_amplitudes,
-    position_profile,
 )
 from .quadrature import ConvergenceReport, Rule1D, gauss_legendre
 from .spincore import (
@@ -57,7 +56,6 @@ from .spincore import (
     collective_operators,
     dicke_expand,
     direction_from_angles,
-    direction_from_vector,
     full_tensor_rotation_oracle,
     rotated_up_amplitudes,
     score,

@@ -5,6 +5,11 @@ Disturbance is defined as one minus the fidelity between the input product
 state and the unselected post-measurement state. Tracing out the pointer
 leaves a rotation average, so the exact disturbance is a two-axis momentum
 integral of [1 - sin^2(p/2) sin^2(theta_p)]^n against the momentum density.
+
+Two routes certify the factorized numbers: disturbance_oracle_full on the
+full 2^n product space, and bloch_post_numeric against the Bloch closed
+form. Both loop over radial nodes only, each on one stacked mesh of unit
+directions built once per call.
 """
 from __future__ import annotations
 
@@ -122,6 +127,21 @@ def disturbance_exact(
     )
 
 
+def _momentum_mesh(n_spins: int, model: PointerModel, quad: MomentumQuadrature):
+    """The base pass's rules on the momentum sphere: radial nodes and their
+    weights, |profile|^2 p^2 included, then the unit directions of the
+    (polar, azimuth) mesh, shape (N_c N_phi, 3), and their weights."""
+    p_rule, c_rule = _disturbance_rules(n_spins, model, quad)
+    phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
+    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
+    c = c_rule.nodes[:, None]
+    s = np.sqrt(1.0 - c * c)
+    phi = phi_rule.nodes
+    units = np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), c), axis=-1)
+    weights = c_rule.weights[:, None] * phi_rule.weights
+    return p_rule.nodes, radial, units.reshape(-1, 3), weights.ravel()
+
+
 def disturbance_oracle_full(
     n_spins: int,
     model: PointerModel,
@@ -136,49 +156,18 @@ def disturbance_oracle_full(
     over its (polar, azimuth) mesh: one batched Hermitian eigendecomposition
     of the whole stack, spot-checked against scipy's Pade expm on its slice
     of largest norm, so the route shares nothing with the symmetric subspace
-    and still answers to the reference exponential. |u00|^2 is formed as
-    u00.real**2 + u00.imag**2. Refuses n > 3.
+    and still answers to the reference exponential. The weighted sums are
+    numpy dot products. Refuses n > 3.
     """
     n = int(n_spins)
     if n > 3:
         raise CapabilityError(f"full tensor disturbance oracle capped at n_spins=3, got {n}")
-    quad = quad or MomentumQuadrature()
-    p_rule, c_rule = _disturbance_rules(n, model, quad)
-    phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
-    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
-    sines = _polar_sines(c_rule.nodes)
-    cos_phi, sin_phi = _azimuth_cos_sin(phi_rule.nodes)
-    kept = np.zeros(())
-    for wp, p in zip(radial, p_rule.nodes):
-        # One stacked oracle call per radial node over its (polar, azimuth) mesh.
-        ps = (p * sines)[:, None]
-        vec = np.stack(
-            np.broadcast_arrays(ps * cos_phi, ps * sin_phi, (p * c_rule.nodes)[:, None]), axis=-1
-        )
-        u00 = full_tensor_rotation_oracle(vec, n)[..., 0, 0]
-        weights = (wp * c_rule.weights)[:, None] * phi_rule.weights
-        kept = _add_in_order(kept, (weights * (u00.real**2 + u00.imag**2)).ravel())
-    return 1.0 - kept
-
-
-def _polar_sines(c: np.ndarray) -> np.ndarray:
-    """sqrt(1 - c^2) at each polar node, with the scalar loops' arithmetic."""
-    return np.array([math.sqrt(max(0.0, 1.0 - x * x)) for x in c])
-
-
-def _azimuth_cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """libm cos and sin at each azimuth node; numpy's vector cos/sin may
-    round differently."""
-    return np.array([math.cos(x) for x in phi]), np.array([math.sin(x) for x in phi])
-
-
-def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """total + terms[0] + terms[1] + ..., one addition at a time along axis 0.
-
-    np.sum would add pairwise; the running sum keeps the node order, and so
-    the bits, of a scalar loop over the nodes.
-    """
-    return np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
+    p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
+    survival = np.empty(p.size)
+    for i, p_i in enumerate(p):
+        u00 = full_tensor_rotation_oracle(p_i * units, n)[:, 0, 0]
+        survival[i] = weights @ (u00.real**2 + u00.imag**2)
+    return 1.0 - float(radial @ survival)
 
 
 def bloch_z_post_closed(n_spins: int, spread: float) -> float:
@@ -204,41 +193,24 @@ def bloch_post_numeric(
     input, so <S_a> = Integral |profile|^2 <v(p)|S_a|v(p)> d^3p with v(p)
     the rotated all-up Dicke vector; the azimuth uses the trapezoid rule,
     which is exact here because the integrand holds harmonics |m| <= 1.
+    Each radial node is one dicke_expand call over its (polar, azimuth)
+    mesh and one (mesh, n+1) @ (n+1, n+1) product per operator.
     """
     n = int(n_spins)
     if n < 1:
         raise DomainError(f"need n_spins >= 1, got {n}")
-    quad = quad or MomentumQuadrature()
-    p_rule, c_rule = _disturbance_rules(n, model, quad)
-    phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
+    p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
     ops = collective_operators(n)
-    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
-
-    sines = _polar_sines(c_rule.nodes)
-    cos_phi, sin_phi = _azimuth_cos_sin(phi_rule.nodes)
-    phases = [complex(x, y) for x, y in zip(cos_phi, sin_phi)]
-    totals = np.zeros(3)
-    for wp, p in zip(radial, p_rule.nodes):
-        # One stacked dicke_expand per radial node over its (polar, azimuth)
-        # mesh; alpha and beta keep the scalar complex arithmetic.
-        cos_half = math.cos(0.5 * p)
-        sin_half = math.sin(0.5 * p)
-        alpha = []
-        beta = []
-        for c, s in zip(c_rule.nodes, sines):
-            beta_mag = -1j * sin_half * s
-            alpha += [complex(cos_half, -c * sin_half)] * len(phases)
-            beta += [beta_mag * phase for phase in phases]
-        v = dicke_expand(np.array(alpha), np.array(beta), n).amplitudes
-        v_bra = np.conj(v)[:, None, :]
-        # Stacked matmuls keep one gemv and one dot per node, as in the
-        # scalar form; einsum would round sx and sy differently.
-        expect = [
-            np.real(np.matmul(v_bra, np.matmul(op, v[:, :, None])))[:, 0, 0]
-            for op in (ops.sx, ops.sy, ops.sz)
-        ]
-        weights = ((wp * c_rule.weights)[:, None] * phi_rule.weights).ravel()
-        totals = _add_in_order(totals, weights[:, None] * np.stack(expect, axis=-1))
+    per_node = np.empty((p.size, 3))
+    for i, p_i in enumerate(p):
+        # exp(-i p u.sigma/2)|up> = (cos(p/2) - i u_z sin(p/2), -i sin(p/2) (u_x + i u_y)).
+        cos_half, sin_half = math.cos(0.5 * p_i), math.sin(0.5 * p_i)
+        alpha = cos_half - 1j * sin_half * units[:, 2]
+        beta = -1j * sin_half * (units[:, 0] + 1j * units[:, 1])
+        v = dicke_expand(alpha, beta, n).amplitudes
+        for axis, op in enumerate((ops.sx, ops.sy, ops.sz)):
+            per_node[i, axis] = weights @ np.sum(np.conj(v) * (v @ op.T), axis=-1).real
+    totals = radial @ per_node
     return BlochReport(
         n_spins=n,
         spread=model.spread,

@@ -37,6 +37,7 @@ the angular synthesis one real matrix product per Dicke component k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,13 +101,6 @@ def momentum_profile(p, model: PointerModel) -> np.ndarray:
     return (2.0 * d2 / math.pi) ** 0.75 * np.exp(-d2 * p * p)
 
 
-def position_profile(x, model: PointerModel) -> np.ndarray:
-    """Position wavefunction (2 pi spread^2)^(-3/4) exp(-x^2/(4 spread^2))."""
-    x = np.asarray(x, dtype=float)
-    d2 = model.spread * model.spread
-    return (2.0 * math.pi * d2) ** -0.75 * np.exp(-x * x / (4.0 * d2))
-
-
 @dataclass(frozen=True)
 class MomentumQuadrature:
     """Spherical momentum-space quadrature, and the one node-count policy.
@@ -124,12 +118,14 @@ class MomentumQuadrature:
     cutoff_sigmas: float = 8.0
 
     def __post_init__(self):
-        for name in ("radial_nodes", "polar_nodes"):
+        for name in ("radial_nodes", "polar_nodes", "azimuthal_nodes"):
             v = getattr(self, name)
-            if v is not None and v < 4:
+            if v is None and name != "azimuthal_nodes":
+                continue
+            if not isinstance(v, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
+            if v < 4:
                 raise DomainError(f"{name} must be at least 4, got {v}")
-        if self.azimuthal_nodes < 4:
-            raise DomainError(f"azimuthal_nodes must be at least 4, got {self.azimuthal_nodes}")
         if not math.isfinite(self.cutoff_sigmas):
             raise DomainError(f"cutoff_sigmas must be finite, got {self.cutoff_sigmas}")
         if self.cutoff_sigmas < 4:
@@ -588,6 +584,8 @@ def position_amplitudes(
         raise DomainError(f"outcome radius must be positive, got {radius}")
     if not (0.0 <= polar <= math.pi):
         raise DomainError(f"polar angle {polar} outside [0, pi]")
+    if not math.isfinite(azimuth):
+        raise DomainError("azimuth must be finite")
     # The grid ends at the radius, so the field's radial count is keyed to it.
     eps = 1e-9 * max(1.0, radius)
     grid = OutcomeGrid(

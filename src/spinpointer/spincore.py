@@ -46,15 +46,6 @@ def direction_from_angles(polar: float, azimuth: float) -> Direction:
     return Direction(polar=float(polar), azimuth=float(azimuth) % (2.0 * math.pi))
 
 
-def direction_from_vector(v: np.ndarray) -> Direction:
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if not norm > 0:
-        raise DomainError("zero vector has no direction")
-    x, y, z = v / norm
-    return direction_from_angles(math.acos(min(1.0, max(-1.0, z))), math.atan2(y, x))
-
-
 def score(u: Direction, w: Direction) -> float:
     """Squared overlap of single-spin states along u and w: (1 + u.w)/2."""
     return 0.5 * (1.0 + float(np.dot(u.as_vector(), w.as_vector())))
@@ -109,19 +100,18 @@ def rotated_up_amplitudes(p: np.ndarray) -> tuple[complex, complex]:
     return complex(u[0, 0]), complex(u[1, 0])
 
 
-def dicke_power_rows(alpha, beta, n_spins: int):
-    """Yield sqrt(C(n,k)) alpha^(n-k) beta^k for k = 0..n, one row at a time.
+def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
+    """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
 
-    alpha and beta are scalars or arrays of one shape, and each row has that
-    shape. Both are flattened before any arithmetic, so a scalar runs the
-    same numpy loops as an array and each element's powers are bit for bit
-    those of a scalar call.
+    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k, on a last axis after the
+    shape of alpha and beta, which are scalars or arrays of one shape. Each
+    element's arithmetic is that of a scalar call, so a batch equals its
+    scalar calls bit for bit.
 
-    Up to n = 60 the powers are running products, one factor at a time, and
-    the n+1 powers of alpha are held until their rows are yielded. Above it
-    the binomial and the powers are summed in log space and each row takes
-    one exp, so no stack is held; integer exponents make any branch of the
-    complex log exact. A zero amplitude to the power 0 counts as 1.
+    Up to n = 60 the powers are running products, one factor at a time.
+    Above it the binomial and the powers are summed in log space and each
+    cell takes one exp; integer exponents make any branch of the complex log
+    exact. A zero amplitude to the power 0 counts as 1.
     """
     n = int(n_spins)
     if n < 1:
@@ -133,48 +123,30 @@ def dicke_power_rows(alpha, beta, n_spins: int):
     shape = a.shape
     a = a.reshape(-1)
     b = b.reshape(-1)
+    amps = np.empty((a.size, n + 1), dtype=complex)
     if n <= _LOG_SPACE_THRESHOLD:
-        powers_a = [np.ones_like(a)]
-        for _ in range(n):
-            powers_a.append(powers_a[-1] * a)
-        beta_pow = np.ones_like(b)
+        powers_a = np.ones((n + 1, a.size), dtype=complex)
+        powers_b = np.ones((n + 1, b.size), dtype=complex)
+        for j in range(n):
+            powers_a[j + 1] = powers_a[j] * a
+            powers_b[j + 1] = powers_b[j] * b
         for k in range(n + 1):
-            yield (math.sqrt(math.comb(n, k)) * powers_a.pop() * beta_pow).reshape(shape)
-            if k < n:
-                beta_pow = beta_pow * b
-        return
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    for k in range(n + 1):
-        # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
-        expo = 0.5 * (math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)))
+            amps[:, k] = math.sqrt(math.comb(n, k)) * powers_a[n - k] * powers_b[k]
+    else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            if k < n:
-                expo = expo + (n - k) * log_a
-            if k > 0:
-                expo = expo + k * log_b
-            term = np.exp(expo)
+            log_a = np.log(a)
+            log_b = np.log(b)
+            for k in range(n + 1):
+                # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
+                expo = 0.5 * (math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)))
+                if k < n:
+                    expo = expo + (n - k) * log_a
+                if k > 0:
+                    expo = expo + k * log_b
+                amps[:, k] = np.exp(expo)
         # A nan here comes from a zero amplitude: the term is a true zero.
-        yield np.where(np.isnan(term), 0.0, term).reshape(shape)
-
-
-def dicke_powers(alpha, beta, n_spins: int) -> np.ndarray:
-    """The rows of dicke_power_rows stacked on axis 0: shape (n+1, *shape),
-    so each k slice is contiguous."""
-    return np.array(list(dicke_power_rows(alpha, beta, n_spins)))
-
-
-def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
-    """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
-
-    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k from dicke_powers, with
-    the k axis moved last, after the shape of alpha and beta. The amplitudes
-    are a contiguous copy, not a view, so that stacked matrix products over
-    the batch round as one product per state does.
-    """
-    amps = np.moveaxis(dicke_powers(alpha, beta, n_spins), 0, -1)
-    return DickeVector(n_spins=int(n_spins), amplitudes=np.ascontiguousarray(amps))
+        amps[np.isnan(amps)] = 0.0
+    return DickeVector(n_spins=n, amplitudes=amps.reshape(shape + (n + 1,)))
 
 
 def coherent_dicke(direction: Direction, n_spins: int) -> DickeVector:

@@ -23,7 +23,6 @@ from spinpointer.pointer import (
     hemisphere_masses,
     momentum_profile,
     position_amplitudes,
-    position_profile,
     radial_cumulative,
 )
 from spinpointer.quadrature import gauss_legendre
@@ -50,13 +49,6 @@ def test_momentum_profile_monotone_decreasing():
     assert np.all(np.diff(values) < 0)
 
 
-def test_position_profile_normalized():
-    model = PointerModel(0.8)
-    rule = gauss_legendre(128, 0.0, 16.0 * model.spread)
-    total = 4 * math.pi * float(rule.weights @ (rule.nodes**2 * position_profile(rule.nodes, model) ** 2))
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
 def test_model_momentum_width_is_half_inverse_spread():
     assert PointerModel(0.25).momentum_sigma == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DomainError):
@@ -75,6 +67,13 @@ def test_momentum_quadrature_validation():
         # OverflowError or ValueError.
         with pytest.raises(DomainError):
             MomentumQuadrature(cutoff_sigmas=cutoff)
+    for count in (40.5, math.nan, math.inf):
+        # A fractional radial count used to run with its integer part, and a
+        # fractional or nan azimuthal count to fail inside the Bloch and
+        # oracle routes with TypeError or ValueError.
+        for name in ("radial_nodes", "polar_nodes", "azimuthal_nodes"):
+            with pytest.raises(DomainError):
+                MomentumQuadrature(**{name: count})
     quad = MomentumQuadrature(radial_nodes=50)
     p_rule, c_rule = quad.gauss_rules(PointerModel(1.0), 999, 40)
     assert (p_rule.count, c_rule.count) == (50, 40)
@@ -108,6 +107,9 @@ def test_outcome_grid_domain_errors():
         build_outcome_grid(0.0)
     with pytest.raises(DomainError):  # used to return a grid of nan nodes
         build_outcome_grid(math.inf)
+    for azimuth in (math.nan, math.inf):  # used to return nan amplitudes
+        with pytest.raises(DomainError):
+            position_amplitudes(0.3, 0.7, 1, PointerModel(1.0), azimuth=azimuth)
 
 
 @pytest.mark.parametrize("tail_mass", [math.nan, -1.0, 0.0, 1.0, 2.0])
@@ -407,7 +409,7 @@ def _per_order_field(n, model, grid, quad):
     order."""
     p_rule, c_rule = quad.gauss_rules(model, 0, 0)
     alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
-    spin = spincore.dicke_powers(alpha, beta, n)
+    spin = np.moveaxis(spincore.dicke_expand(alpha, beta, n).amplitudes, -1, 0)
     measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
     z = np.multiply.outer(grid.radial.nodes, p_rule.nodes)
     cos_theta = np.cos(grid.polar.nodes)
@@ -432,17 +434,6 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
     assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("n", [60, 61, 100])
-def test_dicke_power_stack_basis_states_across_log_space_threshold(n):
-    # Pole states put all weight on one basis state: 0^0 = 1, not 0, on both
-    # sides of spincore.dicke_power_rows' log-space threshold.
-    top = np.zeros((n + 1, 1))
-    top[0] = 1.0
-    one, zero = np.array([1.0 + 0j]), np.array([0j])
-    assert np.array_equal(np.stack(list(spincore.dicke_power_rows(one, zero, n))), top)
-    assert np.array_equal(np.stack(list(spincore.dicke_power_rows(zero, one, n))), top[::-1])
-
-
 def _polar_moments(n, p):
     """M_lk(p) by polar Gauss-Legendre quadrature, the reference for the
     closed forms: the k-flips spin factor on a (radial, polar) mesh,
@@ -452,7 +443,8 @@ def _polar_moments(n, p):
     alpha, beta = _alpha_beta_polar(p, c_rule.nodes)
     legendre = pointer._legendre_table(n, c_rule.nodes)
     moments = {}
-    for k, spin in enumerate(spincore.dicke_power_rows(alpha, beta, n)):
+    spins = np.moveaxis(spincore.dicke_expand(alpha, beta, n).amplitudes, -1, 0)
+    for k, spin in enumerate(spins):
         for l in range(k, n + 1):
             moments[l, k] = (legendre[l * (l + 1) // 2 + k] * c_rule.weights) @ spin.T
     return moments

@@ -15,9 +15,7 @@ from spinpointer.spincore import (
     collective_operators,
     dicke_basis_full,
     dicke_expand,
-    dicke_powers,
     direction_from_angles,
-    direction_from_vector,
     full_tensor_rotation_oracle,
     rotated_up_amplitudes,
     score,
@@ -30,12 +28,6 @@ def test_direction_vectors_are_unit():
     for _ in range(20):
         d = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert abs(np.linalg.norm(d.as_vector()) - 1.0) < 1e-12
-
-
-def test_direction_round_trip():
-    v = np.array([0.36, -0.48, 0.8])
-    d = direction_from_vector(v)
-    assert np.allclose(d.as_vector(), v, atol=1e-12)
 
 
 def test_score_solid_angle_values():
@@ -123,10 +115,6 @@ def test_dicke_expand_basis_states_across_log_space_threshold(n):
     phased = dicke_expand(0.0, 1j, n).amplitudes
     assert abs(phased[n] - 1j**n) < 1e-12
     assert np.all(phased[:n] == 0)
-    # The k-leading stack of the rows the amplitude field streams, on a one-node mesh.
-    one, zero = np.array([1.0 + 0j]), np.array([0j])
-    assert np.array_equal(dicke_powers(one, zero, n), top[:, None])
-    assert np.array_equal(dicke_powers(zero, one, n), top[::-1, None])
 
 
 @pytest.mark.parametrize("n", [10, 100])
