@@ -81,14 +81,13 @@ def _add_delta_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta-steps", type=int, default=None)
 
 
-def _add_momentum_flags(
-    sub: argparse.ArgumentParser, polar: bool = True, azimuthal: bool = True
-) -> None:
+def _add_momentum_flags(sub: argparse.ArgumentParser, polar: bool = False) -> None:
+    """The momentum settings a command reads. The amplitude field and the
+    lower bound integrate the momentum angles in closed form and read the
+    radial count alone; only disturbance and bloch take a polar rule."""
     sub.add_argument("--nodes-p-radial", type=int, default=None)
     if polar:
         sub.add_argument("--nodes-p-polar", type=int, default=None)
-    if azimuthal:
-        sub.add_argument("--nodes-p-azimuthal", type=int, default=None)
     sub.add_argument("--p-cutoff-sigmas", type=float, default=None)
 
 
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = subs.add_parser("disturbance", help="measurement disturbance over spreads")
     dist.add_argument("--n", type=int, action="append", default=None)
     _add_delta_flags(dist)
-    _add_momentum_flags(dist, azimuthal=False)
+    _add_momentum_flags(dist, polar=True)
     dist.add_argument("--tol", type=float, default=None)
     dist.add_argument("--mark-delta-opt", dest="mark_delta_opt",
                       action="store_const", const=True, default=None,
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     bloch = subs.add_parser("bloch", help="post-measurement collective spin")
     bloch.add_argument("--n", type=int, action="append", default=None)
     _add_delta_flags(bloch)
-    _add_momentum_flags(bloch, azimuthal=False)
+    _add_momentum_flags(bloch, polar=True)
     _add_output_flags(bloch, "csv")
 
     asym = subs.add_parser("asympt", help="fidelity lower bound along n")
@@ -148,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--n-step", type=int, default=None)
     asym.add_argument("--spread-rule", dest="spread_rule", default=None,
                       choices=["formula", "optimize"])
-    # The lower bound's momentum rules follow the radial count alone.
-    _add_momentum_flags(asym, polar=False, azimuthal=False)
+    _add_momentum_flags(asym)
     asym.add_argument("--tol", type=float, default=None)
     _add_output_flags(asym, "csv")
 
@@ -290,7 +288,6 @@ def _momentum_quad(cfg: dict) -> MomentumQuadrature:
     return MomentumQuadrature(
         radial_nodes=_setting(cfg, "nodes_p_radial", None, int),
         polar_nodes=_setting(cfg, "nodes_p_polar", None, int),
-        azimuthal_nodes=_setting(cfg, "nodes_p_azimuthal", 16, int),
         cutoff_sigmas=_setting(cfg, "p_cutoff_sigmas", 8.0, float),
     )
 
@@ -305,7 +302,7 @@ def _fmt(value) -> str:
 
 def _momentum_echo(cfg: dict) -> dict:
     """The momentum settings the command accepts, as configured."""
-    keys = ("nodes_p_radial", "nodes_p_polar", "nodes_p_azimuthal", "p_cutoff_sigmas")
+    keys = ("nodes_p_radial", "nodes_p_polar", "p_cutoff_sigmas")
     return {key: cfg[key] for key in keys if key in cfg}
 
 
@@ -340,8 +337,7 @@ def _cmd_sweep(cfg: dict, fmt: str) -> tuple[str, int]:
         nodes_r=nodes_r, nodes_theta=nodes_theta, tol=tol, **_momentum_echo(cfg),
     )
     columns = ["n_spins", "delta", "f_avg", "f_opt", "guess_rule", "err_estimate",
-               "nodes_r", "nodes_theta", "nodes_p_radial", "nodes_p_polar",
-               "nodes_p_azimuthal"]
+               "nodes_r", "nodes_theta", "nodes_p_radial"]
     rows: list[list] = []
     failures: list[str] = []
     for n in n_list:
@@ -354,8 +350,7 @@ def _cmd_sweep(cfg: dict, fmt: str) -> tuple[str, int]:
                 point.n_spins, point.spread, point.fidelity,
                 optimal_fidelity(point.n_spins), cell, point.error_estimate,
                 point.counts.nodes_r, point.counts.nodes_theta,
-                point.counts.nodes_p_radial, point.counts.nodes_p_polar,
-                point.counts.nodes_p_azimuthal,
+                point.counts.nodes_p_radial,
             ])
         failures.extend(f"n={n} delta={s:g}: {msg}" for s, msg in result.failures)
     for line in failures:

@@ -9,7 +9,7 @@ polar integral of the outcome density against the rule's score.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -125,13 +125,13 @@ def average_fidelity(
     grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
     # The refinement pass's radial count, resolved here so that an over-cap
     # one is refused before the base build rather than after it.
-    quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins), refined=True)
+    fine = quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins), refined=True)
     field = build_amplitude_field(n_spins, model, grid, quad)
     base_plus, base_minus = _score_weights(field)
     counts = field.counts
     del field  # only its counts outlive it: the refined build is the larger
 
-    field_ref = build_amplitude_field(n_spins, model, grid.refined(), quad.refined(counts))
+    field_ref = build_amplitude_field(n_spins, model, grid.refined(), replace(quad, radial_nodes=fine))
     ref_plus, ref_minus = _score_weights(field_ref)
 
     # Best-of-axis is resolved per (n, spread): whichever axis end scores better.

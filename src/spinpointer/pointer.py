@@ -37,14 +37,13 @@ the angular synthesis one real matrix product per Dicke component k.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import spherical_jn
 
 from .errors import CapabilityError, DomainError, NumericError
-from .quadrature import Rule1D, gauss_legendre, scaled_count, trapezoid_periodic
+from .quadrature import Rule1D, checked_count, gauss_legendre, scaled_count, trapezoid_periodic
 from .spincore import Direction, DickeVector
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
@@ -108,8 +107,10 @@ class MomentumQuadrature:
     Each integrand supplies its own automatic counts; an explicit count wins
     over them, and the refinement pass takes scaled_count of the base count.
     A radial count above MAX_RADIAL_NODES, of either pass, is refused before
-    its rule is built. The azimuthal count only matters where the azimuth is
-    integrated numerically (full-tensor oracle, Bloch integrals).
+    its rule is built. The polar and azimuthal counts only matter where those
+    axes are integrated numerically (disturbance, full-tensor oracle, Bloch
+    integrals); the amplitude field and the lower bound read the radial
+    count alone.
     """
 
     radial_nodes: int | None = None
@@ -120,12 +121,8 @@ class MomentumQuadrature:
     def __post_init__(self):
         for name in ("radial_nodes", "polar_nodes", "azimuthal_nodes"):
             v = getattr(self, name)
-            if v is None and name != "azimuthal_nodes":
-                continue
-            if not isinstance(v, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            if v < 4:
-                raise DomainError(f"{name} must be at least 4, got {v}")
+            if v is not None or name == "azimuthal_nodes":
+                checked_count(v, name, minimum=4)
         if not math.isfinite(self.cutoff_sigmas):
             raise DomainError(f"cutoff_sigmas must be finite, got {self.cutoff_sigmas}")
         if self.cutoff_sigmas < 4:
@@ -154,35 +151,30 @@ class MomentumQuadrature:
                 f"quadrature needs {count} radial momentum nodes, cap {MAX_RADIAL_NODES}")
         return count
 
-    def polar_count(self, automatic: int, refined: bool = False) -> int:
-        """Polar count of one rule, by the radial policy without its cap."""
-        count = automatic if self.polar_nodes is None else int(self.polar_nodes)
-        return scaled_count(count) if refined else count
-
     def gauss_rules(
         self, model: PointerModel, radial: int, polar: int, refined: bool = False
     ) -> tuple[Rule1D, Rule1D]:
         """Gauss-Legendre rules on [0, p_max] and [-1, 1] for automatic counts,
-        of the base or the refinement pass. Both counts are resolved, and an
+        of the base or the refinement pass. The polar count follows the
+        radial policy without its cap. Both counts are resolved, and an
         over-cap one refused, before either rule is built."""
-        n_p, n_c = self.radial_count(radial, refined), self.polar_count(polar, refined)
+        n_p = self.radial_count(radial, refined)
+        n_c = polar if self.polar_nodes is None else int(self.polar_nodes)
+        n_c = scaled_count(n_c) if refined else n_c
         return gauss_legendre(n_p, 0.0, self.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
-
-    def refined(self, counts: QuadratureCounts) -> MomentumQuadrature:
-        """The refinement pass of a field whose base pass used ``counts``."""
-        radial, polar = scaled_count(counts.nodes_p_radial), scaled_count(counts.nodes_p_polar)
-        return replace(self, radial_nodes=radial, polar_nodes=polar)
 
 
 @dataclass(frozen=True)
 class QuadratureCounts:
-    """Effective node counts actually used for one result (CSV fingerprint)."""
+    """Effective node counts actually used for one result (CSV fingerprint).
+
+    The field has no polar momentum rule: nodes_p_polar is n+1, the size of
+    the polar Gauss-Legendre rule that its closed-form moments equal."""
 
     nodes_r: int
     nodes_theta: int
     nodes_p_radial: int
     nodes_p_polar: int
-    nodes_p_azimuthal: int
 
 
 @dataclass(frozen=True)
@@ -515,7 +507,7 @@ def build_amplitude_field(
 
     (see _couplings and _reduced_moments; Varshalovich et al. 1988). The
     closed forms equal a polar Gauss-Legendre rule of n+1 or more nodes,
-    which counts.nodes_p_polar still reports. The radially weighted reduced
+    so counts.nodes_p_polar reports n+1. The radially weighted reduced
     moments are (n+1) x N_p floats; a non-finite one raises NumericError.
 
     Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
@@ -562,8 +554,7 @@ def build_amplitude_field(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
         nodes_p_radial=p_rule.count,
-        nodes_p_polar=max(n + 1, quad.polar_count(32)),
-        nodes_p_azimuthal=quad.azimuthal_nodes,
+        nodes_p_polar=n + 1,
     )
     return AmplitudeField(
         n_spins=n, model=model, grid=grid, counts=counts, values=values,

@@ -62,13 +62,23 @@ def _legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def checked_count(value, name: str = "node count", minimum: int = 1) -> int:
+    """``value`` as a node count: an integer, not a boolean, of at least
+    ``minimum``. Anything else, a fraction, nan or infinity too, is a
+    DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
     """Gauss-Legendre rule with ``n`` nodes mapped onto [a, b]."""
-    if n < 1:
-        raise DomainError(f"need at least one node, got {n}")
+    n = checked_count(n)
     if not (b > a):
         raise DomainError(f"empty integration domain [{a}, {b}]")
-    x, w = _legendre_reference(int(n))
+    x, w = _legendre_reference(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return Rule1D(nodes=mid + half * x, weights=half * w, domain=(float(a), float(b)))
@@ -76,8 +86,7 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
 
 def trapezoid_periodic(n: int, period: float = 2.0 * math.pi) -> Rule1D:
     """Equal-weight rule for periodic integrands; exact for harmonics |m| < n."""
-    if n < 1:
-        raise DomainError(f"need at least one node, got {n}")
+    n = checked_count(n)
     if not period > 0:
         raise DomainError("period must be positive")
     nodes = np.arange(n) * (period / n)

@@ -69,8 +69,7 @@ def test_sweep_csv_contract(capsys):
     assert config["delta"] == [0.4, 0.8]
     assert config["guess_rule"] == "best_of_axis"
     assert columns == ["n_spins", "delta", "f_avg", "f_opt", "guess_rule",
-                       "err_estimate", "nodes_r", "nodes_theta", "nodes_p_radial",
-                       "nodes_p_polar", "nodes_p_azimuthal"]
+                       "err_estimate", "nodes_r", "nodes_theta", "nodes_p_radial"]
     assert len(rows) == 2
     for row in rows:
         assert row[0] == "2"
@@ -145,21 +144,36 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def assert_refused(args, flag, tmp_path, capsys):
+    """``flag`` exits 2 on the command line, and so does its config key."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + [flag, "8"])
+    assert exc.value.code == 2
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): 8}))
+    code, out, err = run_cli(args + ["--config", str(config)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown config key" in err
+
+
 @pytest.mark.parametrize(
     "flag", ["--nodes-p-polar", "--nodes-p-azimuthal", "--nodes-r", "--nodes-theta"]
 )
 def test_asympt_refuses_momentum_angle_counts(flag, tmp_path, capsys):
     # The lower bound reads no polar or azimuthal momentum count, and it
     # integrates both outcome axes exactly, so it has no outcome grid.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["asympt", "--n-min", "4", "--n-max", "4", flag, "8"])
-    assert exc.value.code == 2
-    config = tmp_path / "asympt.json"
-    config.write_text(json.dumps({"n_min": 4, "n_max": 4, flag[2:].replace("-", "_"): 8}))
-    code, out, err = run_cli(["asympt", "--config", str(config)], capsys)
-    assert code == 2
-    assert out == ""
-    assert "unknown config key" in err
+    assert_refused(["asympt", "--n-min", "4", "--n-max", "4"], flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--nodes-p-polar", "--nodes-p-azimuthal"])
+@pytest.mark.parametrize(
+    "args", [["sweep", "--n", "1", "--delta", "0.5"], ["optimize", "--n", "1"]],
+    ids=["sweep", "optimize"],
+)
+def test_fidelity_commands_refuse_momentum_angle_counts(args, flag, tmp_path, capsys):
+    # The amplitude field integrates both momentum angles in closed form.
+    assert_refused(args, flag, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +306,7 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
 def test_unconverged_sweep_exits_three(capsys):
     code, out, err = run_cli(
         ["sweep", "--n", "2", "--delta", "0.05",
-         "--nodes-p-radial", "6", "--nodes-p-polar", "6"],
+         "--nodes-p-radial", "6"],
         capsys,
     )
     assert code == 3

@@ -19,10 +19,8 @@ CASES = {
     "sweep_best_of_axis.csv": ["sweep", "--n", "1", "--n", "3", "--delta", "0.2",
                                "--delta", "1.0", "--guess-rule", "best-of-axis",
                                "--nodes-r", "48", "--nodes-theta", "32"],
-    # Explicit momentum counts, one polar count below the field's n+1 floor.
     "sweep_explicit_momentum.csv": ["sweep", "--n", "5", "--delta", "1.0", "--nodes-r", "48",
-                                    "--nodes-theta", "32", "--nodes-p-radial", "80",
-                                    "--nodes-p-polar", "4", "--nodes-p-azimuthal", "8"],
+                                    "--nodes-theta", "32", "--nodes-p-radial", "80"],
     "optimize_n2.json": ["optimize", "--n", "2"],
     "disturbance_marked.csv": ["disturbance", "--n", "1", "--n", "3", "--delta-min", "0.1",
                                "--delta-max", "2", "--delta-steps", "5", "--mark-delta-opt"],

@@ -434,6 +434,23 @@ def test_field_matches_per_order_sum(n_spins, spread, r_max):
     assert np.max(np.abs(fast - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("n_spins", [2, 5])
+def test_field_reads_no_polar_or_azimuthal_count(n_spins):
+    # The polar moments are closed forms and the azimuth is integrated
+    # exactly, so only the radial count and the cutoff reach the field.
+    model = PointerModel(0.7)
+    grid = build_outcome_grid(4.0, nodes_r=16, nodes_theta=8)
+    fields = [build_amplitude_field(n_spins, model, grid, quad) for quad in (
+        MomentumQuadrature(),
+        MomentumQuadrature(polar_nodes=4, azimuthal_nodes=4),
+        MomentumQuadrature(polar_nodes=64, azimuthal_nodes=40),
+    )]
+    for other in fields[1:]:
+        assert np.array_equal(other.values, fields[0].values)
+        assert other.counts == fields[0].counts
+    assert fields[0].counts.nodes_p_polar == n_spins + 1
+
+
 def _polar_moments(n, p):
     """M_lk(p) by polar Gauss-Legendre quadrature, the reference for the
     closed forms: the k-flips spin factor on a (radial, polar) mesh,

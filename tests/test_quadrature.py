@@ -126,6 +126,12 @@ def test_domain_errors():
         gauss_legendre(4, 1.0, 1.0)
     with pytest.raises(DomainError):
         trapezoid_periodic(0)
+    # A fractional count used to build its integer part (Gauss) or fail with
+    # TypeError (trapezoid), and nan with ValueError in both.
+    for count in (4.5, math.nan, math.inf, True):
+        for rule in (gauss_legendre, trapezoid_periodic):
+            with pytest.raises(DomainError, match="must be an integer"):
+                rule(count)
     with pytest.raises(DomainError):
         refinement_report(1.0, 1.0, 0.0, "test integral", 1, 1.0)
     with pytest.raises(DomainError):
@@ -200,8 +206,9 @@ def test_momentum_count_policy(monkeypatch, capsys):
         monkeypatch.setattr(module, name, wrapper)
 
     # The scan build of the outcome grid goes through pointer's own name.
+    # The field has no polar rule, so only its radial count is recorded.
     recorded(estimation, "build_amplitude_field", "field",
-             lambda args, field: (field.counts.nodes_p_radial, field.counts.nodes_p_polar))
+             lambda args, field: (field.counts.nodes_p_radial,))
     recorded(disturbance, "_disturbance_value", "disturbance",
              lambda args, value: (args[2].count, args[3].count))
     recorded(asymptotics, "_diag_profile_values", "bound", lambda args, w: args[-1])
@@ -218,9 +225,9 @@ def test_momentum_count_policy(monkeypatch, capsys):
         for route, (base, refined) in used.items():
             assert refined == tuple(scaled_count(count) for count in base), route
         if quad is not None:
-            assert used == {"field": [(40, 8), (60, 12)], "disturbance": [(40, 8), (60, 12)],
+            assert used == {"field": [(40,), (60,)], "disturbance": [(40, 8), (60, 12)],
                             "bound": [(40, 40), (60, 60)]}
-    assert used["field"][0][1] == 32 and used["disturbance"][0] == (64, 64)
+    assert used["disturbance"][0] == (64, 64)
 
     refused = [
         lambda: average_fidelity(100, PointerModel(0.025)),  # 24 037 radial nodes
