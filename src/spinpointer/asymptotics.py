@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import gauss_legendre, golden_section_max, refinement_report
+from .quadrature import checked_count, gauss_legendre, golden_section_max, refinement_report
 
 _BLOCK_CELLS = 1 << 18  # mesh cells per block of p_z rows, so memory stays bounded
 
@@ -62,15 +62,13 @@ class LowerBoundPoint:
 
 def delta_opt_formula(n_spins: int) -> float:
     """Asymptotically best pointer spread sqrt(n/8)."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     return math.sqrt(n_spins / 8.0)
 
 
 def optimal_scaling(n_spins: int) -> float:
     """Scaled inefficiency of the best measurement: (1 + 2/n)^-1."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     return 1.0 / (1.0 + 2.0 / n_spins)
 
 
@@ -170,9 +168,7 @@ def fidelity_lower_bound(
     r < 0 term the one for radius 6 spread + 4; the counts of both passes
     are resolved first, so one above the cap is refused before any work.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
-from .quadrature import refinement_report, trapezoid_periodic
+from .quadrature import checked_count, refinement_report, trapezoid_periodic
 from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
@@ -52,15 +52,13 @@ class BlochReport:
 def min_disturbance(n_spins: int) -> float:
     """Smallest disturbance compatible with extracting full directional
     information from n parallel spins: (n+1)/(2n+1)."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     return (n_spins + 1.0) / (2.0 * n_spins + 1.0)
 
 
 def disturbance_lowest_order(n_spins: int, spread: float) -> float:
     """Lorentzian approximation 1/(1 + 8 spread^2 / n), valid at large n."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     if not spread > 0:
         raise DomainError("spread must be positive")
     return 1.0 / (1.0 + 8.0 * spread * spread / n_spins)
@@ -72,8 +70,7 @@ def disturbance_series_copt(n_spins: int) -> float:
     The exact n^2 (D - 1/2) there is -0.016087 at n = 100 and -0.016010 at
     n = 300, tending to -23/1440 = -0.015972.
     """
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     return 0.5 - 23.0 / (1440.0 * n_spins * n_spins)
 
 
@@ -106,9 +103,7 @@ def disturbance_exact(
     tolerance: float = 1e-7,
 ) -> DisturbancePoint:
     """Exact disturbance by quadrature, with one refinement step."""
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
@@ -159,7 +154,7 @@ def disturbance_oracle_full(
     and still answers to the reference exponential. The weighted sums are
     numpy dot products. Refuses n > 3.
     """
-    n = int(n_spins)
+    n = checked_count(n_spins, "n_spins")
     if n > 3:
         raise CapabilityError(f"full tensor disturbance oracle capped at n_spins=3, got {n}")
     p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
@@ -173,8 +168,7 @@ def disturbance_oracle_full(
 def bloch_z_post_closed(n_spins: int, spread: float) -> float:
     """Closed form for the post-measurement collective z component:
     (n/6) [1 + e^(-1/(8 spread^2)) (2 - 1/(2 spread^2))]."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     if not spread > 0:
         raise DomainError("spread must be positive")
     x = 1.0 / (8.0 * spread * spread)
@@ -196,9 +190,7 @@ def bloch_post_numeric(
     Each radial node is one dicke_expand call over its (polar, azimuth)
     mesh and one (mesh, n+1) @ (n+1, n+1) product per operator.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
     ops = collective_operators(n)
     per_node = np.empty((p.size, 3))

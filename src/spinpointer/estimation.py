@@ -24,7 +24,7 @@ from .pointer import (
     adaptive_outcome_grid,
     build_amplitude_field,
 )
-from .quadrature import golden_section_max, refinement_report
+from .quadrature import checked_count, golden_section_max, refinement_report
 
 
 class GuessRule(Enum):
@@ -78,16 +78,13 @@ class OptimizeResult:
 
 def optimal_fidelity(n_spins: int) -> float:
     """Best average fidelity any measurement can reach on n parallel spins."""
-    if n_spins < 1:
-        raise DomainError(f"need n_spins >= 1, got {n_spins}")
+    checked_count(n_spins, "n_spins")
     return (n_spins + 1.0) / (n_spins + 2.0)
 
 
 def strong_coupling_limit(n_spins: int) -> float:
     """Average fidelity in the spread -> 0 limit of this pointer model."""
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     if n % 2 == 0:
         return 0.25 * (3.0 * n + 2.0) / (n + 1.0)
     return 0.25 * (3.0 * n + 5.0) / (n + 2.0)
@@ -119,6 +116,7 @@ def average_fidelity(
     times the tolerance raises ConvergenceError instead of returning a
     number that cannot be trusted.
     """
+    n_spins = checked_count(n_spins, "n_spins")
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
@@ -142,7 +140,7 @@ def average_fidelity(
 
     report = refinement_report(base, refined, tolerance, "fidelity", n_spins, model.spread)
     return FidelityPoint(
-        n_spins=int(n_spins),
+        n_spins=n_spins,
         spread=model.spread,
         guess_rule=rule.value,
         fidelity=report.refined_value,

@@ -28,11 +28,12 @@ _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
 _BLOCK_CELLS cells. The table's seeds are j_0 = sin z / z and, for j_1,
 the closed form above z = r p = 1 and its Maclaurin series at or below it;
 scipy's spherical_jn only spot-checks the series, at one cell per table.
-The cells are split once into those with r p < n_spins, which take the
-upward recurrence and downward ratios (Miller's algorithm) above l = r p,
-and the rest, which take the upward recurrence alone. Per chunk of the
-block's table, the radial transform is one real product per order l, and
-the angular synthesis one real matrix product per Dicke component k.
+Cells with r p < n_spins take downward ratios (Miller's algorithm) above
+l = r p, gathered if they are at most half the table, else in place on all
+of it; the rest take the upward recurrence in place. Per block, the radial
+transform is one stacked real product per order l, and the angular
+synthesis one per Dicke component k, with one BLAS call per chunk. The
+angular coefficients, which depend only on n and the polar rule, are cached.
 """
 from __future__ import annotations
 
@@ -63,6 +64,11 @@ MAX_RADIAL_NODES = 20_000
 # depend only on the grid, n and the momentum count. 2^18 cells (2 MB) left
 # the peak memory of the README sweeps flat; 2^20 raised it by about 5 MB.
 _BLOCK_CELLS = 2**18
+
+# Cells held by _angular's cache. sweep and optimize meet the same scan, base
+# and refined polar rules at every spread; n = 100 on 96 nodes needs 2^19.
+_ANGULAR_CELLS = 2**18
+_ANGULAR: dict[tuple[int, bytes], tuple[int, np.ndarray, tuple[np.ndarray, ...]]] = {}
 
 # Maclaurin coefficients of j_1(z) / z in z^2 (DLMF 10.53.1),
 # c_k = (-1/2)^k / (k! (2k+3)!!); ten terms truncate below 1e-18 relative on
@@ -279,7 +285,7 @@ def _couplings(n: int, k: int, log_fact: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (f[n + 1] + f[n - k] + f[l + k] - f[n + l + 1] - f[n - l] - f[k] - f[l - k]))
 
 
-def _reduced_moments(n: int, p: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+def _reduced_moments(n: int, p: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """Rows l = 0..n of i^l g_l(p), the real reduced polar moments.
 
     The order-0 moment has the closed form (Rodrigues' formula and the
@@ -291,8 +297,9 @@ def _reduced_moments(n: int, p: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
     and g_l = M_l0 / c_l0. C^(l+1)_m / C^(l+1)_m(1) comes from the bounded
     recurrence C_(m+1) = (2(m+l+1) x C_m - m C_(m-1)) / (m+2l+2), run for
     every l at once; row l stops at m = n-l. C(1), 1/c_l0 and
-    l log|sin(p/2)| share one exponent, and sign(sin(p/2))^l is applied
-    apart from it, since p may pass 2 pi. log_fact holds log(i!) up to 2n+1.
+    l log|sin(p/2)| share one exponent, whose n-only part log_scale is
+    _angular's, and sign(sin(p/2))^l is applied apart from it, since p may
+    pass 2 pi.
     """
     half_sin, x = np.sin(0.5 * p), np.cos(0.5 * p)
     lam = np.arange(1.0, n + 2.0)[:, None]  # lambda = l + 1
@@ -306,10 +313,6 @@ def _reduced_moments(n: int, p: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         gegen[rows - 1] = cur[rows - 1]
 
     l = np.arange(n + 1)
-    f = log_fact
-    log_c0 = 0.5 * (f[n] + f[n + 1] - f[n - l] - f[n + l + 1])
-    log_scale = (0.5 * np.log((2 * l + 1) / (4.0 * math.pi)) + (l + 1) * math.log(2.0)
-                 + f[n] + f[l] - f[n - l] - f[2 * l + 1] - log_c0)
     expo = np.repeat(log_scale[:, None], p.size, axis=1)
     # Near n = 1500 the exponent passes the float range where the Gegenbauer
     # ratio is tiny; the result is then not finite, which callers refuse.
@@ -351,6 +354,37 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
+def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """log_scale, the n-only part of _reduced_moments' exponent, and
+    theta_coefs[k], rows l = k..n of (-1)^k 2^(3/2) sqrt(pi) c_lk P~_lk(cos theta),
+    for n and an outcome polar rule; all read-only.
+
+    _ANGULAR keeps the most recently used sets, up to _ANGULAR_CELLS cells
+    in all, counting 16 cells per array for its header so that many tiny
+    sets stay bounded too; a larger set is built per call.
+    """
+    key = (n, polar_nodes.tobytes())
+    entry = _ANGULAR.pop(key, None)
+    if entry is None:
+        f, l = _log_factorials(2 * n + 1), np.arange(n + 1)
+        log_c0 = 0.5 * (f[n] + f[n + 1] - f[n - l] - f[n + l + 1])
+        arrays = [0.5 * np.log((2 * l + 1) / (4.0 * math.pi)) + (l + 1) * math.log(2.0)
+                  + f[n] + f[l] - f[n - l] - f[2 * l + 1] - log_c0]
+        legendre_t = _legendre_table(n, np.cos(polar_nodes))
+        for k in range(n + 1):
+            orders = np.arange(k, n + 1)
+            coef = (-_AMPLITUDE_PREFACTOR if k % 2 else _AMPLITUDE_PREFACTOR) * _couplings(n, k, f)
+            arrays.append(coef[:, None] * legendre_t[orders * (orders + 1) // 2 + k])
+        for a in arrays:
+            a.setflags(write=False)
+        entry = (sum(a.size + 16 for a in arrays), arrays[0], tuple(arrays[1:]))
+    if entry[0] <= _ANGULAR_CELLS:
+        _ANGULAR[key] = entry
+        while sum(e[0] for e in _ANGULAR.values()) > _ANGULAR_CELLS:
+            del _ANGULAR[next(iter(_ANGULAR))]
+    return entry[1], entry[2]
+
+
 def _row_ranges(count: int, rows: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
@@ -368,19 +402,26 @@ def _upward(table: np.ndarray, z: np.ndarray) -> None:
 
 
 def _miller(table: np.ndarray, z: np.ndarray) -> None:
-    """Rows 2.. of table: upward up to floor(z), Miller ratios above it."""
+    """Rows 2.. of table: upward up to floor(z), Miller ratios above it. The
+    ratios go straight into the rows; above the largest floor(z) only their
+    chain product runs."""
     l_max = table.shape[0] - 1
     last_upward = np.maximum(np.floor(z), 1.0)
     start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
-    ratio = np.zeros_like(z)
+    ratio, tmp = np.zeros_like(z), np.empty_like(z)
     for l in range(start, 1, -1):
-        ratio = z / ((2 * l + 1) - z * ratio)
-        if l <= l_max:
-            table[l] = ratio
-    prev, cur = table[0], table[1]
+        np.multiply(z, ratio, out=tmp)
+        np.subtract(2 * l + 1, tmp, out=tmp)
+        ratio = np.divide(z, tmp, out=table[l] if l <= l_max else ratio)
+    top = np.max(last_upward, initial=1.0)
+    prev, cur = table[0].copy(), table[1].copy()
     for l in range(1, l_max):
-        prev, cur = cur, (2 * l + 1) / z * cur - prev
-        table[l + 1] = np.where(l + 1 <= last_upward, cur, table[l + 1] * table[l])
+        np.multiply(table[l + 1], table[l], out=table[l + 1])
+        if l < top:
+            np.divide(2 * l + 1, z, out=tmp)
+            np.multiply(tmp, cur, out=tmp)
+            prev, cur = cur, np.subtract(tmp, prev, out=prev)
+            np.copyto(table[l + 1], cur, where=l + 1 <= last_upward)
 
 
 def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -439,10 +480,11 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     underflow to 0 and nothing overflows; the upward values discarded above
     z may overflow harmlessly.
 
-    The cells are split once: those with z < l_max take the full recurrence,
-    the rest the upward one alone. Each set is computed as contiguous rows
-    and scattered into the table once; the arithmetic of every cell is the
-    same as if the whole table took the full recurrence.
+    The cells with z < l_max take the full recurrence: gathered into a
+    working table if they are at most half, after every cell recurred upward
+    in place, else in place on the whole table, where the other cells keep
+    their upward values. Every cell's arithmetic is that of the full
+    recurrence, and a mixed table peaks at about 1.5 times its size or less.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
@@ -450,37 +492,46 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     _bessel_seeds(flat, out=table[:2])
     with np.errstate(all="ignore"):
         if l_max > 1:
-            below = flat < l_max
-            for recur, cells in ((_miller, below), (_upward, ~below)):
-                if cells.all():
-                    recur(table, flat)
-                elif cells.any():
-                    idx = np.flatnonzero(cells)
-                    part = np.empty((l_max + 1, idx.size))
-                    part[:2] = table[:2, idx]
-                    recur(part, flat[idx])
-                    table[2:, idx] = part[2:]
+            below = np.flatnonzero(flat < l_max)
+            if 2 * below.size > flat.size:
+                _miller(table, flat)
+            else:
+                _upward(table, flat)
+                if below.size:
+                    part = np.empty((l_max + 1, below.size))
+                    part[:2] = table[:2, below]
+                    _miller(part, flat[below])
+                    table[2:, below] = part[2:]
     return table.reshape((l_max + 1,) + z.shape)
 
 
 def _field_block(
-    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: list,
+    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: tuple,
     out: np.ndarray,
 ) -> None:
     """Write the amplitudes for one block of outcome radii into out, shape
     (radii, angles, n+1).
 
-    One Bessel table serves the whole block; the products run per
-    _CHUNK_RADIAL rows of it.
+    One Bessel table serves the whole block. Each order's radial product
+    and each component's synthesis is one stacked product over the block's
+    whole _CHUNK_RADIAL-row chunks, and one more over a partial last chunk,
+    so every BLAS call has the rows of one chunk.
     """
     bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
-    for lo, hi in _row_ranges(r_nodes.size, _CHUNK_RADIAL):
-        # transform[l, a]: radial transform of the order-l reduced moment
-        transform = np.empty((n + 1, hi - lo))
+    full = r_nodes.size - r_nodes.size % _CHUNK_RADIAL
+    for lo, hi in ((0, full), (full, r_nodes.size)):
+        rows = min(hi - lo, _CHUNK_RADIAL)
+        if rows == 0:
+            continue
+        chunks = (hi - lo) // rows
+        # transform[c, l, a]: radial transform of the order-l reduced moment
+        # at radius lo + c rows + a
+        transform = np.empty((chunks, n + 1, rows))
         for l in range(n + 1):
-            transform[l] = bessel[l, lo:hi] @ weighted[l]
+            transform[:, l] = bessel[l, lo:hi].reshape(chunks, rows, -1) @ weighted[l]
+        synthesis = out[lo:hi].reshape(chunks, rows, out.shape[1], n + 1)
         for k in range(n + 1):
-            out[lo:hi, :, k] = transform[k:].T @ theta_coefs[k]
+            synthesis[..., k] = transform[:, k:].transpose(0, 2, 1) @ theta_coefs[k]
 
 
 def build_amplitude_field(
@@ -510,39 +561,33 @@ def build_amplitude_field(
     so counts.nodes_p_polar reports n+1. The radially weighted reduced
     moments are (n+1) x N_p floats; a non-finite one raises NumericError.
 
+    The outcome-angle coefficients (-1)^k c_lk P~_lk(cos theta) and the
+    n-only constants of the reduced moments come from _angular's cache.
     Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
     radii as keep its (n+1) x radii x momenta table within _BLOCK_CELLS,
     builds one table of j_l(r p), l = 0..n, by recurrence from j_0 and j_1
     in closed form, and j_1 from its Maclaurin series where r p <= 1, which
     scipy's spherical_jn spot-checks once per table (see _bessel_seeds and
     _bessel_table; the table agrees with scipy's j_l to about 1e-15
-    absolute). Per chunk of that table, R_l is one real product of row l
-    with the weighted moment of order l, and the angular synthesis one real
-    product per k, written into its slice of the field. The blocks are
-    built one after another in this process. They depend only on the grid,
-    n and the momentum count, and every product takes the same rows
-    whatever the block size, so the values do not depend on _BLOCK_CELLS.
+    absolute). R_l is one stacked real product of row l with the weighted
+    moment of order l, and the angular synthesis one per k, each making one
+    BLAS call per chunk of _CHUNK_RADIAL rows. The blocks are built one
+    after another in this process. They depend only on the grid, n and the
+    momentum count, and every BLAS call takes the same rows whatever the
+    block size or the cache's state, so the values depend on neither.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
     n_p = quad.radial_count(quad.effective_radial(grid.r_max, model, n))
     p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
 
     # Radially weighted reduced moments, row l for order l, and the
-    # outcome-angle coefficients of each k, built once.
-    log_fact = _log_factorials(2 * n + 1)
+    # outcome-angle coefficients of each k, from the cache when held.
+    log_scale, theta_coefs = _angular(n, grid.polar.nodes)
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
-    weighted = _reduced_moments(n, p_rule.nodes, log_fact) * radial_measure
+    weighted = _reduced_moments(n, p_rule.nodes, log_scale) * radial_measure
     if not np.all(np.isfinite(weighted)):
         raise NumericError("reduced moments overflowed; parameters out of range")
-    legendre_t = _legendre_table(n, np.cos(grid.polar.nodes))
-    theta_coefs = []
-    for k in range(n + 1):
-        orders = np.arange(k, n + 1)
-        coef = (-_AMPLITUDE_PREFACTOR if k % 2 else _AMPLITUDE_PREFACTOR) * _couplings(n, k, log_fact)
-        theta_coefs.append(coef[:, None] * legendre_t[orders * (orders + 1) // 2 + k])
 
     values = np.empty((grid.radial.count, grid.polar.count, n + 1))
     for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count)):
@@ -635,6 +680,7 @@ def adaptive_outcome_grid(
     tail stays strictly below tail_mass. Radial counts are floored so that
     shell-like densities at small spread stay resolved.
     """
+    checked_count(n_spins, "n_spins")
     if nodes_r < 1 or nodes_theta < 1:
         raise DomainError(f"need at least one outcome node per axis, got {nodes_r} x {nodes_theta}")
     if not (0.0 < tail_mass < 1.0):
@@ -676,7 +722,7 @@ def direct_amplitudes_3d(
     binomial expansion of a product state. Intended for tests at small n and
     moderate spread; the node counts must resolve r_max * p_max oscillations.
     """
-    n = int(n_spins)
+    n = checked_count(n_spins, "n_spins")
     r_vec = np.asarray(r_vec, dtype=float)
     if r_vec.shape != (3,):
         raise DomainError("outcome must be a 3-vector")

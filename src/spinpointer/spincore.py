@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapabilityError, DomainError, NumericError
+from .quadrature import checked_count
 
 # Above this size binomials leave the exact-integer comfort zone and the
 # amplitude products underflow stagewise; switch to log-gamma accumulation.
@@ -60,8 +61,7 @@ class DickeVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_spins < 1:
-            raise DomainError(f"need n_spins >= 1, got {self.n_spins}")
+        checked_count(self.n_spins, "n_spins")
         if self.amplitudes.ndim < 1 or self.amplitudes.shape[-1] != self.n_spins + 1:
             raise DomainError(
                 f"expected {self.n_spins + 1} amplitudes, got shape {self.amplitudes.shape}"
@@ -113,9 +113,7 @@ def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
     cell takes one exp; integer exponents make any branch of the complex log
     exact. A zero amplitude to the power 0 counts as 1.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     a = np.asarray(alpha, dtype=complex)
     b = np.asarray(beta, dtype=complex)
     if a.shape != b.shape:
@@ -168,9 +166,7 @@ class CollectiveOperators:
 
 
 def collective_operators(n_spins: int) -> CollectiveOperators:
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     j = 0.5 * n
     m = j - np.arange(n + 1)  # z projection of basis state k
     sz = np.diag(m)
@@ -226,9 +222,7 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
     Cost grows as 4^n, so requests beyond n=4 are refused; non-finite
     momenta raise DomainError.
     """
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     if n > 4:
         raise CapabilityError(f"full tensor oracle capped at n_spins=4, got {n}")
     p = np.asarray(p, dtype=float)
@@ -255,9 +249,7 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
 
 def dicke_basis_full(n_spins: int) -> np.ndarray:
     """Rows are the symmetric basis states embedded in the 2^n product space."""
-    n = int(n_spins)
-    if n < 1:
-        raise DomainError(f"need n_spins >= 1, got {n}")
+    n = checked_count(n_spins, "n_spins")
     if n > 4:
         raise CapabilityError(f"full tensor embedding capped at n_spins=4, got {n}")
     dim = 2**n

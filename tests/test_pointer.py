@@ -5,6 +5,7 @@ momentum quadrature, against single-point evaluation, and against the
 rotational covariance that the spherical decomposition must respect.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,6 +253,94 @@ def test_block_size_is_bitwise_invisible(n_spins, spread, monkeypatch):
         assert np.array_equal(fields[0].values, other.values)
 
 
+def _per_chunk_field_block(n, r_nodes, p_nodes, weighted, theta_coefs, out):
+    """The field's block kernel as first written: one radial product per
+    order and one synthesis product per component, chunk by chunk."""
+    bessel = pointer._bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
+    for lo, hi in pointer._row_ranges(r_nodes.size, pointer._CHUNK_RADIAL):
+        transform = np.empty((n + 1, hi - lo))
+        for l in range(n + 1):
+            transform[l] = bessel[l, lo:hi] @ weighted[l]
+        for k in range(n + 1):
+            out[lo:hi, :, k] = transform[k:].T @ theta_coefs[k]
+
+
+@pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (5, 0.7), (30, math.sqrt(30 / 8))])
+def test_stacked_block_products_are_per_chunk_reference_bit_for_bit(n_spins, spread, monkeypatch):
+    # Whole 16-row chunks (96 and 144 radii), 37 radii (two chunks and a
+    # partial one of 5), one chunk, a partial chunk alone, and one chunk per
+    # block.
+    model = PointerModel(spread)
+    base = adaptive_outcome_grid(n_spins, model)
+    grids = [base, base.refined()] + [
+        build_outcome_grid(base.r_max, nodes_r=count, nodes_theta=9) for count in (37, 16, 5)]
+    for grid, budget in [(grid, pointer._BLOCK_CELLS) for grid in grids] + [(base, 1)]:
+        monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
+        stacked = build_amplitude_field(n_spins, model, grid)
+        with monkeypatch.context() as m:
+            m.setattr(pointer, "_field_block", _per_chunk_field_block)
+            reference = build_amplitude_field(n_spins, model, grid)
+        assert np.array_equal(stacked.values, reference.values)
+
+
+def _held_cells():
+    return sum(entry[0] for entry in pointer._ANGULAR.values())
+
+
+def test_angular_cache_holds_read_only_arrays():
+    pointer._ANGULAR.clear()
+    log_scale, theta_coefs = pointer._angular(3, gauss_legendre(8, 0.0, math.pi).nodes)
+    assert len(theta_coefs) == 4
+    for array in (log_scale, *theta_coefs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_angular_cache_keys_on_the_polar_nodes():
+    # A split polar rule has the count of the unsplit one, and the single
+    # point's one-node rule is a rule of its own: each gets its own entry.
+    pointer._ANGULAR.clear()
+    model = PointerModel(0.6)
+    plain = adaptive_outcome_grid(2, model)
+    split = adaptive_outcome_grid(2, model, polar_split=0.5 * math.pi)
+    assert split.polar.count == plain.polar.count
+    build_amplitude_field(2, model, plain)
+    build_amplitude_field(2, model, split)
+    position_amplitudes(0.5, 0.3, 2, model)
+    keys = set(pointer._ANGULAR)
+    for nodes in (plain.polar.nodes, split.polar.nodes, np.array([0.3])):
+        assert (2, nodes.tobytes()) in keys
+
+
+@pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (30, math.sqrt(30 / 8))])
+def test_field_is_bitwise_the_same_cold_and_warm(n_spins, spread):
+    model = PointerModel(spread)
+    grid = adaptive_outcome_grid(n_spins, model)
+    pointer._ANGULAR.clear()
+    cold = build_amplitude_field(n_spins, model, grid)
+    warm = build_amplitude_field(n_spins, model, grid)
+    for other in (1, 3, 5, 60):
+        build_amplitude_field(other, model, grid)
+    after_others = build_amplitude_field(n_spins, model, grid)
+    for field_ in (warm, after_others):
+        assert np.array_equal(cold.values, field_.values)
+        assert cold.total_probability == field_.total_probability
+
+
+def test_angular_cache_stays_within_its_cell_bound():
+    pointer._ANGULAR.clear()
+    model, quad = PointerModel(math.sqrt(100 / 8)), MomentumQuadrature(radial_nodes=32)
+    for n in (60, 100, 20, 100, 40, 100, 59):
+        grid = build_outcome_grid(10.0, nodes_r=4, nodes_theta=96)
+        build_amplitude_field(n, model, grid, quad)
+        assert 0 < _held_cells() <= pointer._ANGULAR_CELLS
+    # n = 100 on 96 polar nodes holds about 2^19 cells: rebuilt per call.
+    # The least recently used entries, n = 60 and then 20, made room.
+    held = {n for n, nodes in pointer._ANGULAR if nodes == grid.polar.nodes.tobytes()}
+    assert held == {40, 59}
+
+
 def _bessel_z(l_max):
     orders = np.arange(1, l_max + 1)
     return np.concatenate(
@@ -299,16 +388,44 @@ def _every_cell_bessel_table(l_max, z):
     return table
 
 
+def _split_z(l_max, below, count=400, top=None):
+    """count momenta-by-radius products, the first `below` of them with
+    z < l_max (at most `top`), the rest in [l_max, 3 l_max]."""
+    rng = np.random.default_rng(l_max + below)
+    high = l_max if top is None else top
+    return np.concatenate([rng.uniform(0.0, high, below), rng.uniform(l_max, 3.0 * l_max, count - below)])
+
+
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 30, 100, 400])
 def test_bessel_table_is_every_cell_reference_bit_for_bit(l_max):
     # Seeding once per table and the split into Miller and upward cells
     # change no bit: on the scipy test's points plus z = 1 (where the seeds
-    # switch from the j_1 series to the closed form), and on a field-like
-    # outer product of radii and momenta.
-    z = np.append(_bessel_z(l_max), 1.0)
-    assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
-    mesh = np.multiply.outer(np.linspace(0.05, 1.2 * l_max + 3.0, 33), np.linspace(1e-3, 2.5, 71))
-    assert np.array_equal(pointer._bessel_table(l_max, mesh), _every_cell_bessel_table(l_max, mesh))
+    # switch from the j_1 series to the closed form), on a field-like outer
+    # product of radii and momenta, and on tables whose z < l_max cells are
+    # none, a minority (gathered), a majority (recurred in place) or all,
+    # with and without top orders above every such cell's floor(z), where
+    # the chain product runs alone.
+    cases = [
+        np.append(_bessel_z(l_max), 1.0),
+        np.multiply.outer(np.linspace(0.05, 1.2 * l_max + 3.0, 33), np.linspace(1e-3, 2.5, 71)),
+    ] + [_split_z(l_max, below, top=top) for below in (0, 100, 300, 400) for top in (None, 0.4 * l_max)]
+    for z in cases:
+        assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
+
+
+@pytest.mark.parametrize("below", [6_000, 14_000])
+def test_mixed_bessel_table_peaks_below_one_and_a_half_tables(below):
+    # A minority of Miller cells is gathered, a majority recurs in place;
+    # a working copy of either set of cells used to take the peak to about
+    # 2 tables here.
+    z = _split_z(40, below, count=20_000)
+    tracemalloc.start()
+    try:
+        table = pointer._bessel_table(40, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes
 
 
 def test_bessel_seeds_match_scipy():
@@ -474,7 +591,7 @@ def test_closed_form_moments_match_polar_quadrature(n):
     # quadrature's log-space threshold at n = 60.
     p = np.linspace(0.0, 14.0, 141)[1:]
     log_fact = pointer._log_factorials(2 * n + 1)
-    reduced = pointer._reduced_moments(n, p, log_fact)
+    reduced = pointer._reduced_moments(n, p, pointer._angular(n, np.zeros(1))[0])
     assert reduced.shape == (n + 1, p.size) and reduced.dtype == np.float64
     reference = _polar_moments(n, p)
     largest = max(np.max(np.abs(m)) for m in reference.values())
@@ -514,7 +631,7 @@ def test_reduced_moments_finite_at_n_1000(spread):
     n = 1000
     p = np.linspace(0.0, MomentumQuadrature().p_max(PointerModel(spread)), 400)
     log_fact = pointer._log_factorials(2 * n + 1)
-    reduced = pointer._reduced_moments(n, p, log_fact)
+    reduced = pointer._reduced_moments(n, p, pointer._angular(n, np.zeros(1))[0])
     assert np.all(np.isfinite(reduced))
     # |g_l| is the reduced element of a unitary: at most 1/sqrt(pi) here.
     assert np.max(np.abs(reduced)) <= 1.0

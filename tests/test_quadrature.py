@@ -138,6 +138,46 @@ def test_domain_errors():
         Rule1D(nodes=np.zeros(3), weights=np.zeros(2), domain=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("n_spins", [2.5, True, math.nan])
+def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
+    # The routes used to truncate with int(): 2.5 ran n = 2 (on an outcome
+    # grid sized for 2.5 spins), True ran n = 1, and nan raised a bare
+    # ValueError; the closed forms evaluated at 2.5 and at True.
+    from spinpointer import pointer, spincore
+
+    model = PointerModel(0.5)
+    entries = [
+        lambda: average_fidelity(n_spins, model),
+        lambda: estimation.sweep_delta(n_spins, [0.5]),
+        lambda: find_delta_opt(n_spins, (0.3, 0.6)),
+        lambda: estimation.strong_coupling_limit(n_spins),
+        lambda: pointer.adaptive_outcome_grid(n_spins, model),
+        lambda: pointer.build_amplitude_field(n_spins, model, pointer.build_outcome_grid(2.0, 4, 4)),
+        lambda: pointer.position_amplitudes(0.5, 0.3, n_spins, model),
+        lambda: pointer.direct_amplitudes_3d(np.ones(3), spincore.direction_from_angles(0.0, 0.0),
+                                             n_spins, model),
+        lambda: disturbance_exact(n_spins, model),
+        lambda: disturbance.disturbance_oracle_full(n_spins, model),
+        lambda: disturbance.bloch_post_numeric(n_spins, model),
+        lambda: fidelity_lower_bound(n_spins, model),
+        lambda: spincore.dicke_expand(1.0, 0.0, n_spins),
+        lambda: spincore.collective_operators(n_spins),
+        lambda: spincore.full_tensor_rotation_oracle(np.ones(3), n_spins),
+        lambda: spincore.dicke_basis_full(n_spins),
+        lambda: spincore.DickeVector(n_spins, np.ones(3)),
+        lambda: estimation.optimal_fidelity(n_spins),
+        lambda: disturbance.min_disturbance(n_spins),
+        lambda: disturbance_lowest_order(n_spins, 0.5),
+        lambda: disturbance.disturbance_series_copt(n_spins),
+        lambda: bloch_z_post_closed(n_spins, 0.5),
+        lambda: asymptotics.delta_opt_formula(n_spins),
+        lambda: asymptotics.optimal_scaling(n_spins),
+    ]
+    for entry in entries:
+        with pytest.raises(DomainError, match="n_spins must be an integer"):
+            entry()
+
+
 @pytest.mark.parametrize(
     "call",
     [
