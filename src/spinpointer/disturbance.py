@@ -8,8 +8,10 @@ integral of [1 - sin^2(p/2) sin^2(theta_p)]^n against the momentum density.
 
 Two routes certify the factorized numbers: disturbance_oracle_full on the
 full 2^n product space, and bloch_post_numeric against the Bloch closed
-form. Both loop over radial nodes only, each on one stacked mesh of unit
-directions built once per call.
+form. Both build one mesh of unit directions per call and loop over radial
+nodes only. The oracle diagonalizes each direction's generator once and
+reuses that spectrum at every radial node; the Bloch route expands one
+stacked batch of Dicke vectors per node.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 from .pointer import MomentumQuadrature, PointerModel, momentum_profile
 from .quadrature import checked_count, refinement_report, trapezoid_periodic
-from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
+from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle, full_tensor_spectrum
 
 
 @dataclass(frozen=True)
@@ -145,22 +147,37 @@ def disturbance_oracle_full(
     """Disturbance via the full 2^n tensor representation, for certification.
 
     Uses the same radial/polar rules as disturbance_exact but evaluates the
-    survival amplitude u00 = <up..up|exp(-i p.S)|up..up> by dense matrix
-    exponentials on the product space, with the azimuth handled by the
-    trapezoid rule. Each radial node is one full_tensor_rotation_oracle call
-    over its (polar, azimuth) mesh: one batched Hermitian eigendecomposition
-    of the whole stack, spot-checked against scipy's Pade expm on its slice
-    of largest norm, so the route shares nothing with the symmetric subspace
-    and still answers to the reference exponential. The weighted sums are
-    numpy dot products. Refuses n > 3.
+    survival amplitude u00 = <up..up|exp(-i p.S)|up..up> on the product
+    space, with the azimuth handled by the trapezoid rule. The generator at
+    momentum p u is p (u.S), so each direction u of the (polar, azimuth) mesh
+    is diagonalized once, by full_tensor_spectrum on explicit Kronecker
+    sums, and every radial node p takes the spectral sum
+    u00 = sum_j |V_0j|^2 exp(-i p w_j); the route shares nothing with the
+    symmetric subspace.
+
+    Each radial node keeps a certificate: full_tensor_rotation_oracle at p
+    times the direction of largest 1-norm, which answers to scipy's Pade
+    expm itself, must give that direction's u00 within
+    1e-13 max(1, p |u.S|_1), or NumericError is raised, so a faulty shared
+    spectrum cannot pass quietly. The weighted sums are numpy dot products.
+    Refuses n > 4.
     """
     n = checked_count(n_spins, "n_spins")
-    if n > 3:
-        raise CapabilityError(f"full tensor disturbance oracle capped at n_spins=3, got {n}")
+    if n > 4:
+        raise CapabilityError(f"full tensor disturbance oracle capped at n_spins=4, got {n}")
     p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
+    h, w, v = full_tensor_spectrum(units, n)
+    mass = v[:, 0, :].real ** 2 + v[:, 0, :].imag ** 2
+    norms = np.abs(h).sum(axis=-2).max(axis=-1)
+    worst = int(np.argmax(norms))
     survival = np.empty(p.size)
     for i, p_i in enumerate(p):
-        u00 = full_tensor_rotation_oracle(p_i * units, n)[:, 0, 0]
+        u00 = np.sum(mass * np.exp(-1j * p_i * w), axis=-1)
+        reference = full_tensor_rotation_oracle(p_i * units[worst], n)[0, 0]
+        err = abs(reference - u00[worst])
+        tol = 1e-13 * max(1.0, p_i * float(norms[worst]))
+        if not err <= tol:
+            raise NumericError(f"shared spectrum differs from the oracle by {err:.3e} (tolerance {tol:.3e})")
         survival[i] = weights @ (u00.real**2 + u00.imag**2)
     return 1.0 - float(radial @ survival)
 

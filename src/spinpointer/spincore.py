@@ -201,26 +201,21 @@ def _site_operators(n: int) -> np.ndarray:
     return ops
 
 
-def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
-    """exp(-i p.S) built on the full 2^n product space, for certification only.
+def full_tensor_spectrum(p: np.ndarray, n_spins: int):
+    """h = p.S on the full 2^n product space and its eigendecomposition.
 
     Constructs S as explicit Kronecker sums, site by site for each axis (the
-    site operators are built once per n, see _site_operators), and
-    exponentiates the dense Hermitian matrix h = p.S through its
-    eigendecomposition, exp(-i h) = V diag(exp(-i w)) V^H, sidestepping
-    every symmetric-subspace shortcut used elsewhere. p has shape (..., 3)
-    and the result (..., 2^n, 2^n). numpy's eigh and matmul run LAPACK and
-    BLAS once per slice, so a stacked call gives the bits of one call per
-    momentum.
+    site operators are built once per n, see _site_operators), and hands the
+    dense Hermitian stack to numpy's eigh, which runs LAPACK once per slice,
+    sidestepping every symmetric-subspace shortcut used elsewhere. p has
+    shape (..., 3); returns (h, w, v) with h of shape (..., 2^n, 2^n) and
+    h = v diag(w) v^H slice by slice.
 
-    scipy's expm (scaled Pade) stays the reference, an algorithm that shares
-    nothing with the eigendecomposition: every call also exponentiates the
-    slice of largest 1-norm with it and raises NumericError unless the two
-    agree within 1e-13 max(1, |h|_1), so a faulty eigen route cannot pass
-    quietly. An empty stack returns its empty result.
+    Since (s p).S = s (p.S), a stack of unit directions gives the spectrum
+    of every momentum along them: eigenvalues s w on the same eigenvectors.
 
     Cost grows as 4^n, so requests beyond n=4 are refused; non-finite
-    momenta raise DomainError.
+    vectors raise DomainError.
     """
     n = checked_count(n_spins, "n_spins")
     if n > 4:
@@ -236,6 +231,25 @@ def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
         for op in site_ops:
             h += p[..., axis, None, None] * op
     w, v = np.linalg.eigh(h)
+    return h, w, v
+
+
+def full_tensor_rotation_oracle(p: np.ndarray, n_spins: int) -> np.ndarray:
+    """exp(-i p.S) built on the full 2^n product space, for certification only.
+
+    Takes h = p.S and its eigendecomposition from full_tensor_spectrum and
+    forms exp(-i h) = V diag(exp(-i w)) V^H. p has shape (..., 3) and the
+    result (..., 2^n, 2^n); a stacked call gives the bits of one call per
+    momentum.
+
+    scipy's expm (scaled Pade) stays the reference, an algorithm that shares
+    nothing with the eigendecomposition: every call also exponentiates the
+    slice of largest 1-norm with it and raises NumericError unless the two
+    agree within 1e-13 max(1, |h|_1), so a faulty eigen route cannot pass
+    quietly. An empty stack returns its empty result. Refuses n > 4 and
+    non-finite momenta, as full_tensor_spectrum does.
+    """
+    h, w, v = full_tensor_spectrum(p, n_spins)
     u = (v * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     norms = np.abs(h).sum(axis=-2).max(axis=-1)
     if norms.size:

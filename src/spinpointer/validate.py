@@ -153,14 +153,14 @@ def _check_dominance() -> CheckResult:
 
 def _check_disturbance_oracle() -> CheckResult:
     worst = 0.0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for spread in (0.3, 1.0):
             model = PointerModel(spread)
             worst = max(
                 worst,
                 abs(disturbance_exact(n, model).d_exact - disturbance_oracle_full(n, model)),
             )
-    return _check("disturbance_factorized_vs_full_tensor", worst, 1e-8, "n <= 3 dual route")
+    return _check("disturbance_factorized_vs_full_tensor", worst, 1e-8, "n <= 4 dual route")
 
 
 def _check_bloch_paths() -> CheckResult:

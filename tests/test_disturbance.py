@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpointer import pointer
+from spinpointer import disturbance, pointer, spincore
 from spinpointer.disturbance import (
     bloch_post_numeric,
     bloch_z_post_closed,
@@ -20,7 +20,7 @@ from spinpointer.disturbance import (
     disturbance_series_copt,
     min_disturbance,
 )
-from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from spinpointer.pointer import MomentumQuadrature, PointerModel, momentum_profile
 from spinpointer.quadrature import trapezoid_periodic
 from spinpointer.spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
@@ -88,13 +88,41 @@ def test_factorized_route_matches_full_tensor():
         model = PointerModel(spread)
         full = disturbance_oracle_full(n, model)
         assert disturbance_exact(n, model).d_exact == pytest.approx(full, abs=1e-8)
-    # On validate's cases the two routes agree to a few ulps of the sum.
-    for n in (1, 2, 3):
-        for spread in (0.3, 1.0):
+    # On validate's cases, and at both coupling ends, the two routes agree
+    # to a few ulps of the sum.
+    for n in (1, 2, 3, 4):
+        for spread in (0.05, 0.3, 1.0, 10.0):
             model = PointerModel(spread)
             assert abs(disturbance_oracle_full(n, model) - disturbance_exact(n, model).d_exact) < 2e-14
     with pytest.raises(CapabilityError):
-        disturbance_oracle_full(4, PointerModel(0.7))
+        disturbance_oracle_full(5, PointerModel(0.7))
+
+
+def test_oracle_diagonalizes_each_direction_once(monkeypatch):
+    # One decomposition per mesh direction, shared by every radial node, plus
+    # each node's single-momentum certificate: not one per (node, direction).
+    model = PointerModel(1.0)
+    p, _, units, _ = disturbance._momentum_mesh(1, model, MomentumQuadrature())
+    assert (units.shape[0], p.size) == (1024, 64)
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        decomposed.append(math.prod(np.shape(h)[:-2]))
+        return eigh(h)
+
+    monkeypatch.setattr(spincore.np.linalg, "eigh", counted)
+    disturbance_oracle_full(1, model)
+    assert decomposed == [1024] + [1] * 64
+
+
+def test_oracle_refuses_a_spectrum_its_certificate_contradicts(monkeypatch):
+    def off(p, n_spins):
+        return spincore.full_tensor_rotation_oracle(p, n_spins) + 1e-12
+
+    monkeypatch.setattr(disturbance, "full_tensor_rotation_oracle", off)
+    with pytest.raises(NumericError, match="shared spectrum differs from the oracle"):
+        disturbance_oracle_full(1, PointerModel(1.0))
 
 
 def test_over_cap_refinement_is_refused_before_any_rule(monkeypatch):
@@ -171,7 +199,7 @@ def test_stacked_bloch_equals_node_loop_bit_for_bit(n):
 def test_full_tensor_oracle_frozen_bits():
     # Values of the eigendecomposition route, pinned bit for bit.
     assert disturbance_oracle_full(1, PointerModel(1.0)) == float.fromhex("0x1.cda810b7a5c80p-4")
-    assert disturbance_oracle_full(2, PointerModel(0.7)) == float.fromhex("0x1.5c0785b954884p-2")
+    assert disturbance_oracle_full(2, PointerModel(0.7)) == float.fromhex("0x1.5c0785b954882p-2")
 
 
 def test_lowest_order_lorentzian():
