@@ -25,10 +25,11 @@ and |G'| is even. With alpha = e^(-i p_z/2) at s = p_z,
     G'(p_z) e^(i n p_z/2) = -p_z profile(p_z)
         - i n Integral_p_z^p_max ds profile(s) sin(s/2) alpha^(n-1) e^(i n p_z/2).
 
-The factor e^(i n p_z/2) keeps |G'| and removes the fast phase, so one
-Gauss mesh in (p_z, s) serves any n. W lives around the drift r = n/2; its
-r < 0 part, taken over [0, 6 spread + 4], matters only at small n (0.06 at
-n = 1, spread 0.3).
+The factor e^(i n p_z/2) keeps |G| and |G'| and removes the fast phase, so
+one Gauss mesh in (p_z, s) serves any n, and G and G' alike: W at r is the
+transform of G e^(i n p_z/2) at r - n/2. W lives around the drift r = n/2;
+its r < 0 part, taken over [0, 6 spread + 4], matters only at small n (0.06
+at n = 1, spread 0.3).
 """
 from __future__ import annotations
 
@@ -72,32 +73,36 @@ def optimal_scaling(n_spins: int) -> float:
     return 1.0 / (1.0 + 2.0 / n_spins)
 
 
-def _alpha_power(cos_half: np.ndarray, tilt: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """|alpha^m| and arg(alpha^m) for alpha = cos_half - i tilt, with no complex log."""
-    modulus = np.exp(0.5 * m * np.log(cos_half * cos_half + tilt * tilt))
-    return modulus, m * np.arctan2(-tilt, cos_half)
-
-
-def _diag_profile_values(r, n_spins: int, model: PointerModel, p_max: float, n_p: int) -> np.ndarray:
-    """W(r) on an array of radii; the p_z and rho counts both derive from N_p."""
-    m = int(math.ceil(0.8 * n_p))
-    z_rule = gauss_legendre(m + 16, 0.0, p_max)
-    rho_ref = gauss_legendre(m + 32, 0.0, 1.0)
-    marginal = np.empty(z_rule.count, dtype=complex)
-    rows = _BLOCK_CELLS // rho_ref.count  # at least 10 under the radial cap
-    for start in range(0, z_rule.count, rows):
+def _marginals(n: int, model: PointerModel, p_max: float, count: int):
+    """The p_z rule on [0, p_max], with G(p_z) e^(i n p_z/2) and
+    G'(p_z) e^(i n p_z/2) on its nodes, from one count x count Gauss mesh in
+    (p_z, s), s in [p_z, p_max], in blocks of p_z rows."""
+    z_rule = gauss_legendre(count, 0.0, p_max)
+    t_rule = gauss_legendre(count, 0.0, 1.0)
+    marginal, slope = np.empty((2, count), dtype=complex)
+    rows = _BLOCK_CELLS // count  # at least 13 under the radial cap
+    for start in range(0, count, rows):
         pz = z_rule.nodes[start : start + rows, None]
-        rho_max = np.sqrt(p_max * p_max - pz * pz)
-        rho = rho_max * rho_ref.nodes
-        p = np.sqrt(pz * pz + rho * rho)
-        # sin(|p|/2)/|p| as 0.5 sinc, smooth at p = 0.
-        tilt = 0.5 * pz * np.sinc(p / (2.0 * math.pi))
-        modulus, phase = _alpha_power(np.cos(0.5 * p), tilt, n_spins)
-        amp = (rho_max * rho_ref.weights) * rho * momentum_profile(p, model) * modulus
-        marginal[start : start + rows].real = np.sum(amp * np.cos(phase), axis=1)
-        marginal[start : start + rows].imag = np.sum(amp * np.sin(phase), axis=1)
+        span = p_max - pz
+        s = pz + span * t_rule.nodes
+        sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
+        tilt = pz * sin_half / s  # alpha = cos_half - i tilt; s > p_z > 0 on Gauss nodes
+        # alpha^(n-1) e^(i n p_z/2) from log|alpha| and arg(alpha), with no complex log
+        log_alpha = np.log(np.hypot(cos_half, tilt)) - 1j * np.arctan2(tilt, cos_half)
+        power = np.exp((n - 1) * log_alpha + 0.5j * n * pz)
+        rotated = (span * t_rule.weights) * momentum_profile(s, model) * power
+        block = slice(start, start + rows)
+        # alpha^n = alpha^(n-1) alpha
+        marginal[block] = np.sum(rotated * (s * (cos_half - 1j * tilt)), axis=1)
+        edge = pz[:, 0] * momentum_profile(pz[:, 0], model)
+        slope[block] = -edge - 1j * n * np.sum(rotated * sin_half, axis=1)
+    return z_rule, marginal, slope
+
+
+def _fourier(r, n: int, z_rule, marginal: np.ndarray) -> np.ndarray:
+    """W(r) on an array of radii from G(p_z) e^(i n p_z/2) on the p_z rule."""
     weighted = z_rule.weights * marginal
-    phase = np.multiply.outer(r, z_rule.nodes)
+    phase = np.multiply.outer(r - 0.5 * n, z_rule.nodes)
     fourier = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
     return 2.0 * (2.0 * math.pi) ** -0.5 * fourier
 
@@ -108,13 +113,16 @@ def diag_radial_profile(
     model: PointerModel,
     quad: MomentumQuadrature | None = None,
 ) -> np.ndarray:
-    """Radial profile W(r) of the diagonal Kraus element; W is real."""
+    """Radial profile W(r) of the diagonal Kraus element: the Fourier transform
+    of G, on the mesh of the radial count for the largest radius; W is real."""
+    n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise DomainError("radii must be finite and nonnegative")
-    n_p = quad.radial_count(quad.effective_radial(float(np.max(r, initial=1.0)), model, n_spins))
-    return _diag_profile_values(r, n_spins, model, quad.p_max(model), n_p)
+    count = quad.radial_count(quad.effective_radial(float(np.max(r, initial=1.0)), model, n))
+    z_rule, marginal, _ = _marginals(n, model, quad.p_max(model), count)
+    return _fourier(r, n, z_rule, marginal)
 
 
 def kraus_diagonal_element(
@@ -131,30 +139,6 @@ def kraus_diagonal_element(
     return complex(math.cos(0.5 * polar) ** n_spins * w)
 
 
-def _slope_norm(n: int, model: PointerModel, p_max: float, n_p: int) -> float:
-    """Integral_0^p_max |G'(p_z)|^2 dp_z on an n_p x n_p Gauss mesh in (p_z, s),
-    in blocks of p_z rows."""
-    z_rule = gauss_legendre(n_p, 0.0, p_max)
-    t_rule = gauss_legendre(n_p, 0.0, 1.0)
-    slope_sq = np.empty(n_p)
-    rows = _BLOCK_CELLS // n_p  # at least 13 under the radial cap
-    for start in range(0, n_p, rows):
-        pz = z_rule.nodes[start : start + rows, None]
-        span = p_max - pz
-        s = pz + span * t_rule.nodes
-        sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
-        tilt = pz * sin_half / s  # alpha = cos_half - i tilt; s > p_z > 0 on Gauss nodes
-        modulus, phase = _alpha_power(cos_half, tilt, n - 1)
-        phase = phase + 0.5 * n * pz
-        amp = (span * t_rule.weights) * momentum_profile(s, model) * sin_half * modulus
-        # G' e^(i n p_z/2) = -p_z profile(p_z) - i n Sum amp e^(i phase)
-        edge = pz[:, 0] * momentum_profile(pz[:, 0], model)
-        real = n * np.sum(amp * np.sin(phase), axis=1) - edge
-        imag = n * np.sum(amp * np.cos(phase), axis=1)
-        slope_sq[start : start + rows] = real * real + imag * imag
-    return float(z_rule.weights @ slope_sq)
-
-
 def fidelity_lower_bound(
     n_spins: int,
     model: PointerModel,
@@ -164,28 +148,28 @@ def fidelity_lower_bound(
     """Score |E_r|^2 like a fidelity integral: a lower bound on F_av, by the
     |G'|^2 identity of the module notes.
 
-    The (p_z, s) mesh takes the radial count for radius 0 per axis, and the
-    r < 0 term the one for radius 6 spread + 4; the counts of both passes
-    are resolved first, so one above the cap is refused before any work.
+    Each pass evaluates G and G' once, on the (p_z, s) mesh of the radial
+    count for radius 6 spread + 4, and takes the r < 0 term from W(-r) on a
+    rule of that count over [0, 6 spread + 4]. Both passes' counts are
+    resolved first, so one above the cap is refused before any work.
     """
     n = checked_count(n_spins, "n_spins")
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     p_max, r_behind = quad.p_max(model), 6.0 * model.spread + 4.0
-    automatic = [quad.effective_radial(r_max, model, n) for r_max in (0.0, r_behind)]
-    (n_p, n_w), fine = (
-        [quad.radial_count(a, refined) for a in automatic] for refined in (False, True)
-    )
+    automatic = quad.effective_radial(r_behind, model, n)
+    counts = [quad.radial_count(automatic, refined) for refined in (False, True)]
 
-    def score(n_p: int, n_w: int) -> float:
-        r_rule = gauss_legendre(n_w, 0.0, r_behind)
-        w_behind = _diag_profile_values(-r_rule.nodes, n, model, p_max, n_w)
+    def score(count: int) -> float:
+        z_rule, marginal, slope = _marginals(n, model, p_max, count)
+        r_rule = gauss_legendre(count, 0.0, r_behind)
+        w_behind = _fourier(-r_rule.nodes, n, z_rule, marginal)
         behind = float(r_rule.weights @ (r_rule.nodes * w_behind) ** 2)
-        return 4.0 * math.pi / (n + 2) * (2.0 * _slope_norm(n, model, p_max, n_p) - behind)
+        slope_norm = float(z_rule.weights @ (slope.real**2 + slope.imag**2))
+        return 4.0 * math.pi / (n + 2) * (2.0 * slope_norm - behind)
 
-    base = score(n_p, n_w)
-    refined = score(*fine)
+    base, refined = (score(count) for count in counts)
     report = refinement_report(base, refined, tolerance, "lower-bound", n, model.spread)
     return LowerBoundPoint(
         n_spins=n,
@@ -217,7 +201,7 @@ def epsilon_curve(
         return fidelity_lower_bound(n, PointerModel(spread=spread), quad, tolerance)
 
     points = []
-    for n in map(int, n_values):
+    for n in [checked_count(n, "n_spins") for n in n_values]:
         spread = delta_opt_formula(n)
         if spread_rule == "optimize":
             cache = golden_section_max(

@@ -234,6 +234,8 @@ def _resolve_deltas(cfg: dict) -> list[float]:
     for v in values:
         if not v > 0.0:
             raise ConfigError(f"spread values must be positive, got {v}")
+    if any(not b > a for a, b in zip(values, values[1:])):
+        raise ConfigError("spread values must be strictly increasing")
     return values
 
 

@@ -17,13 +17,14 @@ from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
 from spinpointer.estimation import average_fidelity
 from spinpointer.pointer import (
     MomentumQuadrature,
+    OutcomeGrid,
     PointerModel,
     adaptive_outcome_grid,
     build_amplitude_field,
     momentum_profile,
     position_amplitudes,
 )
-from spinpointer.quadrature import gauss_legendre
+from spinpointer.quadrature import Rule1D, gauss_legendre
 from spinpointer.spincore import coherent_dicke, direction_from_angles
 
 
@@ -104,6 +105,18 @@ def test_diag_profile_matches_spherical_reference(n):
     reference = _spherical_profile(r, n, model, quad)
     assert np.isrealobj(w)
     assert np.max(np.abs(w - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 200])
+def test_diag_profile_matches_field_on_axis(n):
+    # At polar angle 0 the field's component 0 is the diagonal element, so
+    # the partial-wave field on an axis grid must reproduce W on its radii.
+    model = PointerModel(delta_opt_formula(n))
+    radial = gauss_legendre(40, 0.0, 0.5 * n + 6.0 * model.spread + 4.0)
+    axis = OutcomeGrid(radial=radial, polar=Rule1D(np.zeros(1), np.ones(1), (0.0, math.pi)))
+    field = build_amplitude_field(n, model, axis)
+    w = diag_radial_profile(radial.nodes, n, model)
+    assert np.max(np.abs(field.values[:, 0, 0] - w)) <= 1e-12
 
 
 def _r_grid_bound(n, model):

@@ -293,7 +293,24 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
         ("disturbance", {"n": 2, "delta": [True]}),
         ("disturbance", {"n": 2, "delta": [0.5], "mark_delta_opt": "no"}),
         ("sweep", {"n": 2.5, "delta": [0.5]}),
+        # A spread list must be strictly increasing on every command.
+        ("disturbance", {"n": [1, 2], "delta": [1.0, 0.5], "mark_delta_opt": True}),
+        ("disturbance", {"n": 1, "delta": [0.5, 0.5]}),
+        ("bloch", {"n": 1, "delta": [1.0, 0.5]}),
+        ("bloch", {"n": 1, "delta": [1.0, 1.0]}),
     ]
+    unordered_flags = [
+        ["disturbance", "--n", "1", "--n", "2", "--delta", "1", "--delta", "0.5",
+         "--mark-delta-opt"],
+        ["disturbance", "--n", "1", "--delta", "0.5", "--delta", "0.5"],
+        ["bloch", "--n", "1", "--delta", "1", "--delta", "0.5"],
+        ["bloch", "--n", "1", "--delta", "1", "--delta", "1"],
+    ]
+    for args in unordered_flags:
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strictly increasing" in captured.err
     for i, (command, settings) in enumerate(bad_values):
         path = tmp_path / f"bad_value_{i}.json"
         path.write_text(json.dumps(settings))

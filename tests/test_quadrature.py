@@ -172,6 +172,9 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: bloch_z_post_closed(n_spins, 0.5),
         lambda: asymptotics.delta_opt_formula(n_spins),
         lambda: asymptotics.optimal_scaling(n_spins),
+        lambda: asymptotics.diag_radial_profile(np.array([1.0]), n_spins, model),
+        lambda: asymptotics.kraus_diagonal_element(1.0, 0.3, n_spins, model),
+        lambda: asymptotics.epsilon_curve([4, n_spins]),
     ]
     for entry in entries:
         with pytest.raises(DomainError, match="n_spins must be an integer"):
@@ -212,8 +215,7 @@ def _quadrature_ran(*args, **kwargs):
 def test_bad_tolerance_is_refused_before_any_quadrature(tolerance, monkeypatch):
     # A bad tolerance used to cost both refinement passes before the refusal
     # (0.28 s for the bound at n = 400); now it is the first check.
-    for name in ("_slope_norm", "_diag_profile_values"):
-        monkeypatch.setattr(asymptotics, name, _quadrature_ran)
+    monkeypatch.setattr(asymptotics, "_marginals", _quadrature_ran)
     monkeypatch.setattr(disturbance, "_disturbance_value", _quadrature_ran)
     with pytest.raises(DomainError):
         fidelity_lower_bound(400, PointerModel(math.sqrt(50.0)), tolerance=tolerance)
@@ -251,8 +253,7 @@ def test_momentum_count_policy(monkeypatch, capsys):
              lambda args, field: (field.counts.nodes_p_radial,))
     recorded(disturbance, "_disturbance_value", "disturbance",
              lambda args, value: (args[2].count, args[3].count))
-    recorded(asymptotics, "_diag_profile_values", "bound", lambda args, w: args[-1])
-    recorded(asymptotics, "_slope_norm", "bound", lambda args, norm: args[-1])
+    recorded(asymptotics, "_marginals", "bound", lambda args, marginals: (args[-1],))
     model = PointerModel(0.7)
     for quad in (MomentumQuadrature(radial_nodes=40, polar_nodes=8), None):
         for counts in used.values():
@@ -260,13 +261,11 @@ def test_momentum_count_policy(monkeypatch, capsys):
         average_fidelity(2, model, nodes_r=48, nodes_theta=32, quad=quad, tolerance=1.0)
         disturbance_exact(2, model, quad, tolerance=1.0)
         fidelity_lower_bound(2, model, quad, tolerance=1.0)
-        bound = used["bound"]
-        used["bound"] = [tuple(bound[:2]), tuple(bound[2:])]
         for route, (base, refined) in used.items():
             assert refined == tuple(scaled_count(count) for count in base), route
         if quad is not None:
             assert used == {"field": [(40,), (60,)], "disturbance": [(40, 8), (60, 12)],
-                            "bound": [(40, 40), (60, 60)]}
+                            "bound": [(40,), (60,)]}
     assert used["disturbance"][0] == (64, 64)
 
     refused = [
