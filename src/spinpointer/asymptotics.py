@@ -100,11 +100,16 @@ def _marginals(n: int, model: PointerModel, p_max: float, count: int):
 
 
 def _fourier(r, n: int, z_rule, marginal: np.ndarray) -> np.ndarray:
-    """W(r) on an array of radii from G(p_z) e^(i n p_z/2) on the p_z rule."""
+    """W(r) on an array of radii from G(p_z) e^(i n p_z/2) on the p_z rule, in
+    blocks of radii, so the phase matrix stays under _BLOCK_CELLS."""
     weighted = z_rule.weights * marginal
-    phase = np.multiply.outer(r - 0.5 * n, z_rule.nodes)
-    fourier = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
-    return 2.0 * (2.0 * math.pi) ** -0.5 * fourier
+    shifted = np.ravel(r - 0.5 * n)
+    fourier = np.empty(shifted.size)
+    rows = _BLOCK_CELLS // z_rule.nodes.size  # at least 13 under the radial cap
+    for start in range(0, shifted.size, rows):
+        phase = np.multiply.outer(shifted[start : start + rows], z_rule.nodes)
+        fourier[start : start + rows] = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
+    return 2.0 * (2.0 * math.pi) ** -0.5 * fourier.reshape(np.shape(r))
 
 
 def diag_radial_profile(

@@ -10,8 +10,10 @@ Two routes certify the factorized numbers: disturbance_oracle_full on the
 full 2^n product space, and bloch_post_numeric against the Bloch closed
 form. Both build one mesh of unit directions per call and loop over radial
 nodes only. The oracle diagonalizes each direction's generator once and
-reuses that spectrum at every radial node; the Bloch route expands one
-stacked batch of Dicke vectors per node.
+reuses that spectrum at every radial node. The Bloch route expands one
+batch of Dicke vectors over the whole mesh per node and keeps only the main
+diagonal and first superdiagonal of their mesh-averaged density matrix,
+which is all a tridiagonal collective operator reads.
 """
 from __future__ import annotations
 
@@ -91,8 +93,9 @@ def _disturbance_value(n_spins: int, model: PointerModel, p_rule, c_rule) -> flo
     p = p_rule.nodes[:, None]
     c = c_rule.nodes[None, :]
     sin_sq = np.sin(0.5 * p) ** 2 * (1.0 - c * c)
-    # (1 - x)^n via n*log1p(-x): stable for n in the hundreds.
-    overlap = np.exp(n_spins * np.log1p(-np.clip(sin_sq, 0.0, 1.0 - 1e-300)))
+    # (1 - x)^n via n*log1p(-x): stable for n in the hundreds. sin_sq is 1
+    # only at p = pi on the polar node 0, which the Gauss nodes never hit.
+    overlap = np.exp(n_spins * np.log1p(-np.clip(sin_sq, 0.0, 1.0)))
     radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
     kept = 2.0 * math.pi * float(radial @ overlap @ c_rule.weights)
     return 1.0 - kept
@@ -205,27 +208,37 @@ def bloch_post_numeric(
     the rotated all-up Dicke vector; the azimuth uses the trapezoid rule,
     which is exact here because the integrand holds harmonics |m| <= 1.
     Each radial node is one dicke_expand call over its (polar, azimuth)
-    mesh and one (mesh, n+1) @ (n+1, n+1) product per operator.
+    mesh, reduced to two mesh-weighted sums: d_k = sum |v_k|^2 and
+    u_k = sum conj(v_k) v_(k+1). Contracted with the radial weights, they are
+    the band of the averaged density matrix, and for a Hermitian tridiagonal
+    operator <S_a> = sum_k S_kk d_k + 2 Re sum_k S_k,k+1 u_k. This assumes
+    collective_operators returns tridiagonal matrices, as S_z is diagonal
+    and S_+- shift the Dicke index by one.
     """
     n = checked_count(n_spins, "n_spins")
     p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())
-    ops = collective_operators(n)
-    per_node = np.empty((p.size, 3))
+    diagonal = np.empty((p.size, n + 1))
+    upper = np.empty((p.size, n), dtype=complex)
     for i, p_i in enumerate(p):
         # exp(-i p u.sigma/2)|up> = (cos(p/2) - i u_z sin(p/2), -i sin(p/2) (u_x + i u_y)).
         cos_half, sin_half = math.cos(0.5 * p_i), math.sin(0.5 * p_i)
         alpha = cos_half - 1j * sin_half * units[:, 2]
         beta = -1j * sin_half * (units[:, 0] + 1j * units[:, 1])
         v = dicke_expand(alpha, beta, n).amplitudes
-        for axis, op in enumerate((ops.sx, ops.sy, ops.sz)):
-            per_node[i, axis] = weights @ np.sum(np.conj(v) * (v @ op.T), axis=-1).real
-    totals = radial @ per_node
+        diagonal[i] = weights @ (v.real**2 + v.imag**2)
+        upper[i] = weights @ (np.conj(v[:, :-1]) * v[:, 1:])
+    d, u = radial @ diagonal, radial @ upper
+    ops = collective_operators(n)
+    sx, sy, sz = (
+        float((np.diagonal(op) @ d).real + 2.0 * (np.diagonal(op, 1) @ u).real)
+        for op in (ops.sx, ops.sy, ops.sz)
+    )
     return BlochReport(
         n_spins=n,
         spread=model.spread,
         sz_initial=0.5 * n,
         sz_post_closed=bloch_z_post_closed(n, model.spread),
-        sz_post_numeric=float(totals[2]),
-        sx_post=float(totals[0]),
-        sy_post=float(totals[1]),
+        sz_post_numeric=sz,
+        sx_post=sx,
+        sy_post=sy,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import fidelity_lower_bound, kraus_diagonal_element
+from .asymptotics import diag_radial_profile, fidelity_lower_bound, kraus_diagonal_element
 from .disturbance import (
     bloch_post_numeric,
     disturbance_exact,
@@ -24,6 +24,7 @@ from .disturbance import (
 from .estimation import GuessRule, average_fidelity, optimal_fidelity
 from .pointer import (
     MomentumQuadrature,
+    OutcomeGrid,
     PointerModel,
     adaptive_outcome_grid,
     build_amplitude_field,
@@ -31,7 +32,7 @@ from .pointer import (
     momentum_profile,
     position_amplitudes,
 )
-from .quadrature import gauss_legendre
+from .quadrature import Rule1D, gauss_legendre
 from .spincore import (
     collective_operators,
     coherent_dicke,
@@ -149,6 +150,22 @@ def _check_dominance() -> CheckResult:
         diag = kraus_diagonal_element(float(grid.radial.nodes[a]), float(grid.polar.nodes[b]), n, model)
         worst = max(worst, abs(diag) ** 2 - dens[a, b])
     return _check("diagonal_element_dominance", worst, 1e-6, "|E_r|^2 <= p(r) at 20 random nodes")
+
+
+def _check_diagonal_profile() -> CheckResult:
+    # At polar angle 0 the field's component 0 is the diagonal element, so the
+    # partial-wave field on an axis grid must reproduce W on its radii.
+    worst = 0.0
+    for n in (1, 2, 5, 30, 200):
+        model = PointerModel(math.sqrt(n / 8.0))
+        radial = gauss_legendre(40, 0.0, 0.5 * n + 6.0 * model.spread + 4.0)
+        axis = OutcomeGrid(radial=radial, polar=Rule1D(np.zeros(1), np.ones(1), (0.0, math.pi)))
+        field = build_amplitude_field(n, model, axis)
+        w = diag_radial_profile(radial.nodes, n, model)
+        worst = max(worst, float(np.max(np.abs(field.values[:, 0, 0] - w))))
+    return _check(
+        "diagonal_profile_two_routes", worst, 1e-12, "field on the axis vs W(r), n in {1, 2, 5, 30, 200}"
+    )
 
 
 def _check_disturbance_oracle() -> CheckResult:
@@ -284,6 +301,7 @@ def run_checks() -> list[CheckResult]:
         _check_momentum_normalization(),
         _check_completeness(),
         _check_dominance(),
+        _check_diagonal_profile(),
         _check_disturbance_oracle(),
         _check_bloch_paths(),
         _check_hemisphere_orientation(),

@@ -213,3 +213,15 @@ def test_oversized_momentum_mesh_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_fourier_of_the_r_behind_term_is_blocked():
+    # The refined pass has 3000 p_z nodes and 3000 radii behind the drift; one
+    # unblocked phase matrix with its cosine and sine would take 137 MiB.
+    tracemalloc.start()
+    try:
+        fidelity_lower_bound(2, PointerModel(0.7), MomentumQuadrature(radial_nodes=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -170,6 +170,18 @@ def test_sz_spectrum_is_exact_ladder():
         assert np.allclose(sz, np.diag(np.diag(sz)), atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 4, 61])
+def test_collective_operators_are_hermitian_and_tridiagonal(n):
+    # bloch_post_numeric reads only the main diagonal and the first
+    # superdiagonal of each operator.
+    ops = collective_operators(n)
+    k = np.arange(n + 1)
+    outside_band = np.abs(k[:, None] - k[None, :]) > 1
+    for op in (ops.sx, ops.sy, ops.sz):
+        assert np.array_equal(op, op.conj().T)
+        assert not np.any(op[outside_band])
+
+
 def test_symmetric_rotation_matches_full_tensor():
     rng = np.random.default_rng(20240811)
     for n in range(1, 5):
