@@ -54,8 +54,9 @@ class BlochReport:
 
 
 def min_disturbance(n_spins: int) -> float:
-    """Smallest disturbance compatible with extracting full directional
-    information from n parallel spins: (n+1)/(2n+1)."""
+    """(n+1)/(2n+1) = (n+1) int_0^1 x^(2n) dx, the operation fidelity of optimal
+    measure-and-prepare on n parallel spins. It is no lower bound on this
+    model's disturbance, which reaches D = 1/3 at F = 2/3 for n = 1."""
     checked_count(n_spins, "n_spins")
     return (n_spins + 1.0) / (2.0 * n_spins + 1.0)
 

@@ -60,7 +60,6 @@ class FidelityPoint:
 @dataclass(frozen=True)
 class SweepResult:
     n_spins: int
-    guess_rule: str
     points: tuple[FidelityPoint, ...]
     failures: tuple[tuple[float, str], ...] = ()
 
@@ -103,7 +102,7 @@ def _score_weights(field: AmplitudeField) -> tuple[float, float]:
 def average_fidelity(
     n_spins: int,
     model: PointerModel,
-    rule: GuessRule = GuessRule.PLUS_R,
+    rule: GuessRule | str = GuessRule.PLUS_R,
     nodes_r: int = 96,
     nodes_theta: int = 64,
     quad: MomentumQuadrature | None = None,
@@ -111,14 +110,18 @@ def average_fidelity(
 ) -> FidelityPoint:
     """Average guessing fidelity at one (n, spread) point.
 
-    Evaluates the outcome grid twice (base and 1.5x-refined everywhere) and
-    declares |difference| as the error estimate; a disagreement beyond ten
-    times the tolerance raises ConvergenceError instead of returning a
-    number that cannot be trusted.
+    ``rule`` is a GuessRule or its value. Evaluates the outcome grid twice
+    (base and 1.5x-refined everywhere) and declares |difference| as the
+    error estimate; a disagreement beyond ten times the tolerance raises
+    ConvergenceError instead of returning a number that cannot be trusted.
     """
     n_spins = checked_count(n_spins, "n_spins")
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
+    try:
+        rule = GuessRule(rule)
+    except ValueError:
+        raise DomainError(f"unknown guess rule {rule!r}") from None
     quad = quad or MomentumQuadrature()
     grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
     # The refinement pass's radial count, resolved here so that an over-cap
@@ -151,17 +154,10 @@ def average_fidelity(
     )
 
 
-def sweep_delta(
-    n_spins: int,
-    spreads,
-    rule: GuessRule = GuessRule.PLUS_R,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
-    quad: MomentumQuadrature | None = None,
-    tolerance: float = 1e-3,
-) -> SweepResult:
-    """Fidelity at each pointer spread; per-point failures are collected,
-    not fatal to the sweep."""
+def sweep_delta(n_spins: int, spreads, **settings) -> SweepResult:
+    """Fidelity at each pointer spread. ``settings`` are average_fidelity's
+    keyword settings (rule, nodes_r, nodes_theta, quad, tolerance), passed
+    through; per-point failures are collected, not fatal to the sweep."""
     spreads = [float(s) for s in spreads]
     if len(spreads) == 0:
         raise DomainError("empty spread list")
@@ -171,22 +167,10 @@ def sweep_delta(
     failures = []
     for s in spreads:
         try:
-            points.append(
-                average_fidelity(
-                    n_spins,
-                    PointerModel(spread=s),
-                    rule,
-                    nodes_r=nodes_r,
-                    nodes_theta=nodes_theta,
-                    quad=quad,
-                    tolerance=tolerance,
-                )
-            )
+            points.append(average_fidelity(n_spins, PointerModel(spread=s), **settings))
         except ConvergenceError as exc:
             failures.append((s, str(exc)))
-    return SweepResult(
-        n_spins=int(n_spins), guess_rule=rule.value, points=tuple(points), failures=tuple(failures)
-    )
+    return SweepResult(n_spins=int(n_spins), points=tuple(points), failures=tuple(failures))
 
 
 def default_spread_bracket(n_spins: int) -> tuple[float, float]:
@@ -198,16 +182,14 @@ def default_spread_bracket(n_spins: int) -> tuple[float, float]:
 def find_delta_opt(
     n_spins: int,
     bracket: tuple[float, float] | None = None,
-    rule: GuessRule = GuessRule.PLUS_R,
     delta_tolerance: float = 0.01,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
-    quad: MomentumQuadrature | None = None,
-    tolerance: float = 1e-3,
+    **settings,
 ) -> OptimizeResult:
     """Golden-section maximization of the average fidelity over the spread.
 
-    The curve is not unimodal: it dips near spread 0.2 and rises toward the
+    ``settings`` are average_fidelity's keyword settings (rule, nodes_r,
+    nodes_theta, quad, tolerance), passed through to every evaluation. The
+    curve is not unimodal: it dips near spread 0.2 and rises toward the
     strong-coupling limit at the lower edge. The golden section keeps one
     basin. The edges are evaluated too, so an edge maximum is flagged: the
     flag is set when the best spread lies within 2 delta_tolerance of an edge.
@@ -217,19 +199,9 @@ def find_delta_opt(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise DomainError(f"bad bracket [{lo}, {hi}]")
-    if not delta_tolerance > 0:
-        raise DomainError("delta_tolerance must be positive")
 
     def f(spread: float) -> float:
-        return average_fidelity(
-            n_spins,
-            PointerModel(spread=spread),
-            rule,
-            nodes_r=nodes_r,
-            nodes_theta=nodes_theta,
-            quad=quad,
-            tolerance=tolerance,
-        ).fidelity
+        return average_fidelity(n_spins, PointerModel(spread=spread), **settings).fidelity
 
     cache = golden_section_max(f, lo, hi, delta_tolerance)
     # Include the bracket edges so an edge maximum is reported as such.

@@ -138,8 +138,13 @@ def golden_section_max(
     """Golden-section search for the maximum of a unimodal ``f`` on [lo, hi].
 
     Shrinks the bracket until it is no wider than ``width`` and returns every
-    evaluation as {x: f(x)} in the order made; each x is evaluated once.
+    evaluation as {x: f(x)} in the order made; each x is evaluated once. The
+    bracket stops shrinking within one float spacing of its larger end, so
+    a width below that spacing, or not positive, is refused before any
+    evaluation.
     """
+    if not width >= math.ulp(max(abs(lo), abs(hi))):
+        raise DomainError(f"search width {width} is below the float spacing of [{lo}, {hi}]")
     cache: dict[float, float] = {}
 
     def g(x: float) -> float:

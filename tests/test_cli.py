@@ -1,5 +1,7 @@
 """Command line contract: schema, reproducibility, exit codes."""
+import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 
 import spinpointer
 
-from spinpointer import cli
+from spinpointer import asymptotics, cli, disturbance, estimation
 from spinpointer.validate import CheckResult
 
 
@@ -207,6 +209,78 @@ def test_config_round_trip(args, tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     capsys.readouterr()
 
+
+
+def test_equivalent_flags_and_config_print_the_same_bytes(tmp_path):
+    # The echo holds each setting converted to its kind, so a config file's
+    # 80.0 for a node count and 8 for a cutoff echo as the flags' 80 and 8.0.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": [1], "delta": [0.5], "nodes_p_radial": 80.0,
+                                    "p_cutoff_sigmas": 8, "nodes_r": 48, "nodes_theta": 32}))
+    flags = ["--n", "1", "--delta", "0.5", "--nodes-p-radial", "80", "--p-cutoff-sigmas", "8",
+             "--nodes-r", "48", "--nodes-theta", "32"]
+    from_flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+    assert cli.main(["sweep", *flags, "--out", str(from_flags)]) == 0
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(from_file)]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+
+
+_OUTPUT = "--out:str --format:str --workers:int --config:str"
+_SPREADS = "--delta:float... --delta-min:float --delta-max:float --delta-steps:int"
+_FIDELITY = ("--guess-rule:str --nodes-r:int --nodes-theta:int --nodes-p-radial:int "
+             "--p-cutoff-sigmas:float --tol:float")
+_MOMENTUM = "--nodes-p-radial:int --nodes-p-polar:int --p-cutoff-sigmas:float"
+_SURFACE = {
+    "sweep": f"--n:int... {_SPREADS} {_FIDELITY}",
+    "optimize": f"--n:int --delta-min:float --delta-max:float {_FIDELITY}",
+    "disturbance": f"--n:int... {_SPREADS} {_MOMENTUM} --tol:float --mark-delta-opt:flag",
+    "bloch": f"--n:int... {_SPREADS} {_MOMENTUM}",
+    "asympt": "--n-min:int --n-max:int --n-step:int --spread-rule:str --nodes-p-radial:int "
+              "--p-cutoff-sigmas:float --tol:float",
+    "reference": "--n:int...",
+    "validate": "",
+}
+_RULES = ["plus-r", "minus-r", "best-of-axis", "plus_r", "minus_r", "best_of_axis"]
+
+
+def test_cli_surface_and_defaults_stay_put():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(_SURFACE)
+    for command, sub in subs.choices.items():
+        actions = sub._actions[1:]  # after --help
+        words = []
+        for a in actions:
+            kind = "flag" if a.const is True else getattr(a.type, "__name__", "str")
+            repeat = "..." if isinstance(a, argparse._AppendAction) else ""
+            words.append(f"{a.option_strings[0]}:{kind}{repeat}")
+        assert " ".join(words) == f"{_SURFACE[command]} {_OUTPUT}".strip()
+        choices = {a.option_strings[0]: a.choices for a in actions if a.choices}
+        expected = {"--format": ["csv", "json"]}
+        if command in ("sweep", "optimize"):
+            expected["--guess-rule"] = _RULES
+        if command == "asympt":
+            expected["--spread-rule"] = ["formula", "optimize"]
+        assert choices == expected
+        # A flag left out defers to the config file, so no setting defaults in the parser.
+        assert all(a.default is None for a in actions if a.dest != "format")
+        assert sub.get_default("format") == ("json" if command in ("optimize", "reference", "validate")
+                                             else "csv")
+
+    # The CLI's defaults, echoed in every table, are the library's own.
+    def default(command, flag):
+        return next(d for f, _, d, _ in cli._COMMANDS[command][2] if f == flag)
+
+    def library(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    for command in ("sweep", "optimize"):
+        assert default(command, "--nodes-r") == library(estimation.average_fidelity, "nodes_r")
+        assert default(command, "--nodes-theta") == library(estimation.average_fidelity, "nodes_theta")
+        assert default(command, "--tol") == library(estimation.average_fidelity, "tolerance")
+        assert default(command, "--guess-rule") == library(estimation.average_fidelity, "rule").value
+    assert default("disturbance", "--tol") == library(disturbance.disturbance_exact, "tolerance")
+    assert default("asympt", "--tol") == library(asymptotics.epsilon_curve, "tolerance")
+    assert default("asympt", "--spread-rule") == library(asymptotics.epsilon_curve, "spread_rule")
 
 @pytest.mark.parametrize(
     "key, value", [("out", "elsewhere.csv"), ("format", "csv"), ("workers", 1),

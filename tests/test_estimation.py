@@ -123,6 +123,25 @@ def test_guess_rule_dominance_and_branch():
     assert plus.fidelity + minus.fidelity == pytest.approx(1.0, abs=5e-3)
 
 
+
+def test_guess_rule_text_is_its_value_and_unknown_text_is_refused_before_any_build(monkeypatch):
+    model = PointerModel(0.5)
+    for rule in GuessRule:
+        assert average_fidelity(1, model, rule.value) == average_fidelity(1, model, rule)
+    builds, build = [], pointer.build_amplitude_field
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pointer, "build_amplitude_field", counted)
+    monkeypatch.setattr(estimation, "build_amplitude_field", counted)
+    # "plus-r" is the command line's spelling, not the rule's value.
+    for rule in ("bogus", "plus-r", None, 1):
+        with pytest.raises(DomainError, match="unknown guess rule"):
+            average_fidelity(1, model, rule)
+    assert builds == []
+
 def test_fidelity_stays_in_physical_band():
     for spread in (0.1, 0.6, 1.2):
         point = average_fidelity(3, PointerModel(spread))

@@ -119,6 +119,26 @@ def test_golden_section_finds_unimodal_maximum():
     assert all(0.0 < x < 1.0 for x in evaluations)
 
 
+
+def test_golden_section_refuses_a_width_the_bracket_cannot_reach(monkeypatch):
+    # Below one float spacing of the bracket's larger end, b - a stops
+    # shrinking, and the search used to loop forever.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0.0
+
+    for width in (0.0, -1e-3, math.nan, 1e-20, 0.5 * math.ulp(0.6)):
+        with pytest.raises(DomainError, match="search width"):
+            golden_section_max(f, 0.3, 0.6, width)
+    monkeypatch.setattr(estimation, "average_fidelity", lambda *args, **kwargs: f(args[1].spread))
+    with pytest.raises(DomainError, match="search width"):
+        find_delta_opt(1, (0.3, 0.6), delta_tolerance=1e-20)
+    assert calls == []
+    # One float spacing is still reachable.
+    assert len(golden_section_max(f, 0.3, 0.6, math.ulp(0.6))) > 0
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         gauss_legendre(0)
