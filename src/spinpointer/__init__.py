@@ -27,12 +27,10 @@ from .estimation import (
     FidelityPoint,
     GuessRule,
     OptimizeResult,
-    SweepResult,
     average_fidelity,
     find_delta_opt,
     optimal_fidelity,
     strong_coupling_limit,
-    sweep_delta,
 )
 from .pointer import (
     AmplitudeField,

@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the library entry points: sweep and
 optimize drive the fidelity code, disturbance and bloch the disturbance
 code, asympt the lower-bound curve, reference prints closed-form
-constants, and validate runs the invariant suite.
+constants, and validate runs the invariant suite. sweep, disturbance and
+bloch share one loop over (n, spread) points, ``_table``: a point that
+fails its convergence check leaves no row and is listed on stderr.
 
 Each subcommand's settings are declared once, in ``_COMMANDS``: flag, kind
 and default side by side. The parser is built from that table, and a
@@ -22,7 +24,8 @@ JSON documents carry the same `schema` and `config`. The field is built in
 one process; --workers is still accepted and has no effect.
 
 Exit codes: 0 success, 1 validate found a failing invariant, 2 invalid
-configuration, 3 a result failed its convergence check.
+configuration (a spread outside pointer.SPREAD_RANGE included), 3 a
+result failed its convergence check.
 """
 from __future__ import annotations
 
@@ -43,13 +46,13 @@ from .disturbance import (
 from .errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from .estimation import (
     GuessRule,
+    average_fidelity,
     default_spread_bracket,
     find_delta_opt,
     optimal_fidelity,
     strong_coupling_limit,
-    sweep_delta,
 )
-from .pointer import MomentumQuadrature, PointerModel
+from .pointer import NODES_R, NODES_THETA, MomentumQuadrature, PointerModel
 from . import validate as validate_mod
 
 
@@ -83,7 +86,7 @@ _RADIAL, _POLAR, _CUTOFF = (_flag("--nodes-p-radial", int), _flag("--nodes-p-pol
 _FIDELITY = (
     _flag("--guess-rule", _guess_rule, GuessRule.PLUS_R.value,
           choices=[r.value.replace("_", "-") for r in GuessRule] + [r.value for r in GuessRule]),
-    _flag("--nodes-r", int, 96), _flag("--nodes-theta", int, 64), _RADIAL, _CUTOFF,
+    _flag("--nodes-r", int, NODES_R), _flag("--nodes-theta", int, NODES_THETA), _RADIAL, _CUTOFF,
     _flag("--tol", float, 1e-3),
 )
 
@@ -241,18 +244,19 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 
 
 def _convert(key: str, value, kind):
-    """A configured value as ``kind``. Numbers take whatever int() or
-    float() accepts, except booleans, fractions for an integer and nan or
-    infinity for a float; booleans must be given as such, and any other
-    kind takes a string. Anything else is a ConfigError."""
+    """A configured value as ``kind``. An integer or float setting takes a
+    number, never text or a boolean: an integer refuses a fraction, and a
+    float nan, infinity and an integer too large for a float. A boolean
+    setting takes a boolean, and any other kind a string. Anything else is
+    a ConfigError."""
     if kind not in (int, float):
         if isinstance(value, bool if kind is bool else str):
             return kind(value)
-    elif not isinstance(value, bool) and not (
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) and not (
             kind is int and isinstance(value, float) and not value.is_integer()):
         try:
             converted = kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
         else:
             if kind is not float or math.isfinite(converted):
@@ -301,28 +305,37 @@ def _render(columns: list[str], rows: list[list], echo: dict, fmt: str,
     return out.getvalue()
 
 
-def _cmd_sweep(cfg: dict, fmt: str) -> tuple[str, int]:
-    columns = ["n_spins", "delta", "f_avg", "f_opt", "guess_rule", "err_estimate",
-               "nodes_r", "nodes_theta", "nodes_p_radial"]
-    settings = _fidelity_settings(cfg)
+def _table(cfg: dict, fmt: str, columns: list[str], row, spreads=None) -> tuple[str, int]:
+    """The table of ``row(n, PointerModel(spread))`` over every size and its
+    spreads: ``spreads(n)``, else the configured list. A point that fails its
+    convergence check leaves no row and is listed on stderr after the last
+    point, and any such failure makes the exit code 3."""
     rows: list[list] = []
     failures: list[str] = []
     for n in cfg["n"]:
-        result = sweep_delta(n, cfg["delta"], **settings)
-        for point in result.points:
-            cell = point.guess_rule
-            if cell == GuessRule.BEST_OF_AXIS.value:
-                cell = f"{cell}:{point.branch}"
-            rows.append([
-                point.n_spins, point.spread, point.fidelity,
-                optimal_fidelity(point.n_spins), cell, point.error_estimate,
-                point.counts.nodes_r, point.counts.nodes_theta,
-                point.counts.nodes_p_radial,
-            ])
-        failures.extend(f"n={n} delta={s:g}: {msg}" for s, msg in result.failures)
+        for spread in cfg["delta"] if spreads is None else spreads(n):
+            try:
+                rows.append(row(n, PointerModel(spread)))
+            except ConvergenceError as exc:
+                failures.append(f"{cfg['command']} point failed: n={n} delta={spread:g}: {exc}")
     for line in failures:
-        print(f"sweep point failed: {line}", file=sys.stderr)
+        print(line, file=sys.stderr)
     return _render(columns, rows, cfg, fmt), 3 if failures else 0
+
+
+def _cmd_sweep(cfg: dict, fmt: str) -> tuple[str, int]:
+    settings = _fidelity_settings(cfg)
+
+    def row(n: int, model: PointerModel) -> list:
+        point = average_fidelity(n, model, **settings)
+        rule, counts = point.guess_rule, point.counts
+        if rule == GuessRule.BEST_OF_AXIS.value:
+            rule = f"{rule}:{point.branch}"
+        return [point.n_spins, point.spread, point.fidelity, optimal_fidelity(n), rule,
+                point.error_estimate, counts.nodes_r, counts.nodes_theta, counts.nodes_p_radial]
+
+    return _table(cfg, fmt, ["n_spins", "delta", "f_avg", "f_opt", "guess_rule", "err_estimate",
+                             "nodes_r", "nodes_theta", "nodes_p_radial"], row)
 
 
 def _cmd_optimize(cfg: dict, fmt: str) -> tuple[str, int]:
@@ -340,53 +353,39 @@ def _cmd_optimize(cfg: dict, fmt: str) -> tuple[str, int]:
 
 def _cmd_disturbance(cfg: dict, fmt: str) -> tuple[str, int]:
     quad = _momentum_quad(cfg)
-    columns = ["n_spins", "delta", "d_exact", "d_lowest_order", "d_min",
-               "err_estimate"]
-    rows: list[list] = []
-    failures: list[str] = []
-    for n in cfg["n"]:
-        spreads = list(cfg["delta"])
-        if cfg["mark_delta_opt"]:
-            marker = delta_opt_formula(n)
-            if all(abs(marker - s) > 1e-12 for s in spreads):
-                spreads.append(marker)
-                spreads.sort()
-        for spread in spreads:
-            try:
-                point = disturbance_exact(n, PointerModel(spread), quad, cfg["tol"])
-            except ConvergenceError as exc:
-                failures.append(f"n={n} delta={spread:g}: {exc}")
-                continue
-            rows.append([
-                point.n_spins, point.spread, point.d_exact,
-                point.d_lowest_order, min_disturbance(n), point.error_estimate,
-            ])
-    for line in failures:
-        print(f"disturbance point failed: {line}", file=sys.stderr)
-    return _render(columns, rows, cfg, fmt), 3 if failures else 0
+
+    def marked(n: int) -> list[float]:
+        """The spreads and the sqrt(n/8) marker, unless a spread already lies on it."""
+        marker = delta_opt_formula(n)
+        if all(abs(marker - s) > 1e-12 for s in cfg["delta"]):
+            return sorted([*cfg["delta"], marker])
+        return cfg["delta"]
+
+    def row(n: int, model: PointerModel) -> list:
+        point = disturbance_exact(n, model, quad, cfg["tol"])
+        return [point.n_spins, point.spread, point.d_exact, point.d_lowest_order,
+                min_disturbance(n), point.error_estimate]
+
+    return _table(cfg, fmt, ["n_spins", "delta", "d_exact", "d_lowest_order", "d_min", "err_estimate"],
+                  row, marked if cfg["mark_delta_opt"] else None)
 
 
 def _cmd_bloch(cfg: dict, fmt: str) -> tuple[str, int]:
     quad = _momentum_quad(cfg)
-    columns = ["n_spins", "delta", "sz_initial", "sz_post_closed",
-               "sz_post_numeric", "sx_post", "sy_post"]
-    rows = []
-    for n in cfg["n"]:
-        for spread in cfg["delta"]:
-            rep = bloch_post_numeric(n, PointerModel(spread), quad)
-            rows.append([
-                rep.n_spins, rep.spread, rep.sz_initial, rep.sz_post_closed,
-                rep.sz_post_numeric, rep.sx_post, rep.sy_post,
-            ])
-    return _render(columns, rows, cfg, fmt), 0
+    columns = ["n_spins", "delta", "sz_initial", "sz_post_closed", "sz_post_numeric", "sx_post", "sy_post"]
+
+    def row(n: int, model: PointerModel) -> list:
+        rep = bloch_post_numeric(n, model, quad)
+        return [rep.n_spins, rep.spread, *(getattr(rep, column) for column in columns[2:])]
+
+    return _table(cfg, fmt, columns, row)
 
 
 def _cmd_asympt(cfg: dict, fmt: str) -> tuple[str, int]:
     n_min, n_max, n_step = cfg["n_min"], cfg["n_max"], cfg["n_step"]
     if n_min is None or n_max is None:
         raise ConfigError("give both --n-min and --n-max")
-    if n_min < 1:
-        raise ConfigError(f"ensemble size must be >= 1, got {n_min}")
+    _check_sizes(n_min)
     if n_max < n_min:
         raise ConfigError(f"n-max {n_max} below n-min {n_min}")
     if n_step < 1:
@@ -420,15 +419,8 @@ def _cmd_validate(cfg: dict, fmt: str) -> tuple[str, int]:
     return text, 0 if all(r.passed for r in results) else 1
 
 
-_HANDLERS = {
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "disturbance": _cmd_disturbance,
-    "bloch": _cmd_bloch,
-    "asympt": _cmd_asympt,
-    "reference": _cmd_reference,
-    "validate": _cmd_validate,
-}
+# Each subcommand's handler is _cmd_<command>; one missing fails the import.
+_HANDLERS = {command: globals()[f"_cmd_{command}"] for command in _COMMANDS}
 
 
 def _write_output(text: str, path: str | None) -> None:

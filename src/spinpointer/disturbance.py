@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
-from .pointer import MomentumQuadrature, PointerModel, momentum_profile
+from .pointer import MomentumQuadrature, PointerModel, checked_spread, momentum_profile
 from .quadrature import checked_count, refinement_report, trapezoid_periodic
 from .spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle, full_tensor_spectrum
 
@@ -64,8 +64,7 @@ def min_disturbance(n_spins: int) -> float:
 def disturbance_lowest_order(n_spins: int, spread: float) -> float:
     """Lorentzian approximation 1/(1 + 8 spread^2 / n), valid at large n."""
     checked_count(n_spins, "n_spins")
-    if not spread > 0:
-        raise DomainError("spread must be positive")
+    checked_spread(spread)
     return 1.0 / (1.0 + 8.0 * spread * spread / n_spins)
 
 
@@ -190,8 +189,7 @@ def bloch_z_post_closed(n_spins: int, spread: float) -> float:
     """Closed form for the post-measurement collective z component:
     (n/6) [1 + e^(-1/(8 spread^2)) (2 - 1/(2 spread^2))]."""
     checked_count(n_spins, "n_spins")
-    if not spread > 0:
-        raise DomainError("spread must be positive")
+    checked_spread(spread)
     x = 1.0 / (8.0 * spread * spread)
     return n_spins / 6.0 * (1.0 + math.exp(-x) * (2.0 - 4.0 * x))
 

@@ -1,5 +1,5 @@
-"""Direction estimation from pointer outcomes: average fidelity, sweeps over
-the pointer spread, and the location of the best spread.
+"""Direction estimation from pointer outcomes: the average fidelity at one
+pointer spread, and the location of the best spread.
 
 The estimator guesses the spin direction from the outcome position r; the
 default rule guesses along +r. The figure of merit is the squared overlap
@@ -15,8 +15,10 @@ from enum import Enum
 import numpy as np
 
 from .asymptotics import delta_opt_formula
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .pointer import (
+    NODES_R,
+    NODES_THETA,
     AmplitudeField,
     MomentumQuadrature,
     PointerModel,
@@ -58,13 +60,6 @@ class FidelityPoint:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    n_spins: int
-    points: tuple[FidelityPoint, ...]
-    failures: tuple[tuple[float, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     n_spins: int
     delta_opt: float
@@ -103,8 +98,8 @@ def average_fidelity(
     n_spins: int,
     model: PointerModel,
     rule: GuessRule | str = GuessRule.PLUS_R,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
+    nodes_r: int = NODES_R,
+    nodes_theta: int = NODES_THETA,
     quad: MomentumQuadrature | None = None,
     tolerance: float = 1e-3,
 ) -> FidelityPoint:
@@ -152,25 +147,6 @@ def average_fidelity(
         branch=branch,
         counts=counts,
     )
-
-
-def sweep_delta(n_spins: int, spreads, **settings) -> SweepResult:
-    """Fidelity at each pointer spread. ``settings`` are average_fidelity's
-    keyword settings (rule, nodes_r, nodes_theta, quad, tolerance), passed
-    through; per-point failures are collected, not fatal to the sweep."""
-    spreads = [float(s) for s in spreads]
-    if len(spreads) == 0:
-        raise DomainError("empty spread list")
-    if any(b <= a for a, b in zip(spreads, spreads[1:])):
-        raise DomainError("spread values must be strictly increasing")
-    points = []
-    failures = []
-    for s in spreads:
-        try:
-            points.append(average_fidelity(n_spins, PointerModel(spread=s), **settings))
-        except ConvergenceError as exc:
-            failures.append((s, str(exc)))
-    return SweepResult(n_spins=int(n_spins), points=tuple(points), failures=tuple(failures))
 
 
 def default_spread_bracket(n_spins: int) -> tuple[float, float]:

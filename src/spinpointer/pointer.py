@@ -70,6 +70,14 @@ _BLOCK_CELLS = 2**18
 _ANGULAR_CELLS = 2**18
 _ANGULAR: dict[tuple[int, bytes], tuple[int, np.ndarray, tuple[np.ndarray, ...]]] = {}
 
+# Outcome-grid node counts, radius by polar angle, when a caller gives none.
+NODES_R, NODES_THETA = 96, 64
+
+# Pointer spreads every route integrates correctly: the momentum measures
+# carry spread^3 (the profile squared) and 1/spread^3 (p^2 dp up to the
+# cutoff), and one of them overflows beyond about 1e102 either way.
+SPREAD_RANGE = (1e-100, 1e100)
+
 # Maclaurin coefficients of j_1(z) / z in z^2 (DLMF 10.53.1),
 # c_k = (-1/2)^k / (k! (2k+3)!!); ten terms truncate below 1e-18 relative on
 # [0, 1]. Each denominator is an exact integer below 2^53.
@@ -90,13 +98,20 @@ class PointerModel:
     spread: float
 
     def __post_init__(self):
-        if not (self.spread > 0 and np.isfinite(self.spread)):
-            raise DomainError(f"pointer spread must be positive, got {self.spread}")
+        checked_spread(self.spread)
 
     @property
     def momentum_sigma(self) -> float:
         """Per-axis standard deviation of the momentum density."""
         return 0.5 / self.spread
+
+
+def checked_spread(spread: float) -> float:
+    """``spread`` if it lies in SPREAD_RANGE, else a DomainError."""
+    lo, hi = SPREAD_RANGE
+    if not lo <= spread <= hi:
+        raise DomainError(f"pointer spread must lie in [{lo:g}, {hi:g}], got {spread}")
+    return spread
 
 
 def momentum_profile(p, model: PointerModel) -> np.ndarray:
@@ -135,7 +150,11 @@ class MomentumQuadrature:
             raise DomainError(f"cutoff_sigmas below 4 discards real probability mass")
 
     def p_max(self, model: PointerModel) -> float:
-        return self.cutoff_sigmas * model.momentum_sigma
+        """Cutoff momentum; one whose radial measure p_max^3 overflows is refused."""
+        p_max = self.cutoff_sigmas * model.momentum_sigma
+        if not math.isfinite(p_max * p_max * p_max):
+            raise DomainError(f"cutoff momentum {p_max:g} is too large for a radial rule")
+        return p_max
 
     def effective_radial(self, r_max: float, model: PointerModel, n_spins: int = 0) -> int:
         """Automatic radial count for outcome radii up to r_max.
@@ -219,8 +238,8 @@ class OutcomeGrid:
 
 def build_outcome_grid(
     r_max: float,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
+    nodes_r: int = NODES_R,
+    nodes_theta: int = NODES_THETA,
     polar_split: float | None = None,
 ) -> OutcomeGrid:
     if not (math.isfinite(r_max) and r_max > 0.0):
@@ -666,8 +685,8 @@ def _radial_resolution_floor(r_max: float, spread: float, requested: int) -> int
 def adaptive_outcome_grid(
     n_spins: int,
     model: PointerModel,
-    nodes_r: int = 96,
-    nodes_theta: int = 64,
+    nodes_r: int = NODES_R,
+    nodes_theta: int = NODES_THETA,
     quad: MomentumQuadrature | None = None,
     tail_mass: float = 1e-4,
     polar_split: float | None = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -319,15 +319,6 @@ def report_json(results: list[CheckResult]) -> str:
     doc = {
         "schema": 1,
         "all_passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "threshold": r.threshold,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

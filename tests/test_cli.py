@@ -351,6 +351,7 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "0"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "nan"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "inf"]) == 2
+    assert cli.main(["sweep", "--n", "1", "--delta", "1e-310"]) == 2  # outside SPREAD_RANGE
     assert cli.main(["disturbance", "--n", "1", "--delta", "0.5",
                      "--p-cutoff-sigmas", "0"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "-5"]) == 2
@@ -363,6 +364,8 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     bad_values = [
         ("optimize", {"n": [2]}),
         ("optimize", {"n": 2, "tol": "abc"}),
+        ("reference", {"n": "2"}),
+        ("sweep", {"n": [1], "delta": [0.5], "nodes_r": "48"}),
         ("sweep", {"n": ["x"], "delta": [0.5]}),
         ("disturbance", {"n": 2, "delta": [True]}),
         ("disturbance", {"n": 2, "delta": [0.5], "mark_delta_opt": "no"}),
@@ -404,6 +407,24 @@ def test_unconverged_sweep_exits_three(capsys):
     _, columns, rows = parse_csv(out)
     assert rows == []  # header still written, no converged points
     assert "failed" in err
+
+
+def test_partial_tables_keep_converged_rows_and_list_failures(capsys):
+    # A point that fails its convergence check leaves no row; the other
+    # points keep theirs, and each failure is one stderr line.
+    cases = [
+        (["sweep", "--n", "2", "--delta", "0.05", "--delta", "5", "--nodes-p-radial", "6"], "5"),
+        (["disturbance", "--n", "2", "--delta", "0.05", "--delta", "2", "--nodes-p-radial", "6",
+          "--tol", "0.01"], "2"),
+    ]
+    for args, kept in cases:
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        _, _, rows = parse_csv(out)
+        assert [row[:2] for row in rows] == [["2", kept]]
+        failure, = err.splitlines()
+        assert failure.startswith(f"{args[0]} point failed: n=2 delta=0.05: ")
+        assert "refinement moved by" in failure
 
 
 def test_disturbance_csv_and_marker(capsys):

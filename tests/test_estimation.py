@@ -20,7 +20,6 @@ from spinpointer.estimation import (
     find_delta_opt,
     optimal_fidelity,
     strong_coupling_limit,
-    sweep_delta,
 )
 from spinpointer.pointer import MomentumQuadrature, PointerModel, adaptive_outcome_grid
 from spinpointer.quadrature import gauss_legendre
@@ -181,17 +180,6 @@ def test_optimizer_frozen_evaluations_and_bits():
     assert result.delta_opt.hex() == "0x1.2cb1a84c139c9p-1"
 
 
-def test_sweep_preserves_order_and_collects_failures():
-    good = sweep_delta(1, [0.4, 0.6, 0.9], nodes_r=48, nodes_theta=32)
-    assert [p.spread for p in good.points] == [0.4, 0.6, 0.9]
-    assert good.failures == ()
-    coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
-    bad = sweep_delta(1, [0.05], quad=coarse)
-    assert len(bad.points) == 0
-    assert len(bad.failures) == 1
-    assert bad.failures[0][0] == 0.05
-
-
 def test_unconverged_point_raises():
     coarse = MomentumQuadrature(radial_nodes=6, polar_nodes=6)
     with pytest.raises(ConvergenceError):
@@ -224,10 +212,6 @@ def test_over_cap_refinement_is_refused_after_the_scan_alone(monkeypatch):
 def test_domain_errors():
     with pytest.raises(DomainError):
         average_fidelity(0, PointerModel(1.0))
-    with pytest.raises(DomainError):
-        sweep_delta(1, [])
-    with pytest.raises(DomainError):
-        sweep_delta(1, [0.9, 0.4])
     with pytest.raises(DomainError):
         GuessRule.from_string("sideways")
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpointer import asymptotics, cli, disturbance, estimation, quadrature
+from spinpointer import asymptotics, cli, disturbance, estimation, pointer, quadrature
 from spinpointer.asymptotics import diag_radial_profile, fidelity_lower_bound
 from spinpointer.disturbance import bloch_z_post_closed, disturbance_exact, disturbance_lowest_order
 from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
@@ -168,7 +168,6 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
     model = PointerModel(0.5)
     entries = [
         lambda: average_fidelity(n_spins, model),
-        lambda: estimation.sweep_delta(n_spins, [0.5]),
         lambda: find_delta_opt(n_spins, (0.3, 0.6)),
         lambda: estimation.strong_coupling_limit(n_spins),
         lambda: pointer.adaptive_outcome_grid(n_spins, model),
@@ -214,17 +213,43 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: trapezoid_periodic(4, math.nan),
         lambda: diag_radial_profile([math.inf], 2, PointerModel(1.0)),
         lambda: diag_radial_profile([math.nan], 2, PointerModel(1.0)),
+        lambda: average_fidelity(1, PointerModel(1e-310)),
+        lambda: bloch_z_post_closed(1, 1e-200),
+        lambda: disturbance.disturbance_oracle_full(1, PointerModel(1e103)),
+        lambda: disturbance.bloch_post_numeric(1, PointerModel(1e155)),
+        lambda: disturbance_lowest_order(1, 1e155),
+        lambda: fidelity_lower_bound(2, PointerModel(0.5), MomentumQuadrature(cutoff_sigmas=1e308)),
     ],
     ids=[
         "refinement_report", "average_fidelity", "disturbance_exact", "fidelity_lower_bound",
         "find_delta_opt", "disturbance_lowest_order", "bloch_z_post_closed",
         "trapezoid_periodic", "diag_radial_profile_inf", "diag_radial_profile_nan",
+        "spread_1e-310", "bloch_z_post_closed_1e-200", "spread_1e103", "spread_1e155",
+        "disturbance_lowest_order_1e155", "cutoff_1e308",
     ],
 )
 def test_nan_and_infinite_settings_are_refused(call):
-    # nan passes every `x <= 0` guard, so each guard reads `not x > 0`.
+    # nan passes every `x <= 0` guard, so each guard reads `not x > 0`. A
+    # spread or cutoff whose momentum measure overflows is refused too: the
+    # routes used to return wrong numbers there or raise a bare OverflowError.
     with pytest.raises(DomainError):
         call()
+
+
+def test_routes_are_right_at_the_large_end_and_refuse_at_the_small_end_of_the_spread_range():
+    # At 1e100 the coupling is negligible: F -> 1/2, D -> 0 and S_z stays n/2.
+    # At 1e-100 the automatic momentum counts exceed the cap.
+    lo, hi = pointer.SPREAD_RANGE
+    weak = PointerModel(hi)
+    assert average_fidelity(1, weak).fidelity == pytest.approx(0.5, abs=1e-4)
+    assert disturbance_exact(1, weak).d_exact == pytest.approx(0.0, abs=1e-12)
+    assert disturbance.disturbance_oracle_full(1, weak) == pytest.approx(0.0, abs=1e-12)
+    assert disturbance.bloch_post_numeric(1, weak).sz_post_numeric == pytest.approx(0.5, abs=1e-12)
+    assert fidelity_lower_bound(1, weak).f_lower == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert bloch_z_post_closed(1, lo) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    for route in (disturbance_exact, disturbance.bloch_post_numeric, fidelity_lower_bound):
+        with pytest.raises(CapabilityError):
+            route(1, PointerModel(lo))
 
 
 def _quadrature_ran(*args, **kwargs):
