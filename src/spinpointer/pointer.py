@@ -15,13 +15,16 @@ the plane wave leaves, per angular order l <= n_spins, the polar moment
 M_lk(p) of the k-flips spin factor. Expanded over the momentum direction,
 exp(-i p.S) is one rank-l spherical tensor per l, so by the Wigner-Eckart
 theorem M_lk(p) = (-1)^k c_lk g_l(p): a Clebsch-Gordan coefficient
-c_lk = <j j; l -k | j j-k>, j = n/2, times a reduced moment g_l(p) that is a
-Gegenbauer polynomial in cos(p/2) (Varshalovich, Moskalev and Khersonskii,
-Quantum Theory of Angular Momentum, World Scientific, 1988). Both are
-closed forms, so no polar momentum quadrature is left, and the field is
-real at outcome azimuth 0. Only the radial momentum axis keeps the
-oscillation burden, and its node count scales with r_max * p_max as
-configured.
+c_lk = <j j; l -k | j j-k>, j = n/2, times a reduced moment g_l(p) that is
+sin^l(p/2) times a Gegenbauer polynomial in cos(p/2) (Varshalovich,
+Moskalev and Khersonskii, Quantum Theory of Angular Momentum, World
+Scientific, 1988). The couplings are closed forms; the moments of all
+orders follow, per momentum, from a three-term recurrence in l, upward from
+closed seeds at l = 0 and 1 to the momentum's turning order and by downward
+ratios from the exact top g_(n+1) = 0 above it, so they cost O(n) per
+momentum. No polar momentum quadrature is left, and the field is real at
+outcome azimuth 0. Only the radial momentum axis keeps the oscillation
+burden, and its node count scales with r_max * p_max as configured.
 
 The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
@@ -33,7 +36,9 @@ l = r p, gathered if they are at most half the table, else in place on all
 of it; the rest take the upward recurrence in place. Per block, the radial
 transform is one stacked real product per order l, and the angular
 synthesis one per Dicke component k, with one BLAS call per chunk. The
-angular coefficients, which depend only on n and the polar rule, are cached.
+angular coefficients, which depend only on n and the polar rule, are formed
+for the whole (l, k) triangle at once and cached with the recurrence's
+coefficients.
 """
 from __future__ import annotations
 
@@ -66,7 +71,9 @@ MAX_RADIAL_NODES = 20_000
 _BLOCK_CELLS = 2**18
 
 # Cells held by _angular's cache. sweep and optimize meet the same scan, base
-# and refined polar rules at every spread; n = 100 on 96 nodes needs 2^19.
+# and refined polar rules at every spread. One set holds (n+1)(n+2)/2 rows of
+# polar-rule length, so the refined 96-node rule fits up to n = 72; n = 100
+# on it needs 494k cells and is rebuilt per call.
 _ANGULAR_CELLS = 2**18
 _ANGULAR: dict[tuple[int, bytes], tuple[int, np.ndarray, tuple[np.ndarray, ...]]] = {}
 
@@ -292,20 +299,28 @@ def _log_factorials(top: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1.0) for i in range(top + 1)])
 
 
-def _couplings(n: int, k: int, log_fact: np.ndarray) -> np.ndarray:
-    """c_lk = <j j; l -k | j j-k>, j = n/2, for l = k..n.
+def _couplings(n: int, l, k, log_fact: np.ndarray) -> np.ndarray:
+    """c_lk = <j j; l -k | j j-k>, j = n/2, elementwise over 0 <= k <= l <= n.
 
     The Racah sum of this coefficient has a single term:
     c_lk^2 = (n+1)! (n-k)! (l+k)! / ((n+l+1)! (n-l)! k! (l-k)!).
     log_fact holds log(i!) up to 2n+1.
     """
-    l = np.arange(k, n + 1)
     f = log_fact
     return np.exp(0.5 * (f[n + 1] + f[n - k] + f[l + k] - f[n + l + 1] - f[n - l] - f[k] - f[l - k]))
 
 
-def _reduced_moments(n: int, p: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Rows l = 0..n of i^l g_l(p), the real reduced polar moments.
+def _recurrence_steps(n: int) -> np.ndarray:
+    """e_m = sqrt((n-m+1)(n+m+1) / ((2m-1)(2m+1))) for m = 1..n+1, at index
+    m, with e_0 = 0 unused; e_(n+1) = 0. In terms of the moments'
+    normalizations A_l (see _reduced_moments), e_m = 2m A_(m-1) / ((2m-1) A_m);
+    the closed form needs no factorials."""
+    m = np.arange(1.0, n + 2.0)
+    return np.concatenate(([0.0], np.sqrt((n - m + 1) * (n + m + 1) / ((2 * m - 1) * (2 * m + 1)))))
+
+
+def _reduced_moments(n: int, p: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Rows l = 0..n of h_l = i^l g_l(p), the real reduced polar moments.
 
     The order-0 moment has the closed form (Rodrigues' formula and the
     Laplace integral of the Gegenbauer polynomials)
@@ -313,33 +328,63 @@ def _reduced_moments(n: int, p: np.ndarray, log_scale: np.ndarray) -> np.ndarray
         M_l0(p) = sqrt((2l+1)/(4 pi)) 2^(l+1) n! l! / (n+l+1)!
                   (-i sin(p/2))^l C^(l+1)_(n-l)(cos(p/2)),
 
-    and g_l = M_l0 / c_l0. C^(l+1)_m / C^(l+1)_m(1) comes from the bounded
-    recurrence C_(m+1) = (2(m+l+1) x C_m - m C_(m-1)) / (m+2l+2), run for
-    every l at once; row l stops at m = n-l. C(1), 1/c_l0 and
-    l log|sin(p/2)| share one exponent, whose n-only part log_scale is
-    _angular's, and sign(sin(p/2))^l is applied apart from it, since p may
-    pass 2 pi.
-    """
-    half_sin, x = np.sin(0.5 * p), np.cos(0.5 * p)
-    lam = np.arange(1.0, n + 2.0)[:, None]  # lambda = l + 1
-    gegen = np.empty((n + 1, p.size))
-    gegen[n] = 1.0
-    prev, cur = np.zeros((n + 1, p.size)), np.ones((n + 1, p.size))
-    for m in range(n):
-        rows = n - m  # orders l < n - m still need C_(m+1)
-        prev[:rows] = (2.0 * (m + lam[:rows]) * x * cur[:rows] - m * prev[:rows]) / (m + 2.0 * lam[:rows])
-        prev, cur = cur, prev
-        gegen[rows - 1] = cur[rows - 1]
+    and g_l = M_l0 / c_l0, so h_l = A_l sin^l(chi) C^(l+1)_(n-l)(cos chi)
+    with chi = p/2. These rows satisfy the three-term recurrence
 
-    l = np.arange(n + 1)
-    expo = np.repeat(log_scale[:, None], p.size, axis=1)
-    # Near n = 1500 the exponent passes the float range where the Gegenbauer
-    # ratio is tiny; the result is then not finite, which callers refuse.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        expo[1:] += np.multiply.outer(l[1:], np.log(np.abs(half_sin)))
-        gegen *= np.exp(expo)
-    gegen[1::2, half_sin < 0] *= -1.0
-    return gegen
+        e_(l+1) h_(l+1) + e_l h_(l-1) = cot(chi) h_l,   l = 1..n,
+
+    with steps[m] = e_m (see _recurrence_steps), that is
+    h_(l+2) = alpha_l cot(chi) h_(l+1) - beta_l h_l with alpha_l = 1/e_(l+2)
+    and beta_l = e_(l+1)/e_(l+2), and its top is exact: e_(n+1) = 0,
+    h_(n+1) = 0. The seeds are closed forms, with A_0 = 1/((n+1) sqrt(pi))
+    and A_1 = 2 sqrt(3/(n(n+2))) A_0,
+
+        h_0 = sin((n+1) chi) / ((n+1) sqrt(pi) sin chi),
+        h_1 = -sqrt(3/(n(n+2))) ((n+1) cos((n+1) chi) sin chi
+              - sin((n+1) chi) cos chi) / ((n+1) sqrt(pi) sin^2 chi),
+
+    with (n+1) chi taken as an exact sum of two floats (Dekker's product),
+    so h_0 keeps its relative accuracy where sin chi is small. Each momentum
+    recurs upward to its turning order floor((n+1) |sin chi|), where the
+    recurrence turns from oscillating to decaying, and takes the downward
+    ratios h_l / h_(l-1) = e_l / (cot chi - e_(l+1) h_(l+1) / h_l), run from
+    the top, above it, chained onto the upward value: the same shape as
+    _miller's for j_l. h_1 is read only where the turning order is at least
+    1, so its closed form never cancels. Where sin chi = 0, h_0 takes its
+    limit cos^n(chi) / sqrt(pi) and the ratios, hence every h_l, l >= 1,
+    are 0. The ratios are bounded, so nothing overflows at any n.
+    """
+    chi = 0.5 * p
+    s, c = np.sin(chi), np.cos(chi)
+    # (n+1) chi = hi + lo exactly: Dekker's product, with chi split at
+    # 2^27 + 1 and n + 1 < 2^26 left whole.
+    hi = (n + 1) * chi
+    split = 134217729.0 * chi
+    chi_hi = split - (split - chi)
+    lo = (n + 1) * chi_hi - hi + (n + 1) * (chi - chi_hi)
+    sin_hi, cos_hi = np.sin(hi), np.cos(hi)
+    sin_n, cos_n = sin_hi + lo * cos_hi, cos_hi - lo * sin_hi
+
+    a0 = 1.0 / ((n + 1) * math.sqrt(math.pi))
+    turn = np.floor((n + 1) * np.abs(s))
+    top = int(np.max(turn, initial=0.0))
+    h = np.empty((n + 1, p.size))
+    with np.errstate(all="ignore"):
+        cot = c / s
+        h[0] = np.where(s == 0.0, c**n / math.sqrt(math.pi), a0 * sin_n / s)
+        ratio = np.zeros_like(chi)
+        for m in range(n, int(np.min(turn, initial=n)), -1):
+            ratio = np.divide(steps[m], cot - steps[m + 1] * ratio, out=h[m])
+        if top >= 1:
+            prev = h[0].copy()
+            cur = -a0 * math.sqrt(3.0 / (n * (n + 2))) * ((n + 1) * cos_n * s - sin_n * c) / (s * s)
+        for l in range(1, n + 1):
+            np.multiply(h[l], h[l - 1], out=h[l])
+            if l <= top:
+                if l > 1:
+                    prev, cur = cur, (cot * cur - steps[l - 1] * prev) / steps[l]
+                np.copyto(h[l], cur, where=l <= turn)
+    return h
 
 
 def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -374,9 +419,13 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """log_scale, the n-only part of _reduced_moments' exponent, and
+    """steps, the coefficients of _reduced_moments' recurrence, and
     theta_coefs[k], rows l = k..n of (-1)^k 2^(3/2) sqrt(pi) c_lk P~_lk(cos theta),
     for n and an outcome polar rule; all read-only.
+
+    The coefficients of the whole (l, k) triangle are one array, k-major, and
+    theta_coefs[k] is its block of rows for k: one gather from the packed
+    Legendre table and one product for every k at once.
 
     _ANGULAR keeps the most recently used sets, up to _ANGULAR_CELLS cells
     in all, counting 16 cells per array for its header so that many tiny
@@ -385,18 +434,18 @@ def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndar
     key = (n, polar_nodes.tobytes())
     entry = _ANGULAR.pop(key, None)
     if entry is None:
-        f, l = _log_factorials(2 * n + 1), np.arange(n + 1)
-        log_c0 = 0.5 * (f[n] + f[n + 1] - f[n - l] - f[n + l + 1])
-        arrays = [0.5 * np.log((2 * l + 1) / (4.0 * math.pi)) + (l + 1) * math.log(2.0)
-                  + f[n] + f[l] - f[n - l] - f[2 * l + 1] - log_c0]
-        legendre_t = _legendre_table(n, np.cos(polar_nodes))
-        for k in range(n + 1):
-            orders = np.arange(k, n + 1)
-            coef = (-_AMPLITUDE_PREFACTOR if k % 2 else _AMPLITUDE_PREFACTOR) * _couplings(n, k, f)
-            arrays.append(coef[:, None] * legendre_t[orders * (orders + 1) // 2 + k])
-        for a in arrays:
+        steps = _recurrence_steps(n)
+        block = np.arange(n + 1, 0, -1)  # rows of k's block: l = k..n
+        start = np.cumsum(block) - block
+        k = np.repeat(np.arange(n + 1), block)
+        l = np.arange(k.size) - start[k] + k
+        coefs = _legendre_table(n, np.cos(polar_nodes))[l * (l + 1) // 2 + k]
+        sign = np.where(k % 2 == 1, -_AMPLITUDE_PREFACTOR, _AMPLITUDE_PREFACTOR)
+        coefs *= (sign * _couplings(n, l, k, _log_factorials(2 * n + 1)))[:, None]
+        for a in (steps, coefs):
             a.setflags(write=False)
-        entry = (sum(a.size + 16 for a in arrays), arrays[0], tuple(arrays[1:]))
+        theta_coefs = tuple(np.split(coefs, start[1:]))
+        entry = (sum(a.size + 16 for a in (steps, *theta_coefs)), steps, theta_coefs)
     if entry[0] <= _ANGULAR_CELLS:
         _ANGULAR[key] = entry
         while sum(e[0] for e in _ANGULAR.values()) > _ANGULAR_CELLS:
@@ -577,11 +626,14 @@ def build_amplitude_field(
 
     (see _couplings and _reduced_moments; Varshalovich et al. 1988). The
     closed forms equal a polar Gauss-Legendre rule of n+1 or more nodes,
-    so counts.nodes_p_polar reports n+1. The radially weighted reduced
-    moments are (n+1) x N_p floats; a non-finite one raises NumericError.
+    so counts.nodes_p_polar reports n+1. The reduced moments of every order
+    come from one three-term recurrence in l per momentum node, O(n N_p) in
+    all, and stay finite at every n; the radially weighted moments are
+    (n+1) x N_p floats, and a non-finite one raises NumericError.
 
-    The outcome-angle coefficients (-1)^k c_lk P~_lk(cos theta) and the
-    n-only constants of the reduced moments come from _angular's cache.
+    The outcome-angle coefficients (-1)^k c_lk P~_lk(cos theta), formed for
+    all (l, k) at once, and the recurrence's n-only coefficients come from
+    _angular's cache.
     Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
     radii as keep its (n+1) x radii x momenta table within _BLOCK_CELLS,
     builds one table of j_l(r p), l = 0..n, by recurrence from j_0 and j_1
@@ -602,18 +654,20 @@ def build_amplitude_field(
 
     # Radially weighted reduced moments, row l for order l, and the
     # outcome-angle coefficients of each k, from the cache when held.
-    log_scale, theta_coefs = _angular(n, grid.polar.nodes)
+    steps, theta_coefs = _angular(n, grid.polar.nodes)
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
-    weighted = _reduced_moments(n, p_rule.nodes, log_scale) * radial_measure
+    weighted = _reduced_moments(n, p_rule.nodes, steps) * radial_measure
     if not np.all(np.isfinite(weighted)):
-        raise NumericError("reduced moments overflowed; parameters out of range")
+        raise NumericError("reduced moments are not finite; parameters out of range")
 
     values = np.empty((grid.radial.count, grid.polar.count, n + 1))
     for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count)):
         _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
 
     w_r, w_t = grid.volume_weights()
-    density = np.sum(values * values, axis=2)
+    density = values[..., 0] ** 2
+    for k in range(1, n + 1):
+        density += values[..., k] ** 2
     counts = QuadratureCounts(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
@@ -705,6 +759,10 @@ def adaptive_outcome_grid(
     if not (0.0 < tail_mass < 1.0):
         raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
+    # The scan field's momentum count, resolved (and an over-cap one refused)
+    # before its outcome rule, which may be as large, is built.
+    quad = quad or MomentumQuadrature()
+    quad.radial_count(quad.effective_radial(estimate, model, n_spins))
     scan_nodes = _radial_resolution_floor(estimate, model.spread, min(nodes_r, 48))
     scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))
     scan = build_amplitude_field(n_spins, model, scan_grid, quad)

@@ -156,7 +156,7 @@ def _check_diagonal_profile() -> CheckResult:
     # At polar angle 0 the field's component 0 is the diagonal element, so the
     # partial-wave field on an axis grid must reproduce W on its radii.
     worst = 0.0
-    for n in (1, 2, 5, 30, 200):
+    for n in (1, 2, 5, 30, 200, 1000):
         model = PointerModel(math.sqrt(n / 8.0))
         radial = gauss_legendre(40, 0.0, 0.5 * n + 6.0 * model.spread + 4.0)
         axis = OutcomeGrid(radial=radial, polar=Rule1D(np.zeros(1), np.ones(1), (0.0, math.pi)))
@@ -164,7 +164,8 @@ def _check_diagonal_profile() -> CheckResult:
         w = diag_radial_profile(radial.nodes, n, model)
         worst = max(worst, float(np.max(np.abs(field.values[:, 0, 0] - w))))
     return _check(
-        "diagonal_profile_two_routes", worst, 1e-12, "field on the axis vs W(r), n in {1, 2, 5, 30, 200}"
+        "diagonal_profile_two_routes", worst, 1e-12,
+        "field on the axis vs W(r), n in {1, 2, 5, 30, 200, 1000}",
     )
 
 

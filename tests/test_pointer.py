@@ -13,7 +13,7 @@ import pytest
 import scipy.special
 
 from spinpointer import pointer, spincore
-from spinpointer.errors import DomainError, NumericError
+from spinpointer.errors import CapabilityError, DomainError, NumericError
 from spinpointer.pointer import (
     MomentumQuadrature,
     PointerModel,
@@ -597,7 +597,7 @@ def test_closed_form_moments_match_polar_quadrature(n):
     largest = max(np.max(np.abs(m)) for m in reference.values())
     worst = 0.0
     for k in range(n + 1):
-        couplings = pointer._couplings(n, k, log_fact)
+        couplings = pointer._couplings(n, np.arange(k, n + 1), k, log_fact)
         for l in range(k, n + 1):
             closed = (-1) ** k * couplings[l - k] * (-1j) ** l * reduced[l]
             worst = max(worst, np.max(np.abs(closed - reference[l, k])))
@@ -609,7 +609,7 @@ def test_couplings_sum_rule_and_order_zero_closed_form(n):
     log_fact = pointer._log_factorials(2 * n + 1)
     table = np.zeros((n + 1, n + 1))  # table[l, k] = c_lk
     for k in range(n + 1):
-        table[k:, k] = pointer._couplings(n, k, log_fact)
+        table[k:, k] = pointer._couplings(n, np.arange(k, n + 1), k, log_fact)
     # Each c_lk is the exp of a sum of log-factorials up to log((2n+1)!), so
     # its relative error scales with that magnitude: about 4e-13 at n = 200.
     tol = max(1e-14, 4.0 * np.finfo(float).eps * log_fact[-1])
@@ -636,15 +636,131 @@ def test_reduced_moments_finite_at_n_1000(spread):
     # |g_l| is the reduced element of a unitary: at most 1/sqrt(pi) here.
     assert np.max(np.abs(reduced)) <= 1.0
     for k in (0, 1, n // 2, n):
-        assert np.all(np.isfinite(pointer._couplings(n, k, log_fact)))
+        assert np.all(np.isfinite(pointer._couplings(n, np.arange(k, n + 1), k, log_fact)))
 
 
-def test_field_refuses_overflowing_reduced_moments():
-    # At n = 1600 the folded exponent of the middle orders leaves the float
-    # range: the build raises instead of returning non-finite amplitudes.
+def _reduced_moments_by_degree(n, p):
+    """Rows l = 0..n of i^l g_l(p) by the Gegenbauer recurrence in the degree
+    m = 0..n-l for every order l, O(n^2) per momentum: the reference for the
+    recurrence in l. C^(l+1)_m / C^(l+1)_m(1) comes from
+    C_(m+1) = (2(m+l+1) x C_m - m C_(m-1)) / (m+2l+2), and C(1), 1/c_l0 and
+    l log|sin(p/2)| share one exponent, which leaves the float range near
+    n = 1500."""
+    half_sin, x = np.sin(0.5 * p), np.cos(0.5 * p)
+    lam = np.arange(1.0, n + 2.0)[:, None]  # lambda = l + 1
+    gegen = np.empty((n + 1, p.size))
+    gegen[n] = 1.0
+    prev, cur = np.zeros((n + 1, p.size)), np.ones((n + 1, p.size))
+    for m in range(n):
+        rows = n - m  # orders l < n - m still need C_(m+1)
+        prev[:rows] = (2.0 * (m + lam[:rows]) * x * cur[:rows] - m * prev[:rows]) / (m + 2.0 * lam[:rows])
+        prev, cur = cur, prev
+        gegen[rows - 1] = cur[rows - 1]
+    f, l = pointer._log_factorials(2 * n + 1), np.arange(n + 1)
+    log_c0 = 0.5 * (f[n] + f[n + 1] - f[n - l] - f[n + l + 1])
+    log_scale = (0.5 * np.log((2 * l + 1) / (4.0 * math.pi)) + (l + 1) * math.log(2.0)
+                 + f[n] + f[l] - f[n - l] - f[2 * l + 1] - log_c0)
+    expo = np.repeat(log_scale[:, None], p.size, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        expo[1:] += np.multiply.outer(l[1:], np.log(np.abs(half_sin)))
+        gegen *= np.exp(expo)
+    gegen[1::2, half_sin < 0] *= -1.0
+    return gegen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30, 60, 100, 200])
+def test_reduced_moments_match_the_degree_recurrence(n):
+    # Momenta from 2e-5, where (n+1) sin(p/2) < 1 and only the downward
+    # ratios serve l >= 1, through 2 pi, where sin(p/2) changes sign and
+    # sin((n+1) p/2) / sin(p/2) needs the exact product, to past 4 pi. The
+    # gap is the reference's own error: against 60-digit mpmath at n = 200
+    # the degree recurrence is off by up to 9e-13 of max|h| near 4 pi, the
+    # recurrence in l by 5e-16.
+    p = np.concatenate([
+        [0.0, 2e-5, 1e-3, 0.05],
+        np.linspace(0.0, 14.0, 141)[1:],
+        2.0 * math.pi + np.array([-1e-6, -1e-9, 1e-9, 1e-6]),
+        4.0 * math.pi + np.array([-1e-9, 1e-9, 0.1]),
+        [20.0, 40.0],
+    ])
+    rows = pointer._reduced_moments(n, p, pointer._recurrence_steps(n))
+    reference = _reduced_moments_by_degree(n, p)
+    assert rows.shape == reference.shape and rows.dtype == np.float64
+    assert np.max(np.abs(rows - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # p = 0 takes the closed limits: h_0 = 1/sqrt(pi), every other row 0.
+    assert rows[0, 0] == 1.0 / math.sqrt(math.pi) and not np.any(rows[1:, 0])
+
+
+@pytest.mark.parametrize("n", [1600, 5000])
+def test_reduced_moments_stay_finite_and_bounded_at_large_n(n):
+    # The degree recurrence's folded exponent overflows near n = 1500; the
+    # recurrence in l carries bounded ratios. Momenta up to the 8 sigma
+    # cutoff at spread 0.3, past 4 pi.
+    p = np.linspace(0.0, MomentumQuadrature().p_max(PointerModel(0.3)), 400)
+    rows = pointer._reduced_moments(n, p, pointer._recurrence_steps(n))
+    assert np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows)) <= 1.0
+
+
+def test_field_builds_at_n_1600():
     grid = build_outcome_grid(1.0, nodes_r=1, nodes_theta=1)
-    with pytest.raises(NumericError):
-        build_amplitude_field(1600, PointerModel(0.3), grid, MomentumQuadrature(radial_nodes=32))
+    fld = build_amplitude_field(1600, PointerModel(0.3), grid, MomentumQuadrature(radial_nodes=32))
+    assert np.all(np.isfinite(fld.values))
+
+
+def test_field_refuses_non_finite_reduced_moments(monkeypatch):
+    def poisoned(n, p, steps):
+        rows = np.zeros((n + 1, p.size))
+        rows[n, -1] = np.inf
+        return rows
+
+    monkeypatch.setattr(pointer, "_reduced_moments", poisoned)
+    grid = build_outcome_grid(1.0, nodes_r=4, nodes_theta=4)
+    with pytest.raises(NumericError, match="reduced moments are not finite"):
+        build_amplitude_field(2, PointerModel(0.5), grid)
+
+
+def _angular_per_k(n, polar_nodes):
+    """theta_coefs by one product per k, the reference for _angular's single
+    pass over the (l, k) triangle."""
+    f = pointer._log_factorials(2 * n + 1)
+    legendre_t = pointer._legendre_table(n, np.cos(polar_nodes))
+    coefs = []
+    for k in range(n + 1):
+        orders = np.arange(k, n + 1)
+        sign = -pointer._AMPLITUDE_PREFACTOR if k % 2 else pointer._AMPLITUDE_PREFACTOR
+        coef = sign * pointer._couplings(n, orders, k, f)
+        coefs.append(coef[:, None] * legendre_t[orders * (orders + 1) // 2 + k])
+    return coefs
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
+def test_angular_coefficients_are_the_per_k_products_bit_for_bit(n):
+    pointer._ANGULAR.clear()
+    split = build_outcome_grid(3.0, nodes_theta=32, polar_split=0.5 * math.pi).polar.nodes
+    for nodes in (gauss_legendre(96, 0.0, math.pi).nodes, split, np.array([0.0])):
+        steps, theta_coefs = pointer._angular(n, nodes)
+        assert np.array_equal(steps, pointer._recurrence_steps(n))
+        reference = _angular_per_k(n, nodes)
+        assert len(theta_coefs) == n + 1
+        for k, (coef, ref) in enumerate(zip(theta_coefs, reference)):
+            assert coef.shape == (n + 1 - k, nodes.size)
+            assert np.array_equal(coef, ref)
+
+
+def test_adaptive_grid_refuses_before_building_any_rule(monkeypatch):
+    # At spread 1e-5 the scan field needs 600 036 momentum nodes. The scan's
+    # outcome rule would have 20 000 nodes, so it must not be built first.
+    calls = []
+
+    def recording(count, a=-1.0, b=1.0):
+        calls.append(count)
+        return gauss_legendre(count, a, b)
+
+    monkeypatch.setattr(pointer, "gauss_legendre", recording)
+    with pytest.raises(CapabilityError, match="radial momentum nodes"):
+        adaptive_outcome_grid(1, PointerModel(1e-5))
+    assert calls == []
 
 
 def test_field_values_are_real():
