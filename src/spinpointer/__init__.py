@@ -8,7 +8,6 @@ from .asymptotics import (
     diag_radial_profile,
     epsilon_curve,
     fidelity_lower_bound,
-    kraus_diagonal_element,
     optimal_scaling,
 )
 from .disturbance import (

@@ -40,10 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .pointer import MomentumQuadrature, PointerModel, momentum_profile
+# _BLOCK_CELLS bounds the mesh cells per block of p_z rows, as it bounds the field's Bessel tables.
+from .pointer import _BLOCK_CELLS, MomentumQuadrature, PointerModel, momentum_profile
 from .quadrature import checked_count, gauss_legendre, golden_section_max, refinement_report
-
-_BLOCK_CELLS = 1 << 18  # mesh cells per block of p_z rows, so memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -128,20 +127,6 @@ def diag_radial_profile(
     count = quad.radial_count(quad.effective_radial(float(np.max(r, initial=1.0)), model, n))
     z_rule, marginal, _ = _marginals(n, model, quad.p_max(model), count)
     return _fourier(r, n, z_rule, marginal)
-
-
-def kraus_diagonal_element(
-    radius: float,
-    polar: float,
-    n_spins: int,
-    model: PointerModel,
-    quad: MomentumQuadrature | None = None,
-) -> complex:
-    """E_r = cos^n(polar/2) * W(radius), same normalization as the field."""
-    if not (0.0 <= polar <= math.pi):
-        raise DomainError(f"polar angle {polar} outside [0, pi]")
-    w = diag_radial_profile(np.array([radius]), n_spins, model, quad)[0]
-    return complex(math.cos(0.5 * polar) ** n_spins * w)
 
 
 def fidelity_lower_bound(

@@ -213,6 +213,10 @@ def bloch_post_numeric(
     operator <S_a> = sum_k S_kk d_k + 2 Re sum_k S_k,k+1 u_k. This assumes
     collective_operators returns tridiagonal matrices, as S_z is diagonal
     and S_+- shift the Dicke index by one.
+
+    Unlike the other reported integrals, this one is evaluated once: it has
+    no refinement pass and no error estimate, so an under-resolved momentum
+    rule gives a wrong value quietly (ROADMAP item 2).
     """
     n = checked_count(n_spins, "n_spins")
     p, radial, units, weights = _momentum_mesh(n, model, quad or MomentumQuadrature())

@@ -80,6 +80,9 @@ _ANGULAR: dict[tuple[int, bytes], tuple[int, np.ndarray, tuple[np.ndarray, ...]]
 # Outcome-grid node counts, radius by polar angle, when a caller gives none.
 NODES_R, NODES_THETA = 96, 64
 
+# Outcome probability the adaptive grid's radial cut may discard.
+_TAIL_MASS = 1e-4
+
 # Pointer spreads every route integrates correctly: the momentum measures
 # carry spread^3 (the profile squared) and 1/spread^3 (p^2 dp up to the
 # cutoff), and one of them overflows beyond about 1e102 either way.
@@ -213,14 +216,11 @@ class QuadratureCounts:
 class OutcomeGrid:
     """Product grid over outcome radius and polar angle (azimuth is symmetric).
 
-    The radial rule covers (0, r_max] and the polar rule [0, pi]; the polar
-    rule may be split at a given angle so hemisphere masses are exact
-    partial sums.
+    The radial rule covers (0, r_max] and the polar rule [0, pi].
     """
 
     radial: Rule1D
     polar: Rule1D
-    polar_split_index: int | None = None
 
     @property
     def r_max(self) -> float:
@@ -228,7 +228,7 @@ class OutcomeGrid:
 
     def refined(self) -> "OutcomeGrid":
         """The same region with both node counts scaled by the refinement
-        factor; the refined polar rule is not split."""
+        factor, on Gauss-Legendre rules over the same domains."""
         return build_outcome_grid(
             self.r_max,
             nodes_r=scaled_count(self.radial.count),
@@ -247,26 +247,11 @@ def build_outcome_grid(
     r_max: float,
     nodes_r: int = NODES_R,
     nodes_theta: int = NODES_THETA,
-    polar_split: float | None = None,
 ) -> OutcomeGrid:
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise DomainError(f"need finite r_max > 0, got {r_max}")
     radial = gauss_legendre(nodes_r, 0.0, r_max)
-    if polar_split is None:
-        polar = gauss_legendre(nodes_theta, 0.0, math.pi)
-        split_index = None
-    else:
-        if not (0.0 < polar_split < math.pi):
-            raise DomainError("polar split must lie inside the polar domain")
-        lower = gauss_legendre(nodes_theta // 2, 0.0, polar_split)
-        upper = gauss_legendre(nodes_theta - nodes_theta // 2, polar_split, math.pi)
-        polar = Rule1D(
-            nodes=np.concatenate([lower.nodes, upper.nodes]),
-            weights=np.concatenate([lower.weights, upper.weights]),
-            domain=(0.0, math.pi),
-        )
-        split_index = lower.count
-    return OutcomeGrid(radial=radial, polar=polar, polar_split_index=split_index)
+    return OutcomeGrid(radial=radial, polar=gauss_legendre(nodes_theta, 0.0, math.pi))
 
 
 @dataclass(frozen=True)
@@ -706,15 +691,21 @@ def position_amplitudes(
     return DickeVector(n_spins=n_spins, amplitudes=amps)
 
 
-def hemisphere_masses(field: AmplitudeField) -> tuple[float, float]:
-    """Probability in the polar caps on either side of the grid's polar split."""
-    split = field.grid.polar_split_index
-    if split is None:
-        raise DomainError("grid was built without a polar split")
-    w_r, w_t = field.grid.volume_weights()
-    density = field.density()
-    radial_profile = w_r @ density  # (n_theta,)
-    return float(radial_profile[:split] @ w_t[:split]), float(radial_profile[split:] @ w_t[split:])
+def hemisphere_masses(n_spins: int, model: PointerModel) -> tuple[float, float]:
+    """Outcome probability in the upper (theta < pi/2) and lower polar caps.
+
+    The field is built on the adaptive grid's radii with a Gauss-Legendre
+    rule of half the default polar count on each cap, so the two masses are
+    partial sums of one grid integral and add up to the adaptive grid's
+    total_probability to rounding.
+    """
+    half = NODES_THETA // 2
+    upper, lower = (gauss_legendre(half, a, a + 0.5 * math.pi) for a in (0.0, 0.5 * math.pi))
+    polar = Rule1D(np.r_[upper.nodes, lower.nodes], np.r_[upper.weights, lower.weights], (0.0, math.pi))
+    grid = OutcomeGrid(radial=adaptive_outcome_grid(n_spins, model).radial, polar=polar)
+    w_r, w_t = grid.volume_weights()
+    radial_profile = w_r @ build_amplitude_field(n_spins, model, grid).density()  # (n_theta,)
+    return float(radial_profile[:half] @ w_t[:half]), float(radial_profile[half:] @ w_t[half:])
 
 
 def radial_cumulative(field: AmplitudeField) -> np.ndarray:
@@ -742,22 +733,19 @@ def adaptive_outcome_grid(
     nodes_r: int = NODES_R,
     nodes_theta: int = NODES_THETA,
     quad: MomentumQuadrature | None = None,
-    tail_mass: float = 1e-4,
-    polar_split: float | None = None,
 ) -> OutcomeGrid:
     """Outcome grid with the radial cutoff tightened adaptively.
 
     Starts from the drift bound r_max = n/2 + 6*spread, scans the radial
     cumulative probability on a coarse field, and cuts at the first node
-    exceeding 1 - tail_mass (plus one node of padding), so the discarded
-    tail stays strictly below tail_mass. Radial counts are floored so that
-    shell-like densities at small spread stay resolved.
+    exceeding 1 - _TAIL_MASS (plus one node of padding), so the discarded
+    tail stays strictly below _TAIL_MASS = 1e-4. Radial counts are floored
+    so that shell-like densities at small spread stay resolved. The polar
+    rule is one Gauss-Legendre rule over [0, pi].
     """
     checked_count(n_spins, "n_spins")
     if nodes_r < 1 or nodes_theta < 1:
         raise DomainError(f"need at least one outcome node per axis, got {nodes_r} x {nodes_theta}")
-    if not (0.0 < tail_mass < 1.0):
-        raise DomainError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
     # The scan field's momentum count, resolved (and an over-cap one refused)
     # before its outcome rule, which may be as large, is built.
@@ -767,7 +755,7 @@ def adaptive_outcome_grid(
     scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))
     scan = build_amplitude_field(n_spins, model, scan_grid, quad)
     cumulative = radial_cumulative(scan)
-    above = np.nonzero(cumulative > 1.0 - tail_mass)[0]
+    above = np.nonzero(cumulative > 1.0 - _TAIL_MASS)[0]
     if above.size == 0:
         r_cut = estimate
     else:
@@ -777,7 +765,6 @@ def adaptive_outcome_grid(
         r_cut,
         nodes_r=_radial_resolution_floor(r_cut, model.spread, nodes_r),
         nodes_theta=nodes_theta,
-        polar_split=polar_split,
     )
 
 

@@ -45,12 +45,11 @@ class Rule1D:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Base and refined values of one integral plus the acceptance verdict."""
+    """Refined value of one integral, its change from the base value, and the
+    acceptance verdict."""
 
-    value: float
     refined_value: float
     abs_diff: float
-    tolerance: float
     accepted: bool
 
 
@@ -121,10 +120,8 @@ def refinement_report(
             f"at n={n_spins}, spread={spread}"
         )
     return ConvergenceReport(
-        value=float(value),
         refined_value=float(refined_value),
         abs_diff=float(diff),
-        tolerance=float(tolerance),
         accepted=bool(diff <= tolerance),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asymptotics import diag_radial_profile, fidelity_lower_bound, kraus_diagonal_element
+from .asymptotics import diag_radial_profile, fidelity_lower_bound
 from .disturbance import (
     bloch_post_numeric,
     disturbance_exact,
@@ -147,8 +147,10 @@ def _check_dominance() -> CheckResult:
     for _ in range(20):
         a = int(rng.integers(grid.radial.count))
         b = int(rng.integers(grid.polar.count))
-        diag = kraus_diagonal_element(float(grid.radial.nodes[a]), float(grid.polar.nodes[b]), n, model)
-        worst = max(worst, abs(diag) ** 2 - dens[a, b])
+        # The diagonal Kraus element E_r = cos^n(theta/2) W(r), in the field's normalization.
+        w = diag_radial_profile(grid.radial.nodes[a], n, model)[0]
+        diag = float(math.cos(0.5 * grid.polar.nodes[b]) ** n * w)
+        worst = max(worst, diag**2 - dens[a, b])
     return _check("diagonal_element_dominance", worst, 1e-6, "|E_r|^2 <= p(r) at 20 random nodes")
 
 
@@ -196,17 +198,12 @@ def _check_bloch_paths() -> CheckResult:
 def _check_hemisphere_orientation() -> CheckResult:
     # Orientation pin: for input all-up at strong coupling the outcome mass
     # must sit in the upper polar cap, approaching 3/4 for one spin.
-    model = PointerModel(0.02)
-    grid = adaptive_outcome_grid(1, model, polar_split=0.5 * math.pi)
-    fld = build_amplitude_field(1, model, grid)
-    upper, lower = hemisphere_masses(fld)
+    upper, lower = hemisphere_masses(1, PointerModel(0.02))
     worst = abs(upper - 0.75)
     if upper <= lower:
         worst = max(worst, 1.0)
     for spread in (0.3, 0.8):
-        g = adaptive_outcome_grid(2, PointerModel(spread), polar_split=0.5 * math.pi)
-        f2 = build_amplitude_field(2, PointerModel(spread), g)
-        up2, low2 = hemisphere_masses(f2)
+        up2, low2 = hemisphere_masses(2, PointerModel(spread))
         if up2 < low2:
             worst = max(worst, low2 - up2)
     return _check("hemisphere_orientation", worst, 0.01, "upper-cap mass, analytic 3/4 anchor")

@@ -10,7 +10,6 @@ from spinpointer.asymptotics import (
     diag_radial_profile,
     epsilon_curve,
     fidelity_lower_bound,
-    kraus_diagonal_element,
     optimal_scaling,
 )
 from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
@@ -42,12 +41,17 @@ def test_optimal_scaling_values():
         assert optimal_scaling(n) == pytest.approx(1.0 / (1.0 + 2.0 / n), abs=1e-15)
 
 
+def _diagonal_element(radius, polar, n_spins, model):
+    """E_r = cos^n(polar/2) W(radius), in the field's normalization."""
+    return math.cos(0.5 * polar) ** n_spins * diag_radial_profile(radius, n_spins, model)[0]
+
+
 def test_diagonal_element_is_coherent_projection():
     # Dual route: the factorized element must equal the projection of the
     # full amplitude field onto the coherent state along the outcome ray.
     model = PointerModel(0.5)
     for radius, polar in ((0.4, 0.3), (1.1, 1.2), (2.0, 2.8)):
-        element = kraus_diagonal_element(radius, polar, 2, model)
+        element = _diagonal_element(radius, polar, 2, model)
         vec = position_amplitudes(radius, polar, 2, model)
         coherent = coherent_dicke(direction_from_angles(polar, 0.0), 2)
         projection = complex(np.vdot(coherent.amplitudes, vec.amplitudes))
@@ -64,9 +68,7 @@ def test_diagonal_element_bounded_by_density():
     for _ in range(20):
         a = int(rng.integers(grid.radial.count))
         b = int(rng.integers(grid.polar.count))
-        element = kraus_diagonal_element(
-            float(grid.radial.nodes[a]), float(grid.polar.nodes[b]), 2, model
-        )
+        element = _diagonal_element(grid.radial.nodes[a], grid.polar.nodes[b], 2, model)
         assert abs(element) ** 2 <= density[a, b] + 1e-6
 
 
@@ -191,7 +193,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         epsilon_curve([2], spread_rule="sideways")
     with pytest.raises(DomainError):
-        kraus_diagonal_element(0.5, 4.0, 1, PointerModel(1.0))
+        position_amplitudes(0.5, 4.0, 1, PointerModel(1.0))
 
 
 def test_unconverged_point_raises():

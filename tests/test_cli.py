@@ -282,6 +282,33 @@ def test_cli_surface_and_defaults_stay_put():
     assert default("asympt", "--tol") == library(asymptotics.epsilon_curve, "tolerance")
     assert default("asympt", "--spread-rule") == library(asymptotics.epsilon_curve, "spread_rule")
 
+
+def test_public_surface_stays_put():
+    # The library's twin of the CLI test above: a removed name stays gone,
+    # and a new export or grid option is a deliberate edit here.
+    assert sorted(spinpointer.__all__) == [
+        "AmplitudeField", "BlochReport", "CapabilityError", "CollectiveOperators", "ConvergenceError",
+        "ConvergenceReport", "DickeVector", "Direction", "DisturbancePoint", "DomainError", "FidelityPoint",
+        "GuessRule", "LowerBoundPoint", "MomentumQuadrature", "NumericError", "OptimizeResult", "OutcomeGrid",
+        "PointerModel", "QuadratureCounts", "Rule1D", "adaptive_outcome_grid", "asymptotics",
+        "average_fidelity", "bloch_post_numeric", "bloch_z_post_closed", "build_amplitude_field",
+        "build_outcome_grid", "coherent_dicke", "collective_operators", "delta_opt_formula",
+        "diag_radial_profile", "dicke_expand", "direction_from_angles", "disturbance", "disturbance_exact",
+        "disturbance_lowest_order", "disturbance_oracle_full", "disturbance_series_copt", "epsilon_curve",
+        "errors", "estimation", "fidelity_lower_bound", "find_delta_opt", "full_tensor_rotation_oracle",
+        "gauss_legendre", "hemisphere_masses", "min_disturbance", "momentum_profile", "optimal_fidelity",
+        "optimal_scaling", "pointer", "position_amplitudes", "quadrature", "rotated_up_amplitudes", "score",
+        "spincore", "strong_coupling_limit", "su2_rotation",
+    ]
+
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(spinpointer.build_outcome_grid) == ["r_max", "nodes_r", "nodes_theta"]
+    assert parameters(spinpointer.adaptive_outcome_grid) == ["n_spins", "model", "nodes_r", "nodes_theta", "quad"]
+    assert parameters(spinpointer.hemisphere_masses) == ["n_spins", "model"]
+
+
 @pytest.mark.parametrize(
     "key, value", [("out", "elsewhere.csv"), ("format", "csv"), ("workers", 1),
                    ("config", "other.json")],

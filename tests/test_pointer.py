@@ -16,6 +16,7 @@ from spinpointer import pointer, spincore
 from spinpointer.errors import CapabilityError, DomainError, NumericError
 from spinpointer.pointer import (
     MomentumQuadrature,
+    OutcomeGrid,
     PointerModel,
     adaptive_outcome_grid,
     build_amplitude_field,
@@ -26,8 +27,16 @@ from spinpointer.pointer import (
     position_amplitudes,
     radial_cumulative,
 )
-from spinpointer.quadrature import gauss_legendre
+from spinpointer.quadrature import Rule1D, gauss_legendre
 from spinpointer.spincore import direction_from_angles
+
+
+def _two_caps(count, split):
+    """A polar rule of two Gauss-Legendre caps, of count // 2 nodes below the
+    split angle and the rest above it."""
+    lower, upper = gauss_legendre(count // 2, 0.0, split), gauss_legendre(count - count // 2, split, math.pi)
+    return Rule1D(np.concatenate([lower.nodes, upper.nodes]), np.concatenate([lower.weights, upper.weights]),
+                  (0.0, math.pi))
 
 
 def test_momentum_profile_peak_value():
@@ -93,16 +102,6 @@ def test_outcome_grid_ball_volume():
     assert volume == pytest.approx(4.0 / 3.0 * math.pi * 1.7**3, abs=1e-10)
 
 
-def test_outcome_grid_polar_split():
-    grid = build_outcome_grid(1.0, nodes_r=16, nodes_theta=20, polar_split=math.pi / 2)
-    idx = grid.polar_split_index
-    assert idx is not None
-    assert np.all(grid.polar.nodes[:idx] < math.pi / 2)
-    assert np.all(grid.polar.nodes[idx:] > math.pi / 2)
-    _, w_t = grid.volume_weights()
-    assert float(np.sum(w_t)) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_outcome_grid_domain_errors():
     with pytest.raises(DomainError):
         build_outcome_grid(0.0)
@@ -111,13 +110,6 @@ def test_outcome_grid_domain_errors():
     for azimuth in (math.nan, math.inf):  # used to return nan amplitudes
         with pytest.raises(DomainError):
             position_amplitudes(0.3, 0.7, 1, PointerModel(1.0), azimuth=azimuth)
-
-
-@pytest.mark.parametrize("tail_mass", [math.nan, -1.0, 0.0, 1.0, 2.0])
-def test_adaptive_grid_refuses_tail_mass_outside_unit_interval(tail_mass):
-    # nan and -1 used to return the untrimmed grid, 2 a cut at the first scan node.
-    with pytest.raises(DomainError):
-        adaptive_outcome_grid(2, PointerModel(0.5), tail_mass=tail_mass)
 
 
 @pytest.mark.parametrize("n_spins,spread", [(1, 0.05), (1, 1.0), (3, 0.3), (6, 1.0)])
@@ -188,30 +180,25 @@ def test_rotational_covariance():
 
 def test_hemisphere_masses_favor_input_direction():
     for spread in (0.3, 0.8):
-        model = PointerModel(spread)
-        grid = adaptive_outcome_grid(2, model, polar_split=math.pi / 2)
-        field = build_amplitude_field(2, model, grid)
-        upper, lower = hemisphere_masses(field)
+        upper, lower = hemisphere_masses(2, PointerModel(spread))
         assert upper > lower
-        assert upper + lower == pytest.approx(field.total_probability, abs=1e-12)
 
 
 def test_hemisphere_strong_coupling_single_spin():
     # With one spin and a sharp pointer the outcome lands on the +/- axis/2
     # shells with Born weights, putting 3/4 of the mass in the upper cap.
-    model = PointerModel(0.02)
-    grid = adaptive_outcome_grid(1, model, polar_split=math.pi / 2)
-    field = build_amplitude_field(1, model, grid)
-    upper, _ = hemisphere_masses(field)
+    upper, _ = hemisphere_masses(1, PointerModel(0.02))
     assert upper == pytest.approx(0.75, abs=0.01)
 
 
-def test_hemisphere_requires_split_grid():
-    model = PointerModel(0.5)
-    grid = adaptive_outcome_grid(1, model)
-    field = build_amplitude_field(1, model, grid)
-    with pytest.raises(DomainError):
-        hemisphere_masses(field)
+def test_hemisphere_caps_add_up_to_the_adaptive_grid_total():
+    # The caps' own polar rule is one integral split in two, over the
+    # adaptive grid's radii: its sum is that grid's total probability.
+    for n_spins, spread in [(1, 0.02), (2, 0.3), (2, 0.8), (4, 1.0), (6, 0.3)]:
+        model = PointerModel(spread)
+        upper, lower = hemisphere_masses(n_spins, model)
+        total = build_amplitude_field(n_spins, model, adaptive_outcome_grid(n_spins, model)).total_probability
+        assert abs(upper + lower - total) <= 1e-12
 
 
 def test_radial_cumulative_monotone():
@@ -298,13 +285,12 @@ def test_angular_cache_holds_read_only_arrays():
 
 
 def test_angular_cache_keys_on_the_polar_nodes():
-    # A split polar rule has the count of the unsplit one, and the single
+    # A two-cap polar rule has the count of the one-piece one, and the single
     # point's one-node rule is a rule of its own: each gets its own entry.
     pointer._ANGULAR.clear()
     model = PointerModel(0.6)
     plain = adaptive_outcome_grid(2, model)
-    split = adaptive_outcome_grid(2, model, polar_split=0.5 * math.pi)
-    assert split.polar.count == plain.polar.count
+    split = OutcomeGrid(radial=plain.radial, polar=_two_caps(plain.polar.count, 0.5 * math.pi))
     build_amplitude_field(2, model, plain)
     build_amplitude_field(2, model, split)
     position_amplitudes(0.5, 0.3, 2, model)
@@ -496,9 +482,9 @@ def _legendre_per_order(l_max, m, x):
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 30, 100, 400])
 def test_legendre_table_is_per_order_recurrence_bit_for_bit(l_max):
     # The packed table runs every order of one degree at once and changes no
-    # bit: on the field's polar Gauss nodes, on the cosines of a split polar
-    # grid, and at x = +-1, where the seed's log is -inf.
-    split = build_outcome_grid(1.0, nodes_theta=64, polar_split=1.0).polar.nodes
+    # bit: on the field's polar Gauss nodes, on the cosines of a two-cap polar
+    # rule, and at x = +-1, where the seed's log is -inf.
+    split = _two_caps(64, 1.0).nodes
     for x in (gauss_legendre(l_max + 3, -1.0, 1.0).nodes, np.cos(split), np.array([-1.0, 1.0, 0.0])):
         table = pointer._legendre_table(l_max, x)
         assert table.shape == ((l_max + 1) * (l_max + 2) // 2, x.size)
@@ -737,7 +723,7 @@ def _angular_per_k(n, polar_nodes):
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
 def test_angular_coefficients_are_the_per_k_products_bit_for_bit(n):
     pointer._ANGULAR.clear()
-    split = build_outcome_grid(3.0, nodes_theta=32, polar_split=0.5 * math.pi).polar.nodes
+    split = _two_caps(32, 0.5 * math.pi).nodes
     for nodes in (gauss_legendre(96, 0.0, math.pi).nodes, split, np.array([0.0])):
         steps, theta_coefs = pointer._angular(n, nodes)
         assert np.array_equal(steps, pointer._recurrence_steps(n))

@@ -192,7 +192,6 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: asymptotics.delta_opt_formula(n_spins),
         lambda: asymptotics.optimal_scaling(n_spins),
         lambda: asymptotics.diag_radial_profile(np.array([1.0]), n_spins, model),
-        lambda: asymptotics.kraus_diagonal_element(1.0, 0.3, n_spins, model),
         lambda: asymptotics.epsilon_curve([4, n_spins]),
     ]
     for entry in entries:
