@@ -80,13 +80,12 @@ _RANGE_KEYS = ("delta_min", "delta_max", "delta_steps")
 
 # The amplitude field and the lower bound integrate the momentum angles in
 # closed form and read the radial count alone; only disturbance and bloch
-# take a polar rule.
-_RADIAL, _POLAR, _CUTOFF = (_flag("--nodes-p-radial", int), _flag("--nodes-p-polar", int),
-                            _flag("--p-cutoff-sigmas", float))
+# take a polar rule. Every route cuts the momentum at 8 momentum sigmas.
+_RADIAL, _POLAR = _flag("--nodes-p-radial", int), _flag("--nodes-p-polar", int)
 _FIDELITY = (
     _flag("--guess-rule", _guess_rule, GuessRule.PLUS_R.value,
           choices=[r.value.replace("_", "-") for r in GuessRule] + [r.value for r in GuessRule]),
-    _flag("--nodes-r", int, NODES_R), _flag("--nodes-theta", int, NODES_THETA), _RADIAL, _CUTOFF,
+    _flag("--nodes-r", int, NODES_R), _flag("--nodes-theta", int, NODES_THETA), _RADIAL,
     _flag("--tol", float, 1e-3),
 )
 
@@ -98,14 +97,14 @@ _COMMANDS = {
         _flag("--n", int), _flag("--delta-min", float, help="bracket low edge"),
         _flag("--delta-max", float, help="bracket high edge"), *_FIDELITY)),
     "disturbance": ("measurement disturbance over spreads", "csv", (
-        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR, _CUTOFF, _flag("--tol", float, 1e-7),
+        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR, _flag("--tol", float, 1e-7),
         _flag("--mark-delta-opt", bool, False, help="insert a row at the sqrt(n/8) spread for each n"))),
     "bloch": ("post-measurement collective spin", "csv", (
-        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR, _CUTOFF)),
+        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR)),
     "asympt": ("fidelity lower bound along n", "csv", (
         _flag("--n-min", int), _flag("--n-max", int), _flag("--n-step", int, 1),
         _flag("--spread-rule", str, "formula", choices=["formula", "optimize"]),
-        _RADIAL, _CUTOFF, _flag("--tol", float, 1e-4))),
+        _RADIAL, _flag("--tol", float, 1e-4))),
     "reference": ("closed-form constants for given n", "json", (_flag("--n", [int]),)),
     "validate": ("run the invariant suite", "json", ()),
 }
@@ -264,8 +263,7 @@ def _convert(key: str, value, kind):
     raise ConfigError(f"{key} must be {_KIND_NAMES.get(kind, 'a string')}, got {value!r}")
 
 
-_QUAD_ARGS = {"nodes_p_radial": "radial_nodes", "nodes_p_polar": "polar_nodes",
-              "p_cutoff_sigmas": "cutoff_sigmas"}
+_QUAD_ARGS = {"nodes_p_radial": "radial_nodes", "nodes_p_polar": "polar_nodes"}
 
 
 def _momentum_quad(cfg: dict) -> MomentumQuadrature:
@@ -342,10 +340,7 @@ def _cmd_optimize(cfg: dict, fmt: str) -> tuple[str, int]:
     # The bracket's default depends on n, so it is filled in here.
     for key, edge in zip(("delta_min", "delta_max"), default_spread_bracket(cfg["n"])):
         cfg[key] = edge if cfg[key] is None else cfg[key]
-    lo, hi = cfg["delta_min"], cfg["delta_max"]
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"need 0 < delta-min < delta-max, got ({lo}, {hi})")
-    result = find_delta_opt(cfg["n"], (lo, hi), **_fidelity_settings(cfg))
+    result = find_delta_opt(cfg["n"], (cfg["delta_min"], cfg["delta_max"]), **_fidelity_settings(cfg))
     columns = ["n_spins", "delta_opt", "f_max", "f_opt", "gap", "boundary_flag"]
     row = [getattr(result, column) for column in columns]
     return _render(columns, [row], cfg, fmt, key="result", single=True), 0

@@ -85,7 +85,8 @@ _TAIL_MASS = 1e-4
 
 # Pointer spreads every route integrates correctly: the momentum measures
 # carry spread^3 (the profile squared) and 1/spread^3 (p^2 dp up to the
-# cutoff), and one of them overflows beyond about 1e102 either way.
+# cutoff), and one of them overflows beyond about 1e102 either way; p_max^3
+# stays below 6.4e301.
 SPREAD_RANGE = (1e-100, 1e100)
 
 # Maclaurin coefficients of j_1(z) / z in z^2 (DLMF 10.53.1),
@@ -135,11 +136,12 @@ def momentum_profile(p, model: PointerModel) -> np.ndarray:
 class MomentumQuadrature:
     """Spherical momentum-space quadrature, and the one node-count policy.
 
-    Each integrand supplies its own automatic counts; an explicit count wins
-    over them, and the refinement pass takes scaled_count of the base count.
-    A radial count above MAX_RADIAL_NODES, of either pass, is refused before
-    its rule is built. The polar and azimuthal counts only matter where those
-    axes are integrated numerically (disturbance, full-tensor oracle, Bloch
+    Every radial rule ends at p_max, 8 momentum sigmas. Each integrand
+    supplies its own automatic counts; an explicit count wins over them, and
+    the refinement pass takes scaled_count of the base count. A radial count
+    above MAX_RADIAL_NODES, of either pass, is refused before its rule is
+    built. The polar and azimuthal counts only matter where those axes are
+    integrated numerically (disturbance, full-tensor oracle, Bloch
     integrals); the amplitude field and the lower bound read the radial
     count alone.
     """
@@ -147,24 +149,17 @@ class MomentumQuadrature:
     radial_nodes: int | None = None
     polar_nodes: int | None = None
     azimuthal_nodes: int = 16
-    cutoff_sigmas: float = 8.0
 
     def __post_init__(self):
         for name in ("radial_nodes", "polar_nodes", "azimuthal_nodes"):
             v = getattr(self, name)
             if v is not None or name == "azimuthal_nodes":
                 checked_count(v, name, minimum=4)
-        if not math.isfinite(self.cutoff_sigmas):
-            raise DomainError(f"cutoff_sigmas must be finite, got {self.cutoff_sigmas}")
-        if self.cutoff_sigmas < 4:
-            raise DomainError(f"cutoff_sigmas below 4 discards real probability mass")
 
     def p_max(self, model: PointerModel) -> float:
-        """Cutoff momentum; one whose radial measure p_max^3 overflows is refused."""
-        p_max = self.cutoff_sigmas * model.momentum_sigma
-        if not math.isfinite(p_max * p_max * p_max):
-            raise DomainError(f"cutoff momentum {p_max:g} is too large for a radial rule")
-        return p_max
+        """Cutoff momentum of every route, 8 momentum sigmas: the momentum
+        density holds 8.2e-14 of its mass beyond it."""
+        return 8.0 * model.momentum_sigma
 
     def effective_radial(self, r_max: float, model: PointerModel, n_spins: int = 0) -> int:
         """Automatic radial count for outcome radii up to r_max.
@@ -267,7 +262,6 @@ class AmplitudeField:
     """
 
     n_spins: int
-    model: PointerModel
     grid: OutcomeGrid
     counts: QuadratureCounts
     values: np.ndarray = field(repr=False)
@@ -660,7 +654,7 @@ def build_amplitude_field(
         nodes_p_polar=n + 1,
     )
     return AmplitudeField(
-        n_spins=n, model=model, grid=grid, counts=counts, values=values,
+        n_spins=n, grid=grid, counts=counts, values=values,
         total_probability=float(w_r @ density @ w_t), _density=density,
     )
 
@@ -674,8 +668,8 @@ def position_amplitudes(
     azimuth: float = 0.0,
 ) -> DickeVector:
     """Dicke amplitudes of E(r)|up^n> at a single outcome point."""
-    if not (radius > 0):
-        raise DomainError(f"outcome radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"outcome radius must be positive and finite, got {radius}")
     if not (0.0 <= polar <= math.pi):
         raise DomainError(f"polar angle {polar} outside [0, pi]")
     if not math.isfinite(azimuth):
@@ -773,10 +767,6 @@ def direct_amplitudes_3d(
     input_direction: Direction,
     n_spins: int,
     model: PointerModel,
-    radial_nodes: int = 64,
-    polar_nodes: int = 48,
-    azimuthal_nodes: int = 48,
-    cutoff_sigmas: float = 8.0,
 ) -> DickeVector:
     """Brute-force evaluation of E(r)|u^n> by full 3-D momentum quadrature.
 
@@ -784,15 +774,15 @@ def direct_amplitudes_3d(
     rule (Gauss-Legendre radial and polar, trapezoid azimuthal), arbitrary
     input direction, no ascent to symmetric-subspace shortcuts beyond the
     binomial expansion of a product state. Intended for tests at small n and
-    moderate spread; the node counts must resolve r_max * p_max oscillations.
+    moderate spread; its 64 x 48 x 48 nodes must resolve r_max * p_max oscillations.
     """
     n = checked_count(n_spins, "n_spins")
     r_vec = np.asarray(r_vec, dtype=float)
     if r_vec.shape != (3,):
         raise DomainError("outcome must be a 3-vector")
-    p_rule = gauss_legendre(radial_nodes, 0.0, cutoff_sigmas * model.momentum_sigma)
-    c_rule = gauss_legendre(polar_nodes, -1.0, 1.0)
-    phi_rule = trapezoid_periodic(azimuthal_nodes)
+    p_rule = gauss_legendre(64, 0.0, MomentumQuadrature().p_max(model))
+    c_rule = gauss_legendre(48, -1.0, 1.0)
+    phi_rule = trapezoid_periodic(48)
 
     p = p_rule.nodes[:, None, None]
     c = c_rule.nodes[None, :, None]

@@ -83,14 +83,13 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
     return Rule1D(nodes=mid + half * x, weights=half * w, domain=(float(a), float(b)))
 
 
-def trapezoid_periodic(n: int, period: float = 2.0 * math.pi) -> Rule1D:
-    """Equal-weight rule for periodic integrands; exact for harmonics |m| < n."""
+def trapezoid_periodic(n: int) -> Rule1D:
+    """Equal-weight rule on [0, 2 pi) for periodic integrands; exact for harmonics |m| < n."""
     n = checked_count(n)
-    if not period > 0:
-        raise DomainError("period must be positive")
+    period = 2.0 * math.pi
     nodes = np.arange(n) * (period / n)
     weights = np.full(n, period / n)
-    return Rule1D(nodes=nodes, weights=weights, domain=(0.0, float(period)))
+    return Rule1D(nodes=nodes, weights=weights, domain=(0.0, period))
 
 
 def scaled_count(n: int) -> int:

@@ -194,6 +194,11 @@ def test_domain_errors():
         epsilon_curve([2], spread_rule="sideways")
     with pytest.raises(DomainError):
         position_amplitudes(0.5, 4.0, 1, PointerModel(1.0))
+    # An infinite radius used to pass the check and fail in the grid's rule
+    # with "empty integration domain [nan, inf]".
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="outcome radius"):
+            position_amplitudes(radius, 0.5, 1, PointerModel(1.0))
 
 
 def test_unconverged_point_raises():

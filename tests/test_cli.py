@@ -1,6 +1,7 @@
 """Command line contract: schema, reproducibility, exit codes."""
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -180,6 +181,18 @@ def test_fidelity_commands_refuse_momentum_angle_counts(args, flag, tmp_path, ca
 
 @pytest.mark.parametrize(
     "args",
+    [["sweep", "--n", "1", "--delta", "0.5"], ["optimize", "--n", "1"],
+     ["disturbance", "--n", "1", "--delta", "0.5"], ["bloch", "--n", "1", "--delta", "0.5"],
+     ["asympt", "--n-min", "4", "--n-max", "4"]],
+    ids=lambda args: args[0],
+)
+def test_momentum_cutoff_is_not_a_setting(args, tmp_path, capsys):
+    # Every route cuts the momentum at 8 momentum sigmas.
+    assert_refused(args, "--p-cutoff-sigmas", tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "args",
     [
         ["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "48", "--nodes-theta", "32"],
         ["optimize", "--n", "1", "--delta-min", "0.5", "--delta-max", "0.52",
@@ -213,11 +226,11 @@ def test_config_round_trip(args, tmp_path, capsys):
 
 def test_equivalent_flags_and_config_print_the_same_bytes(tmp_path):
     # The echo holds each setting converted to its kind, so a config file's
-    # 80.0 for a node count and 8 for a cutoff echo as the flags' 80 and 8.0.
+    # 80.0 for a node count and 1 for a tolerance echo as the flags' 80 and 1.0.
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"n": [1], "delta": [0.5], "nodes_p_radial": 80.0,
-                                    "p_cutoff_sigmas": 8, "nodes_r": 48, "nodes_theta": 32}))
-    flags = ["--n", "1", "--delta", "0.5", "--nodes-p-radial", "80", "--p-cutoff-sigmas", "8",
+                                    "tol": 1, "nodes_r": 48, "nodes_theta": 32}))
+    flags = ["--n", "1", "--delta", "0.5", "--nodes-p-radial", "80", "--tol", "1",
              "--nodes-r", "48", "--nodes-theta", "32"]
     from_flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
     assert cli.main(["sweep", *flags, "--out", str(from_flags)]) == 0
@@ -227,16 +240,14 @@ def test_equivalent_flags_and_config_print_the_same_bytes(tmp_path):
 
 _OUTPUT = "--out:str --format:str --workers:int --config:str"
 _SPREADS = "--delta:float... --delta-min:float --delta-max:float --delta-steps:int"
-_FIDELITY = ("--guess-rule:str --nodes-r:int --nodes-theta:int --nodes-p-radial:int "
-             "--p-cutoff-sigmas:float --tol:float")
-_MOMENTUM = "--nodes-p-radial:int --nodes-p-polar:int --p-cutoff-sigmas:float"
+_FIDELITY = "--guess-rule:str --nodes-r:int --nodes-theta:int --nodes-p-radial:int --tol:float"
+_MOMENTUM = "--nodes-p-radial:int --nodes-p-polar:int"
 _SURFACE = {
     "sweep": f"--n:int... {_SPREADS} {_FIDELITY}",
     "optimize": f"--n:int --delta-min:float --delta-max:float {_FIDELITY}",
     "disturbance": f"--n:int... {_SPREADS} {_MOMENTUM} --tol:float --mark-delta-opt:flag",
     "bloch": f"--n:int... {_SPREADS} {_MOMENTUM}",
-    "asympt": "--n-min:int --n-max:int --n-step:int --spread-rule:str --nodes-p-radial:int "
-              "--p-cutoff-sigmas:float --tol:float",
+    "asympt": "--n-min:int --n-max:int --n-step:int --spread-rule:str --nodes-p-radial:int --tol:float",
     "reference": "--n:int...",
     "validate": "",
 }
@@ -307,6 +318,12 @@ def test_public_surface_stays_put():
     assert parameters(spinpointer.build_outcome_grid) == ["r_max", "nodes_r", "nodes_theta"]
     assert parameters(spinpointer.adaptive_outcome_grid) == ["n_spins", "model", "nodes_r", "nodes_theta", "quad"]
     assert parameters(spinpointer.hemisphere_masses) == ["n_spins", "model"]
+    # The momentum cutoff and the brute-force rule's node counts are constants.
+    assert [f.name for f in dataclasses.fields(spinpointer.MomentumQuadrature)] == [
+        "radial_nodes", "polar_nodes", "azimuthal_nodes"]
+    assert parameters(spinpointer.pointer.direct_amplitudes_3d) == [
+        "r_vec", "input_direction", "n_spins", "model"]
+    assert parameters(spinpointer.quadrature.trapezoid_periodic) == ["n"]
 
 
 @pytest.mark.parametrize(
@@ -379,13 +396,40 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--tol", "nan"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "inf"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "1e-310"]) == 2  # outside SPREAD_RANGE
-    assert cli.main(["disturbance", "--n", "1", "--delta", "0.5",
-                     "--p-cutoff-sigmas", "0"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-r", "-5"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta", "0.5", "--nodes-theta", "0"]) == 2
     assert cli.main(["optimize", "--n", "2", "--delta-min", "0"]) == 2
     assert cli.main(["asympt", "--n-min", "1", "--n-max", "4", "--n-step", "0"]) == 2
     capsys.readouterr()
+    not_json, not_object = tmp_path / "not_json.json", tmp_path / "not_object.json"
+    not_json.write_text("{")
+    not_object.write_text("[1]")
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({"n": [1], "delta": [0.5], "delta_min": 0.1, "delta_max": 1.0,
+                                "delta_steps": 3}))
+    no_sizes = tmp_path / "no_sizes.json"
+    no_sizes.write_text(json.dumps({"n": []}))
+    refusals = [
+        (["sweep", "--config", str(tmp_path / "missing.json")], "cannot read config file"),
+        (["sweep", "--config", str(not_json)], "not valid JSON"),
+        (["sweep", "--config", str(not_object)], "must hold a JSON object"),
+        (["sweep", "--config", str(both)], "both a delta list and a delta range"),
+        (["reference", "--config", str(no_sizes)], "empty ensemble size list"),
+        (["sweep", "--n", "1", "--delta-min", "0.1", "--delta-max", "1.0"],
+         "needs all of delta-min, delta-max, delta-steps"),
+        (["sweep", "--n", "1", "--delta-min", "1", "--delta-max", "0.5", "--delta-steps", "3"],
+         "delta-max must exceed delta-min"),
+        (["asympt", "--n-min", "4"], "give both --n-min and --n-max"),
+        (["asympt", "--n-min", "8", "--n-max", "4"], "n-max 4 below n-min 8"),
+        (["reference", "--n", "1", "--out", str(tmp_path / "missing" / "out.json")],
+         "cannot write output"),
+    ]
+    for args, message in refusals:
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+    assert not (tmp_path / "missing").exists()
     # Values of the wrong type in a config file are refused, not coerced:
     # a list for one size, text for a number, a boolean for a spread.
     bad_values = [
@@ -434,6 +478,28 @@ def test_unconverged_sweep_exits_three(capsys):
     _, columns, rows = parse_csv(out)
     assert rows == []  # header still written, no converged points
     assert "failed" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["optimize", "--n", "1", "--delta-min", "0.3", "--delta-max", "0.6", "--tol", "1e-18"],
+     ["asympt", "--n-min", "4", "--n-max", "4", "--tol", "1e-18"]],
+    ids=lambda args: args[0],
+)
+def test_unconverged_single_results_exit_three_with_empty_stdout(args, capsys):
+    # optimize and asympt print nothing unless every evaluation converged.
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "refinement moved by" in err
+
+
+def test_one_step_range_runs_delta_min_alone(capsys):
+    code, out, _ = run_cli(["sweep", "--n", "1", "--delta-min", "0.5", "--delta-max", "2",
+                            "--delta-steps", "1", "--nodes-r", "48", "--nodes-theta", "32"], capsys)
+    assert code == 0
+    config, _, rows = parse_csv(out)
+    assert config["delta"] == [0.5]
+    assert [row[:2] for row in rows] == [["1", "0.5"]]
 
 
 def test_partial_tables_keep_converged_rows_and_list_failures(capsys):

@@ -70,13 +70,6 @@ def test_model_momentum_width_is_half_inverse_spread():
 def test_momentum_quadrature_validation():
     with pytest.raises(DomainError):
         MomentumQuadrature(radial_nodes=3)
-    with pytest.raises(DomainError):
-        MomentumQuadrature(cutoff_sigmas=2.0)
-    for cutoff in (math.inf, math.nan):
-        # Both used to construct, then fail in effective_radial with
-        # OverflowError or ValueError.
-        with pytest.raises(DomainError):
-            MomentumQuadrature(cutoff_sigmas=cutoff)
     for count in (40.5, math.nan, math.inf):
         # A fractional radial count used to run with its integer part, and a
         # fractional or nan azimuthal count to fail inside the Bloch and

@@ -209,7 +209,6 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: find_delta_opt(1, (0.3, 0.6), delta_tolerance=math.nan),
         lambda: disturbance_lowest_order(2, math.nan),
         lambda: bloch_z_post_closed(2, math.nan),
-        lambda: trapezoid_periodic(4, math.nan),
         lambda: diag_radial_profile([math.inf], 2, PointerModel(1.0)),
         lambda: diag_radial_profile([math.nan], 2, PointerModel(1.0)),
         lambda: average_fidelity(1, PointerModel(1e-310)),
@@ -217,19 +216,18 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: disturbance.disturbance_oracle_full(1, PointerModel(1e103)),
         lambda: disturbance.bloch_post_numeric(1, PointerModel(1e155)),
         lambda: disturbance_lowest_order(1, 1e155),
-        lambda: fidelity_lower_bound(2, PointerModel(0.5), MomentumQuadrature(cutoff_sigmas=1e308)),
     ],
     ids=[
         "refinement_report", "average_fidelity", "disturbance_exact", "fidelity_lower_bound",
         "find_delta_opt", "disturbance_lowest_order", "bloch_z_post_closed",
-        "trapezoid_periodic", "diag_radial_profile_inf", "diag_radial_profile_nan",
+        "diag_radial_profile_inf", "diag_radial_profile_nan",
         "spread_1e-310", "bloch_z_post_closed_1e-200", "spread_1e103", "spread_1e155",
-        "disturbance_lowest_order_1e155", "cutoff_1e308",
+        "disturbance_lowest_order_1e155",
     ],
 )
 def test_nan_and_infinite_settings_are_refused(call):
     # nan passes every `x <= 0` guard, so each guard reads `not x > 0`. A
-    # spread or cutoff whose momentum measure overflows is refused too: the
+    # spread whose momentum measure overflows is refused too: the
     # routes used to return wrong numbers there or raise a bare OverflowError.
     with pytest.raises(DomainError):
         call()
