@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError
 # _BLOCK_CELLS bounds the mesh cells per block of p_z rows, as it bounds the field's Bessel tables.
-from .pointer import _BLOCK_CELLS, MomentumQuadrature, PointerModel, momentum_profile
+from .pointer import _BLOCK_CELLS, MomentumQuadrature, PointerModel, _row_ranges, momentum_profile
 from .quadrature import checked_count, gauss_legendre, golden_section_max, refinement_report
 
 
@@ -80,8 +80,8 @@ def _marginals(n: int, model: PointerModel, p_max: float, count: int):
     t_rule = gauss_legendre(count, 0.0, 1.0)
     marginal, slope = np.empty((2, count), dtype=complex)
     rows = _BLOCK_CELLS // count  # at least 13 under the radial cap
-    for start in range(0, count, rows):
-        pz = z_rule.nodes[start : start + rows, None]
+    for lo, hi in _row_ranges(count, rows):
+        pz = z_rule.nodes[lo:hi, None]
         span = p_max - pz
         s = pz + span * t_rule.nodes
         sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
@@ -90,11 +90,10 @@ def _marginals(n: int, model: PointerModel, p_max: float, count: int):
         log_alpha = np.log(np.hypot(cos_half, tilt)) - 1j * np.arctan2(tilt, cos_half)
         power = np.exp((n - 1) * log_alpha + 0.5j * n * pz)
         rotated = (span * t_rule.weights) * momentum_profile(s, model) * power
-        block = slice(start, start + rows)
         # alpha^n = alpha^(n-1) alpha
-        marginal[block] = np.sum(rotated * (s * (cos_half - 1j * tilt)), axis=1)
+        marginal[lo:hi] = np.sum(rotated * (s * (cos_half - 1j * tilt)), axis=1)
         edge = pz[:, 0] * momentum_profile(pz[:, 0], model)
-        slope[block] = -edge - 1j * n * np.sum(rotated * sin_half, axis=1)
+        slope[lo:hi] = -edge - 1j * n * np.sum(rotated * sin_half, axis=1)
     return z_rule, marginal, slope
 
 
@@ -105,9 +104,9 @@ def _fourier(r, n: int, z_rule, marginal: np.ndarray) -> np.ndarray:
     shifted = np.ravel(r - 0.5 * n)
     fourier = np.empty(shifted.size)
     rows = _BLOCK_CELLS // z_rule.nodes.size  # at least 13 under the radial cap
-    for start in range(0, shifted.size, rows):
-        phase = np.multiply.outer(shifted[start : start + rows], z_rule.nodes)
-        fourier[start : start + rows] = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
+    for lo, hi in _row_ranges(shifted.size, rows):
+        phase = np.multiply.outer(shifted[lo:hi], z_rule.nodes)
+        fourier[lo:hi] = np.cos(phase) @ weighted.real - np.sin(phase) @ weighted.imag
     return 2.0 * (2.0 * math.pi) ** -0.5 * fourier.reshape(np.shape(r))
 
 

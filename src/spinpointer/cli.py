@@ -220,13 +220,10 @@ def _resolve_deltas(cfg: dict) -> list[float]:
             raise ConfigError("a delta range needs all of delta-min, delta-max, delta-steps")
         if steps < 1:
             raise ConfigError(f"delta-steps must be >= 1, got {steps}")
-        if steps > 1 and not hi > lo:
+        if not hi > lo:
             raise ConfigError("delta-max must exceed delta-min")
-        if steps == 1:
-            values = [lo]
-        else:
-            width = (hi - lo) / (steps - 1)
-            values = [lo + i * width for i in range(steps)]
+        width = (hi - lo) / max(steps - 1, 1)  # one step: delta-min alone
+        values = [lo + i * width for i in range(steps)]
     else:
         raise ConfigError("no spread values given (use --delta or a delta range)")
     if len(values) == 0:

@@ -79,24 +79,24 @@ def disturbance_series_copt(n_spins: int) -> float:
 
 
 def _disturbance_rules(n_spins: int, model: PointerModel, quad: MomentumQuadrature, refined=False):
-    """Radial/polar rules of the base or refinement pass, scaled to the band.
+    """Radial weights w p^2 |profile|^2, radial and polar rules of one pass, scaled to the band.
 
     The rotation factor contains harmonics up to cos(n p), so the radial
     count grows with n * p_max; the polar integrand is a polynomial of
     degree 2n in cos(theta_p), exact once the rule has n+1 nodes.
     """
     band = math.ceil(1.5 * n_spins * quad.p_max(model) / math.pi) + 32
-    return quad.gauss_rules(model, max(64, band), max(64, n_spins + 1), refined)
+    p_rule, c_rule = quad.gauss_rules(model, max(64, band), max(64, n_spins + 1), refined)
+    return p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2, p_rule, c_rule
 
 
-def _disturbance_value(n_spins: int, model: PointerModel, p_rule, c_rule) -> float:
+def _disturbance_value(n_spins: int, radial: np.ndarray, p_rule, c_rule) -> float:
     p = p_rule.nodes[:, None]
     c = c_rule.nodes[None, :]
     sin_sq = np.sin(0.5 * p) ** 2 * (1.0 - c * c)
     # (1 - x)^n via n*log1p(-x): stable for n in the hundreds. sin_sq is 1
     # only at p = pi on the polar node 0, which the Gauss nodes never hit.
     overlap = np.exp(n_spins * np.log1p(-np.clip(sin_sq, 0.0, 1.0)))
-    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
     kept = 2.0 * math.pi * float(radial @ overlap @ c_rule.weights)
     return 1.0 - kept
 
@@ -114,8 +114,8 @@ def disturbance_exact(
     quad = quad or MomentumQuadrature()
     # The refinement pass first, so a count above the cap is refused before any rule.
     fine = _disturbance_rules(n, model, quad, refined=True)
-    base = _disturbance_value(n, model, *_disturbance_rules(n, model, quad))
-    refined = _disturbance_value(n, model, *fine)
+    base = _disturbance_value(n, *_disturbance_rules(n, model, quad))
+    refined = _disturbance_value(n, *fine)
     report = refinement_report(base, refined, tolerance, "disturbance", n, model.spread)
     return DisturbancePoint(
         n_spins=n,
@@ -131,9 +131,8 @@ def _momentum_mesh(n_spins: int, model: PointerModel, quad: MomentumQuadrature):
     """The base pass's rules on the momentum sphere: radial nodes and their
     weights, |profile|^2 p^2 included, then the unit directions of the
     (polar, azimuth) mesh, shape (N_c N_phi, 3), and their weights."""
-    p_rule, c_rule = _disturbance_rules(n_spins, model, quad)
+    radial, p_rule, c_rule = _disturbance_rules(n_spins, model, quad)
     phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
-    radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
     c = c_rule.nodes[:, None]
     s = np.sqrt(1.0 - c * c)
     phi = phi_rule.nodes

@@ -19,26 +19,20 @@ c_lk = <j j; l -k | j j-k>, j = n/2, times a reduced moment g_l(p) that is
 sin^l(p/2) times a Gegenbauer polynomial in cos(p/2) (Varshalovich,
 Moskalev and Khersonskii, Quantum Theory of Angular Momentum, World
 Scientific, 1988). The couplings are closed forms; the moments of all
-orders follow, per momentum, from a three-term recurrence in l, upward from
-closed seeds at l = 0 and 1 to the momentum's turning order and by downward
-ratios from the exact top g_(n+1) = 0 above it, so they cost O(n) per
-momentum. No polar momentum quadrature is left, and the field is real at
-outcome azimuth 0. Only the radial momentum axis keeps the oscillation
-burden, and its node count scales with r_max * p_max as configured.
+orders follow, per momentum, from a three-term recurrence in l (_miller), so
+they cost O(n) per momentum. No polar momentum quadrature is left, and the
+field is real at outcome azimuth 0. Only the radial momentum axis keeps the
+oscillation burden, and its node count scales with r_max * p_max.
 
 The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
-_BLOCK_CELLS cells. The table's seeds are j_0 = sin z / z and, for j_1,
-the closed form above z = r p = 1 and its Maclaurin series at or below it;
-scipy's spherical_jn only spot-checks the series, at one cell per table.
-Cells with r p < n_spins take downward ratios (Miller's algorithm) above
-l = r p, gathered if they are at most half the table, else in place on all
-of it; the rest take the upward recurrence in place. Per block, the radial
-transform is one stacked real product per order l, and the angular
-synthesis one per Dicke component k, with one BLAS call per chunk. The
-angular coefficients, which depend only on n and the polar rule, are formed
-for the whole (l, k) triangle at once and cached with the recurrence's
-coefficients.
+_BLOCK_CELLS cells. Its seeds are closed forms that scipy's spherical_jn
+only spot-checks, and its higher orders come from _miller, as the moments'
+do. Per block, the radial transform is one stacked real product per order l,
+and the angular synthesis one per Dicke component k, with one BLAS call per
+chunk. The angular coefficients, which depend only on n and the polar rule,
+are formed for the whole (l, k) triangle at once and cached with the
+recurrence's coefficients.
 """
 from __future__ import annotations
 
@@ -312,26 +306,21 @@ def _reduced_moments(n: int, p: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
         e_(l+1) h_(l+1) + e_l h_(l-1) = cot(chi) h_l,   l = 1..n,
 
-    with steps[m] = e_m (see _recurrence_steps), that is
-    h_(l+2) = alpha_l cot(chi) h_(l+1) - beta_l h_l with alpha_l = 1/e_(l+2)
-    and beta_l = e_(l+1)/e_(l+2), and its top is exact: e_(n+1) = 0,
-    h_(n+1) = 0. The seeds are closed forms, with A_0 = 1/((n+1) sqrt(pi))
-    and A_1 = 2 sqrt(3/(n(n+2))) A_0,
+    with steps[m] = e_m (see _recurrence_steps), whose top is exact:
+    e_(n+1) = 0, h_(n+1) = 0. The seeds are closed forms, with
+    A_0 = 1/((n+1) sqrt(pi)) and A_1 = 2 sqrt(3/(n(n+2))) A_0,
 
         h_0 = sin((n+1) chi) / ((n+1) sqrt(pi) sin chi),
         h_1 = -sqrt(3/(n(n+2))) ((n+1) cos((n+1) chi) sin chi
               - sin((n+1) chi) cos chi) / ((n+1) sqrt(pi) sin^2 chi),
 
     with (n+1) chi taken as an exact sum of two floats (Dekker's product),
-    so h_0 keeps its relative accuracy where sin chi is small. Each momentum
-    recurs upward to its turning order floor((n+1) |sin chi|), where the
-    recurrence turns from oscillating to decaying, and takes the downward
-    ratios h_l / h_(l-1) = e_l / (cot chi - e_(l+1) h_(l+1) / h_l), run from
-    the top, above it, chained onto the upward value: the same shape as
-    _miller's for j_l. h_1 is read only where the turning order is at least
-    1, so its closed form never cancels. Where sin chi = 0, h_0 takes its
-    limit cos^n(chi) / sqrt(pi) and the ratios, hence every h_l, l >= 1,
-    are 0. The ratios are bounded, so nothing overflows at any n.
+    so h_0 keeps its relative accuracy where sin chi is small. _miller runs
+    the recurrence, with turning order floor((n+1) |sin chi|) and downward
+    ratios h_l / h_(l-1) = e_l / (cot chi - e_(l+1) h_(l+1) / h_l) from the
+    exact top; h_1 is read only where the turning order is at least 1, so
+    its closed form never cancels. Where sin chi = 0, h_0 takes its limit
+    cos^n(chi) / sqrt(pi) and every h_l, l >= 1, is 0.
     """
     chi = 0.5 * p
     s, c = np.sin(chi), np.cos(chi)
@@ -345,24 +334,14 @@ def _reduced_moments(n: int, p: np.ndarray, steps: np.ndarray) -> np.ndarray:
     sin_n, cos_n = sin_hi + lo * cos_hi, cos_hi - lo * sin_hi
 
     a0 = 1.0 / ((n + 1) * math.sqrt(math.pi))
-    turn = np.floor((n + 1) * np.abs(s))
-    top = int(np.max(turn, initial=0.0))
     h = np.empty((n + 1, p.size))
     with np.errstate(all="ignore"):
         cot = c / s
         h[0] = np.where(s == 0.0, c**n / math.sqrt(math.pi), a0 * sin_n / s)
-        ratio = np.zeros_like(chi)
-        for m in range(n, int(np.min(turn, initial=n)), -1):
-            ratio = np.divide(steps[m], cot - steps[m + 1] * ratio, out=h[m])
-        if top >= 1:
-            prev = h[0].copy()
-            cur = -a0 * math.sqrt(3.0 / (n * (n + 2))) * ((n + 1) * cos_n * s - sin_n * c) / (s * s)
-        for l in range(1, n + 1):
-            np.multiply(h[l], h[l - 1], out=h[l])
-            if l <= top:
-                if l > 1:
-                    prev, cur = cur, (cot * cur - steps[l - 1] * prev) / steps[l]
-                np.copyto(h[l], cur, where=l <= turn)
+        h[1] = -a0 * math.sqrt(3.0 / (n * (n + 2))) * ((n + 1) * cos_n * s - sin_n * c) / (s * s)
+        _miller(h, np.floor((n + 1) * np.abs(s)), n,
+                ratio=lambda l, r, out: np.divide(steps[l], cot - steps[l + 1] * r, out=out),
+                step=lambda l, cur, prev, out: np.divide(cot * cur - steps[l] * prev, steps[l + 1], out=out))
     return h
 
 
@@ -442,33 +421,40 @@ def _block_rows(n: int, n_p: int) -> int:
     return max(1, _BLOCK_CELLS // ((n + 1) * _CHUNK_RADIAL * n_p)) * _CHUNK_RADIAL
 
 
-def _upward(table: np.ndarray, z: np.ndarray) -> None:
-    """Rows 2.. of table from its seed rows 0 and 1 by the upward recurrence."""
-    for l in range(1, table.shape[0] - 1):
-        table[l + 1] = (2 * l + 1) / z * table[l] - table[l - 1]
+def _miller(table: np.ndarray, turn, start: int, ratio, step) -> None:
+    """Fill table, column by column, by a three-term recurrence in the row
+    index l (Miller's algorithm; W. Gautschi, SIAM Review 9, 24 (1967);
+    DLMF 3.6(iii)). Row 0 is given, and row 1 holds its upward value.
 
-
-def _miller(table: np.ndarray, z: np.ndarray) -> None:
-    """Rows 2.. of table: upward up to floor(z), Miller ratios above it. The
-    ratios go straight into the rows; above the largest floor(z) only their
-    chain product runs."""
-    l_max = table.shape[0] - 1
-    last_upward = np.maximum(np.floor(z), 1.0)
-    start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
-    ratio, tmp = np.zeros_like(z), np.empty_like(z)
-    for l in range(start, 1, -1):
-        np.multiply(z, ratio, out=tmp)
-        np.subtract(2 * l + 1, tmp, out=tmp)
-        ratio = np.divide(z, tmp, out=table[l] if l <= l_max else ratio)
-    top = np.max(last_upward, initial=1.0)
-    prev, cur = table[0].copy(), table[1].copy()
-    for l in range(1, l_max):
-        np.multiply(table[l + 1], table[l], out=table[l + 1])
-        if l < top:
-            np.divide(2 * l + 1, z, out=tmp)
-            np.multiply(tmp, cur, out=tmp)
-            prev, cur = cur, np.subtract(tmp, prev, out=prev)
-            np.copyto(table[l + 1], cur, where=l + 1 <= last_upward)
+    Up to its turning order turn, where the recurrence turns from
+    oscillating to decaying, a column recurs upward, with
+    step(l, cur, prev, out) giving row l+1 from rows l and l-1. Above it,
+    the ratios r_l = row l / row l-1 = ratio(l, r_(l+1), out), run down
+    from r = 0 at row start, go straight into the rows and are chained onto
+    the upward value. Rows at or below every turning order take the upward
+    value alone, rows above the largest the chain alone. Both callbacks
+    write their result into out and return it. The ratios are bounded, so
+    nothing overflows; upward values discarded above a turning order may
+    overflow harmlessly.
+    """
+    rows = table.shape[0]
+    low = int(np.minimum.reduce(turn, axis=None, initial=rows - 1))
+    top = int(np.maximum.reduce(turn, axis=None, initial=0))
+    for l in range(2, low + 1):
+        step(l - 1, table[l - 1], table[l - 2], table[l])
+    if low >= rows - 1:
+        return
+    last = max(low, 1)
+    prev, cur = table[last - 1].copy(), table[last].copy()
+    r = np.zeros(table.shape[1])
+    for l in range(start, low, -1):
+        r = ratio(l, r, table[l] if l < rows else r)
+    for l in range(low + 1, rows):
+        np.multiply(table[l], table[l - 1], out=table[l])
+        if l <= top:
+            if l > 1:
+                prev, cur = cur, step(l - 1, cur, prev, prev)
+            np.copyto(table[l], cur, where=l <= turn)
 
 
 def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -515,17 +501,11 @@ def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_l(z) for l = 0..l_max >= 1, stacked on axis 0.
 
-    The seeds j_0 and j_1 come from _bessel_seeds: closed forms, and the
-    Maclaurin series of j_1 where z <= 1, spot-checked against scipy once
-    per table. Orders l <= z follow the upward recurrence
-    j_{l+1} = (2l+1)/z j_l - j_{l-1}, stable there (DLMF 10.51.1).
-    Orders above z come from the ratios r_l = j_l / j_{l-1} =
-    z / (2l+1 - z r_{l+1}), recurred downward from r = 0 at l_max plus a
-    margin of order l_max^(1/3), the width of the turning region around
-    l = z (Miller's algorithm, DLMF 3.6(iii)); they are chained onto the
-    upward value at floor(z). The ratios are bounded, so tiny orders
-    underflow to 0 and nothing overflows; the upward values discarded above
-    z may overflow harmlessly.
+    The seeds j_0 and j_1 come from _bessel_seeds. _miller runs
+    j_{l+1} = (2l+1)/z j_l - j_{l-1} (DLMF 10.51.1) upward to the turning
+    order max(floor(z), 1), and the ratios j_l / j_{l-1} =
+    z / (2l+1 - z r_{l+1}) above it, from l_max plus a margin of order
+    l_max^(1/3), the width of the turning region around l = z.
 
     The cells with z < l_max take the full recurrence: gathered into a
     working table if they are at most half, after every cell recurred upward
@@ -537,17 +517,34 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     flat = z.ravel()
     table = np.empty((l_max + 1, flat.size))
     _bessel_seeds(flat, out=table[:2])
+    ratio_start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+
+    def recur(target, x, turn, start):
+        tmp = np.empty_like(x)
+
+        def ratio(l, r, out):
+            np.multiply(x, r, out=out)
+            np.subtract(2 * l + 1, out, out=out)
+            return np.divide(x, out, out=out)
+
+        def step(l, cur, prev, out):
+            np.divide(2 * l + 1, x, out=tmp)
+            np.multiply(tmp, cur, out=tmp)
+            return np.subtract(tmp, prev, out=out)
+
+        _miller(target, turn, start, ratio, step)
+
     with np.errstate(all="ignore"):
         if l_max > 1:
             below = np.flatnonzero(flat < l_max)
             if 2 * below.size > flat.size:
-                _miller(table, flat)
+                recur(table, flat, np.maximum(np.floor(flat), 1.0), ratio_start)
             else:
-                _upward(table, flat)
+                recur(table, flat, l_max, l_max)  # upward only
                 if below.size:
                     part = np.empty((l_max + 1, below.size))
                     part[:2] = table[:2, below]
-                    _miller(part, flat[below])
+                    recur(part, flat[below], np.maximum(np.floor(flat[below]), 1.0), ratio_start)
                     table[2:, below] = part[2:]
     return table.reshape((l_max + 1,) + z.shape)
 
@@ -605,26 +602,21 @@ def build_amplitude_field(
 
     (see _couplings and _reduced_moments; Varshalovich et al. 1988). The
     closed forms equal a polar Gauss-Legendre rule of n+1 or more nodes,
-    so counts.nodes_p_polar reports n+1. The reduced moments of every order
-    come from one three-term recurrence in l per momentum node, O(n N_p) in
-    all, and stay finite at every n; the radially weighted moments are
+    so counts.nodes_p_polar reports n+1. The radially weighted moments are
     (n+1) x N_p floats, and a non-finite one raises NumericError.
 
     The outcome-angle coefficients (-1)^k c_lk P~_lk(cos theta), formed for
     all (l, k) at once, and the recurrence's n-only coefficients come from
-    _angular's cache.
-    Each block of outcome radii, as many whole chunks of _CHUNK_RADIAL
-    radii as keep its (n+1) x radii x momenta table within _BLOCK_CELLS,
-    builds one table of j_l(r p), l = 0..n, by recurrence from j_0 and j_1
-    in closed form, and j_1 from its Maclaurin series where r p <= 1, which
-    scipy's spherical_jn spot-checks once per table (see _bessel_seeds and
-    _bessel_table; the table agrees with scipy's j_l to about 1e-15
-    absolute). R_l is one stacked real product of row l with the weighted
-    moment of order l, and the angular synthesis one per k, each making one
-    BLAS call per chunk of _CHUNK_RADIAL rows. The blocks are built one
-    after another in this process. They depend only on the grid, n and the
-    momentum count, and every BLAS call takes the same rows whatever the
-    block size or the cache's state, so the values depend on neither.
+    _angular's cache. Each block of outcome radii, as many whole chunks of
+    _CHUNK_RADIAL radii as keep its (n+1) x radii x momenta table within
+    _BLOCK_CELLS, builds one table of j_l(r p), l = 0..n (see _bessel_table;
+    it agrees with scipy's j_l to about 1e-15 absolute). R_l is one stacked
+    real product of row l with the weighted moment of order l, and the
+    angular synthesis one per k, each making one BLAS call per chunk of
+    _CHUNK_RADIAL rows. The blocks are built one after another in this
+    process. They depend only on the grid, n and the momentum count, and
+    every BLAS call takes the same rows whatever the block size or the
+    cache's state, so the values depend on neither.
     """
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()

@@ -388,6 +388,9 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
                      "--delta-steps", "3"]) == 2
     assert cli.main(["sweep", "--n", "1", "--delta-min", "0.1",
                      "--delta-max", "1.0", "--delta-steps", "0"]) == 2
+    # delta-max must exceed delta-min whatever the step count, one step included.
+    assert cli.main(["sweep", "--n", "1", "--delta-min", "0.5",
+                     "--delta-max", "0.1", "--delta-steps", "1"]) == 2
     assert cli.main(["asympt", "--n-min", "0", "--n-max", "4"]) == 2
     assert cli.main(["optimize", "--n", "2", "--delta-min", "0.9",
                      "--delta-max", "0.2"]) == 2

@@ -647,27 +647,80 @@ def _reduced_moments_by_degree(n, p):
     return gegen
 
 
+# Momenta from 2e-5, where (n+1) sin(p/2) < 1 and only the downward ratios
+# serve l >= 1, through 2 pi, where sin(p/2) changes sign and
+# sin((n+1) p/2) / sin(p/2) needs the exact product, to past 4 pi.
+_MOMENTA = np.concatenate([
+    [0.0, 2e-5, 1e-3, 0.05],
+    np.linspace(0.0, 14.0, 141)[1:],
+    2.0 * math.pi + np.array([-1e-6, -1e-9, 1e-9, 1e-6]),
+    4.0 * math.pi + np.array([-1e-9, 1e-9, 0.1]),
+    [20.0, 40.0],
+])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30, 60, 100, 200])
 def test_reduced_moments_match_the_degree_recurrence(n):
-    # Momenta from 2e-5, where (n+1) sin(p/2) < 1 and only the downward
-    # ratios serve l >= 1, through 2 pi, where sin(p/2) changes sign and
-    # sin((n+1) p/2) / sin(p/2) needs the exact product, to past 4 pi. The
-    # gap is the reference's own error: against 60-digit mpmath at n = 200
-    # the degree recurrence is off by up to 9e-13 of max|h| near 4 pi, the
-    # recurrence in l by 5e-16.
-    p = np.concatenate([
-        [0.0, 2e-5, 1e-3, 0.05],
-        np.linspace(0.0, 14.0, 141)[1:],
-        2.0 * math.pi + np.array([-1e-6, -1e-9, 1e-9, 1e-6]),
-        4.0 * math.pi + np.array([-1e-9, 1e-9, 0.1]),
-        [20.0, 40.0],
-    ])
+    # The gap is the reference's own error: against 60-digit mpmath at
+    # n = 200 the degree recurrence is off by up to 9e-13 of max|h| near
+    # 4 pi, the recurrence in l by 5e-16.
+    p = _MOMENTA
     rows = pointer._reduced_moments(n, p, pointer._recurrence_steps(n))
     reference = _reduced_moments_by_degree(n, p)
     assert rows.shape == reference.shape and rows.dtype == np.float64
     assert np.max(np.abs(rows - reference)) <= 1e-12 * np.max(np.abs(reference))
     # p = 0 takes the closed limits: h_0 = 1/sqrt(pi), every other row 0.
     assert rows[0, 0] == 1.0 / math.sqrt(math.pi) and not np.any(rows[1:, 0])
+
+
+def _loop_reduced_moments(n, p, steps):
+    """The reduced moments as the recurrence in l was first written, with
+    its own loop: upward to each momentum's turning order
+    floor((n+1) |sin(p/2)|), downward ratios from the exact top above it,
+    chained onto the upward value."""
+    chi = 0.5 * p
+    s, c = np.sin(chi), np.cos(chi)
+    hi = (n + 1) * chi
+    split = 134217729.0 * chi
+    chi_hi = split - (split - chi)
+    lo = (n + 1) * chi_hi - hi + (n + 1) * (chi - chi_hi)
+    sin_hi, cos_hi = np.sin(hi), np.cos(hi)
+    sin_n, cos_n = sin_hi + lo * cos_hi, cos_hi - lo * sin_hi
+    a0 = 1.0 / ((n + 1) * math.sqrt(math.pi))
+    turn = np.floor((n + 1) * np.abs(s))
+    top = int(np.max(turn, initial=0.0))
+    h = np.empty((n + 1, p.size))
+    with np.errstate(all="ignore"):
+        cot = c / s
+        h[0] = np.where(s == 0.0, c**n / math.sqrt(math.pi), a0 * sin_n / s)
+        ratio = np.zeros_like(chi)
+        for m in range(n, int(np.min(turn, initial=n)), -1):
+            ratio = np.divide(steps[m], cot - steps[m + 1] * ratio, out=h[m])
+        if top >= 1:
+            prev = h[0].copy()
+            cur = -a0 * math.sqrt(3.0 / (n * (n + 2))) * ((n + 1) * cos_n * s - sin_n * c) / (s * s)
+        for l in range(1, n + 1):
+            np.multiply(h[l], h[l - 1], out=h[l])
+            if l <= top:
+                if l > 1:
+                    prev, cur = cur, (cot * cur - steps[l - 1] * prev) / steps[l]
+                np.copyto(h[l], cur, where=l <= turn)
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 1000])
+def test_reduced_moments_are_the_loop_reference_bit_for_bit(n):
+    # The shared three-term routine changes no bit of the moments: on the
+    # degree test's momenta, on momenta whose turning orders are all at
+    # least 1 (so no ratio reaches row 1), and on small momenta whose
+    # turning orders run from 0 to 2.
+    steps = pointer._recurrence_steps(n)
+    all_upward = np.linspace(2.0 * math.asin(1.0 / (n + 1)) * 1.001, math.pi, 60)
+    some_zero = np.linspace(0.0, 4.0 / (n + 1), 30)
+    turns = [np.floor((n + 1) * np.abs(np.sin(0.5 * p))) for p in (all_upward, some_zero)]
+    assert np.min(turns[0]) >= 1 and np.min(turns[1]) == 0 and np.max(turns[1]) >= 1
+    for p in (_MOMENTA, all_upward, some_zero):
+        assert np.array_equal(pointer._reduced_moments(n, p, steps), _loop_reduced_moments(n, p, steps))
 
 
 @pytest.mark.parametrize("n", [1600, 5000])
