@@ -52,10 +52,7 @@ from .spincore import (
     coherent_dicke,
     collective_operators,
     dicke_expand,
-    direction_from_angles,
     full_tensor_rotation_oracle,
-    rotated_up_amplitudes,
-    score,
     su2_rotation,
 )
 

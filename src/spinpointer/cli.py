@@ -24,8 +24,8 @@ JSON documents carry the same `schema` and `config`. The field is built in
 one process; --workers is still accepted and has no effect.
 
 Exit codes: 0 success, 1 validate found a failing invariant, 2 invalid
-configuration (a spread outside pointer.SPREAD_RANGE included), 3 a
-result failed its convergence check.
+configuration (a spread outside pointer.SPREAD_RANGE, or a request too
+large to allocate, included), 3 a result failed its convergence check.
 """
 from __future__ import annotations
 
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         text, code = _HANDLERS[ns.command](_resolve(ns), ns.format)
-    except (ConfigError, DomainError, CapabilityError) as exc:
+    except (ConfigError, DomainError, CapabilityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, NumericError) as exc:

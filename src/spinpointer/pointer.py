@@ -457,9 +457,9 @@ def _miller(table: np.ndarray, turn, start: int, ratio, step) -> None:
             np.copyto(table[l], cur, where=l <= turn)
 
 
-def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows j_0(z) and j_1(z) for z >= 0, shape (2,) + z.shape; written into
-    out, a (2, z.size) array such as a table's first rows, when one is given.
+def _bessel_seeds(z: np.ndarray, out: np.ndarray) -> None:
+    """Rows j_0(z) and j_1(z) for a flat z >= 0, written into out, a
+    (2, z.size) array such as a table's first rows.
 
     j_0 = sin z / z on every cell, with j_0(0) = 1; on 0 < z <= 1 this is
     bit for bit scipy's j_0. j_1 = (j_0 - cos z) / z above z = 1, scipy's
@@ -470,16 +470,13 @@ def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     its largest cell with z <= 1 and raises NumericError unless the series
     agrees within _SEED_TOLERANCE.
     """
-    z = np.asarray(z, dtype=float)
-    flat = z.ravel()
-    seeds = np.empty((2, flat.size)) if out is None else out
-    j0, j1 = seeds
+    j0, j1 = out
     with np.errstate(all="ignore"):
-        np.divide(np.sin(flat, out=j0), flat, out=j0)
-        np.divide(np.subtract(j0, np.cos(flat, out=j1), out=j1), flat, out=j1)
-    j0[flat == 0.0] = 1.0
-    small = flat <= 1.0
-    zs = flat[small]
+        np.divide(np.sin(z, out=j0), z, out=j0)
+        np.divide(np.subtract(j0, np.cos(z, out=j1), out=j1), z, out=j1)
+    j0[z == 0.0] = 1.0
+    small = z <= 1.0
+    zs = z[small]
     if zs.size:
         z2 = zs * zs
         series = z2 * _J1_SERIES[-1]
@@ -495,7 +492,6 @@ def _bessel_seeds(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             raise NumericError(
                 f"j_1 series differs from scipy by {err:.3e} at z = {zs[top]!r} "
                 f"(tolerance {_SEED_TOLERANCE:.1e})")
-    return seeds.reshape((2,) + z.shape)
 
 
 def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
@@ -516,7 +512,7 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     table = np.empty((l_max + 1, flat.size))
-    _bessel_seeds(flat, out=table[:2])
+    _bessel_seeds(flat, table[:2])
     ratio_start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
 
     def recur(target, x, turn, start):

@@ -36,21 +36,6 @@ class Direction:
         if not np.isfinite(self.azimuth):
             raise DomainError("azimuth must be finite")
 
-    def as_vector(self) -> np.ndarray:
-        st = math.sin(self.polar)
-        return np.array(
-            [st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.polar)]
-        )
-
-
-def direction_from_angles(polar: float, azimuth: float) -> Direction:
-    return Direction(polar=float(polar), azimuth=float(azimuth) % (2.0 * math.pi))
-
-
-def score(u: Direction, w: Direction) -> float:
-    """Squared overlap of single-spin states along u and w: (1 + u.w)/2."""
-    return 0.5 * (1.0 + float(np.dot(u.as_vector(), w.as_vector())))
-
 
 @dataclass(frozen=True)
 class DickeVector:
@@ -92,12 +77,6 @@ def su2_rotation(p: np.ndarray) -> np.ndarray:
             [-1j * half_sinc * (px + 1j * py), c + 1j * half_sinc * pz],
         ]
     )
-
-
-def rotated_up_amplitudes(p: np.ndarray) -> tuple[complex, complex]:
-    """Single-spin amplitudes (alpha, beta) of exp(-i p.sigma/2)|up>."""
-    u = su2_rotation(p)
-    return complex(u[0, 0]), complex(u[1, 0])
 
 
 def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:

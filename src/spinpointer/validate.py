@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asymptotics import diag_radial_profile, fidelity_lower_bound
+from .asymptotics import delta_opt_formula, diag_radial_profile, fidelity_lower_bound
 from .disturbance import (
     bloch_post_numeric,
     disturbance_exact,
@@ -34,13 +34,13 @@ from .pointer import (
 )
 from .quadrature import Rule1D, gauss_legendre
 from .spincore import (
+    Direction,
     collective_operators,
     coherent_dicke,
     dicke_basis_full,
     dicke_expand,
-    direction_from_angles,
     full_tensor_rotation_oracle,
-    rotated_up_amplitudes,
+    su2_rotation,
 )
 
 
@@ -82,7 +82,7 @@ def _check_rotation_oracle() -> CheckResult:
         for _ in range(3):
             p = rng.normal(size=3) * 2.0
             full = full_tensor_rotation_oracle(p, n) @ up
-            dicke = dicke_expand(*rotated_up_amplitudes(p), n)
+            dicke = dicke_expand(*su2_rotation(p)[:, 0], n)
             worst = max(worst, float(np.max(np.abs(basis @ full - dicke.amplitudes))))
     return _check("dicke_vs_full_tensor_rotation", worst, 1e-10, "random rotations, n = 1..4")
 
@@ -92,8 +92,8 @@ def _check_coherent_overlap() -> CheckResult:
     worst = 0.0
     for n in (1, 3, 7):
         for _ in range(4):
-            u = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            w = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            u = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            w = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             ov = abs(np.vdot(coherent_dicke(u, n).amplitudes, coherent_dicke(w, n).amplitudes)) ** 2
             cosang = math.cos(u.polar) * math.cos(w.polar) + math.sin(u.polar) * math.sin(
                 w.polar
@@ -159,7 +159,7 @@ def _check_diagonal_profile() -> CheckResult:
     # partial-wave field on an axis grid must reproduce W on its radii.
     worst = 0.0
     for n in (1, 2, 5, 30, 200, 1000):
-        model = PointerModel(math.sqrt(n / 8.0))
+        model = PointerModel(delta_opt_formula(n))
         radial = gauss_legendre(40, 0.0, 0.5 * n + 6.0 * model.spread + 4.0)
         axis = OutcomeGrid(radial=radial, polar=Rule1D(np.zeros(1), np.ones(1), (0.0, math.pi)))
         field = build_amplitude_field(n, model, axis)
@@ -248,7 +248,7 @@ def _check_guess_rule_dominance() -> CheckResult:
 def _check_determinism() -> CheckResult:
     # n = 30 spans two blocks of radii at the default table budget.
     n = 30
-    model = PointerModel(math.sqrt(n / 8))
+    model = PointerModel(delta_opt_formula(n))
     grid = adaptive_outcome_grid(n, model)
     one = build_amplitude_field(n, model, grid)
     again = build_amplitude_field(n, model, grid)
@@ -272,7 +272,7 @@ def _check_disturbance_series() -> CheckResult:
     # the scale of its own n^-2 term, 23/1440.
     worst = 0.0
     for n in (100, 300):
-        exact = disturbance_exact(n, PointerModel(math.sqrt(n / 8.0))).d_exact
+        exact = disturbance_exact(n, PointerModel(delta_opt_formula(n))).d_exact
         worst = max(worst, abs(n * n * (exact - disturbance_series_copt(n))))
     return _check("disturbance_series", worst, 0.05 * 23.0 / 1440.0, "n^2 |D - series| at n = 100, 300")
 

@@ -24,7 +24,7 @@ from spinpointer.pointer import (
     position_amplitudes,
 )
 from spinpointer.quadrature import Rule1D, gauss_legendre
-from spinpointer.spincore import coherent_dicke, direction_from_angles
+from spinpointer.spincore import Direction, coherent_dicke
 
 
 def test_spread_formula_values():
@@ -53,7 +53,7 @@ def test_diagonal_element_is_coherent_projection():
     for radius, polar in ((0.4, 0.3), (1.1, 1.2), (2.0, 2.8)):
         element = _diagonal_element(radius, polar, 2, model)
         vec = position_amplitudes(radius, polar, 2, model)
-        coherent = coherent_dicke(direction_from_angles(polar, 0.0), 2)
+        coherent = coherent_dicke(Direction(polar, 0.0), 2)
         projection = complex(np.vdot(coherent.amplitudes, vec.amplitudes))
         assert abs(element - projection) < 1e-12
         assert abs(element) ** 2 <= vec.norm_squared() + 1e-12

@@ -304,12 +304,12 @@ def test_public_surface_stays_put():
         "PointerModel", "QuadratureCounts", "Rule1D", "adaptive_outcome_grid", "asymptotics",
         "average_fidelity", "bloch_post_numeric", "bloch_z_post_closed", "build_amplitude_field",
         "build_outcome_grid", "coherent_dicke", "collective_operators", "delta_opt_formula",
-        "diag_radial_profile", "dicke_expand", "direction_from_angles", "disturbance", "disturbance_exact",
+        "diag_radial_profile", "dicke_expand", "disturbance", "disturbance_exact",
         "disturbance_lowest_order", "disturbance_oracle_full", "disturbance_series_copt", "epsilon_curve",
         "errors", "estimation", "fidelity_lower_bound", "find_delta_opt", "full_tensor_rotation_oracle",
         "gauss_legendre", "hemisphere_masses", "min_disturbance", "momentum_profile", "optimal_fidelity",
-        "optimal_scaling", "pointer", "position_amplitudes", "quadrature", "rotated_up_amplitudes", "score",
-        "spincore", "strong_coupling_limit", "su2_rotation",
+        "optimal_scaling", "pointer", "position_amplitudes", "quadrature", "spincore", "strong_coupling_limit",
+        "su2_rotation",
     ]
 
     def parameters(function):
@@ -601,6 +601,19 @@ def test_validate_exit_codes(capsys, monkeypatch):
     _, columns, rows = parse_csv(out)
     assert columns == ["name", "passed", "measured", "threshold", "detail"]
     assert rows[-1][1] == "false"
+
+
+def test_a_request_too_large_to_allocate_exits_two(capsys, monkeypatch):
+    # numpy raises a MemoryError subclass when an array cannot be allocated,
+    # as for sweep --n 100000 --delta 100.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+    monkeypatch.setattr(cli, "average_fidelity", refuse)
+    code, out, err = run_cli(["sweep", "--n", "100000", "--delta", "100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 37.3 GiB for an array\n"
 
 
 def test_validate_csv_quotes_cells_holding_commas_and_quotes(capsys, monkeypatch):

@@ -28,7 +28,7 @@ from spinpointer.pointer import (
     radial_cumulative,
 )
 from spinpointer.quadrature import Rule1D, gauss_legendre
-from spinpointer.spincore import direction_from_angles
+from spinpointer.spincore import Direction
 
 
 def _two_caps(count, split):
@@ -139,7 +139,7 @@ def test_single_point_matches_field():
 
 def test_field_matches_brute_force_3d():
     model = PointerModel(0.7)
-    up = direction_from_angles(0.0, 0.0)
+    up = Direction(0.0, 0.0)
     for radius, polar, azimuth in ((0.9, 0.6, 0.0), (0.4, 2.2, 1.3)):
         vec = radius * np.array(
             [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar)]
@@ -156,7 +156,7 @@ def test_rotational_covariance():
     rng = np.random.default_rng(17)
     for _ in range(3):
         polar, azimuth = rng.uniform(0.2, 2.9), rng.uniform(0, 2 * math.pi)
-        tilted = direction_from_angles(polar, azimuth)
+        tilted = Direction(polar, azimuth)
         cos_a, sin_a = math.cos(azimuth), math.sin(azimuth)
         cos_p, sin_p = math.cos(polar), math.sin(polar)
         rot = np.array([[cos_a, -sin_a, 0.0], [sin_a, cos_a, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
@@ -350,7 +350,9 @@ def _every_cell_bessel_table(l_max, z):
     selected per order by l <= floor(z)."""
     z = np.asarray(z, dtype=float)
     table = np.empty((l_max + 1,) + z.shape)
-    seeds = pointer._bessel_seeds(z)
+    seeds = np.empty((2, z.size))
+    pointer._bessel_seeds(z.ravel(), seeds)
+    seeds = seeds.reshape((2,) + z.shape)
     table[:2] = seeds
     last_upward = np.maximum(np.floor(z), 1.0)
     start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
@@ -409,7 +411,8 @@ def test_mixed_bessel_table_peaks_below_one_and_a_half_tables(below):
 
 def test_bessel_seeds_match_scipy():
     z = np.concatenate([[0.0, 1.0], np.logspace(-150, 0, 601), np.linspace(0.0, 1.0, 200_001)])
-    seeds = pointer._bessel_seeds(z)
+    seeds = np.empty((2, z.size))
+    pointer._bessel_seeds(z, seeds)
     reference = scipy.special.spherical_jn(np.arange(2)[:, None], z)
     assert seeds[0, 0] == 1.0 and seeds[1, 0] == 0.0
     assert np.max(np.abs(seeds - reference)) <= pointer._SEED_TOLERANCE

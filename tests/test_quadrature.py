@@ -173,7 +173,7 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: pointer.adaptive_outcome_grid(n_spins, model),
         lambda: pointer.build_amplitude_field(n_spins, model, pointer.build_outcome_grid(2.0, 4, 4)),
         lambda: pointer.position_amplitudes(0.5, 0.3, n_spins, model),
-        lambda: pointer.direct_amplitudes_3d(np.ones(3), spincore.direction_from_angles(0.0, 0.0),
+        lambda: pointer.direct_amplitudes_3d(np.ones(3), spincore.Direction(0.0, 0.0),
                                              n_spins, model),
         lambda: disturbance_exact(n_spins, model),
         lambda: disturbance.disturbance_oracle_full(n_spins, model),

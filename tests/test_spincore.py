@@ -15,43 +15,9 @@ from spinpointer.spincore import (
     collective_operators,
     dicke_basis_full,
     dicke_expand,
-    direction_from_angles,
     full_tensor_rotation_oracle,
-    rotated_up_amplitudes,
-    score,
     su2_rotation,
 )
-
-
-def test_direction_vectors_are_unit():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        d = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert abs(np.linalg.norm(d.as_vector()) - 1.0) < 1e-12
-
-
-def test_score_solid_angle_values():
-    up = direction_from_angles(0.0, 0.0)
-    down = direction_from_angles(math.pi, 0.0)
-    side = direction_from_angles(math.pi / 2, 0.3)
-    assert score(up, up) == pytest.approx(1.0, abs=1e-15)
-    assert score(up, down) == pytest.approx(0.0, abs=1e-15)
-    assert score(up, side) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_score_rotation_invariance():
-    # The score depends on the angle between the arguments only.
-    rng = np.random.default_rng(5)
-    u = direction_from_angles(1.1, 0.4)
-    w = direction_from_angles(2.0, 5.1)
-    base = score(u, w)
-    cosang = float(u.as_vector() @ w.as_vector())
-    assert base == pytest.approx(0.5 * (1 + cosang), abs=1e-14)
-    for _ in range(5):
-        az = rng.uniform(0, 2 * math.pi)
-        u2 = direction_from_angles(u.polar, u.azimuth + az)
-        w2 = direction_from_angles(w.polar, w.azimuth + az)
-        assert score(u2, w2) == pytest.approx(base, abs=1e-12)
 
 
 def test_su2_full_turn_is_minus_identity():
@@ -73,16 +39,6 @@ def test_su2_inverse_and_unitarity():
         r = su2_rotation(p)
         assert np.allclose(r @ su2_rotation(-p), np.eye(2), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotated_up_matches_matrix_column():
-    rng = np.random.default_rng(8)
-    for _ in range(6):
-        p = rng.normal(size=3)
-        alpha, beta = rotated_up_amplitudes(p)
-        col = su2_rotation(p)[:, 0]
-        assert abs(alpha - col[0]) < 1e-14
-        assert abs(beta - col[1]) < 1e-14
 
 
 def test_dicke_expand_two_spins_on_equator():
@@ -111,7 +67,7 @@ def test_dicke_expand_basis_states_across_log_space_threshold(n):
     assert np.array_equal(dicke_expand(0.0, 1.0, n).amplitudes, top[::-1])
     batched = dicke_expand(np.array([1.0, 0.0]), np.array([0.0, 1.0]), n).amplitudes
     assert np.array_equal(batched, np.stack([top, top[::-1]]))
-    assert coherent_dicke(direction_from_angles(0.0, 0.0), n).norm_squared() == 1.0
+    assert coherent_dicke(Direction(0.0, 0.0), n).norm_squared() == 1.0
     phased = dicke_expand(0.0, 1j, n).amplitudes
     assert abs(phased[n] - 1j**n) < 1e-12
     assert np.all(phased[:n] == 0)
@@ -139,14 +95,17 @@ def test_batched_dicke_expand_equals_scalar_calls_bit_for_bit(n):
 def test_coherent_state_overlap_power_law():
     rng = np.random.default_rng(13)
     for n in (1, 4, 9):
-        u = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        w = direction_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        u = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        w = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         ov = abs(np.vdot(coherent_dicke(u, n).amplitudes, coherent_dicke(w, n).amplitudes)) ** 2
-        assert ov == pytest.approx(score(u, w) ** n, abs=1e-12)
+        cosang = math.cos(u.polar) * math.cos(w.polar) + math.sin(u.polar) * math.sin(
+            w.polar
+        ) * math.cos(u.azimuth - w.azimuth)
+        assert ov == pytest.approx((0.5 * (1.0 + cosang)) ** n, abs=1e-12)
 
 
 def test_coherent_up_is_top_basis_state():
-    vec = coherent_dicke(direction_from_angles(0.0, 0.0), 3)
+    vec = coherent_dicke(Direction(0.0, 0.0), 3)
     expected = np.zeros(4)
     expected[0] = 1.0
     assert np.allclose(vec.amplitudes, expected, atol=1e-14)
@@ -191,7 +150,7 @@ def test_symmetric_rotation_matches_full_tensor():
         for _ in range(4):
             p = rng.normal(size=3) * 2.0
             projected = basis @ (full_tensor_rotation_oracle(p, n) @ up)
-            direct = dicke_expand(*rotated_up_amplitudes(p), n)
+            direct = dicke_expand(*su2_rotation(p)[:, 0], n)
             assert np.max(np.abs(projected - direct.amplitudes)) < 1e-10
 
 
@@ -284,8 +243,6 @@ def test_oracle_builds_its_kronecker_site_operators_once_per_n(monkeypatch):
 def test_non_finite_momentum_is_refused(bad):
     with pytest.raises(DomainError, match="finite"):
         su2_rotation(np.array([0.1, bad, 0.2]))
-    with pytest.raises(DomainError, match="finite"):
-        rotated_up_amplitudes(np.array([bad, 0.0, 0.0]))
     stack = np.zeros((3, 3))
     stack[2, 1] = bad
     for n in (1, 4):
