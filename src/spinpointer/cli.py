@@ -78,9 +78,10 @@ _SPREADS = (
 )
 _RANGE_KEYS = ("delta_min", "delta_max", "delta_steps")
 
-# The amplitude field and the lower bound integrate the momentum angles in
-# closed form and read the radial count alone; only disturbance and bloch
-# take a polar rule. Every route cuts the momentum at 8 momentum sigmas.
+# The amplitude field, the lower bound and the disturbance integrate the
+# momentum polar angle in closed form or by recurrence and read the radial
+# count alone; only bloch takes a polar rule. Every route cuts the momentum
+# at 8 momentum sigmas.
 _RADIAL, _POLAR = _flag("--nodes-p-radial", int), _flag("--nodes-p-polar", int)
 _FIDELITY = (
     _flag("--guess-rule", _guess_rule, GuessRule.PLUS_R.value,
@@ -97,7 +98,7 @@ _COMMANDS = {
         _flag("--n", int), _flag("--delta-min", float, help="bracket low edge"),
         _flag("--delta-max", float, help="bracket high edge"), *_FIDELITY)),
     "disturbance": ("measurement disturbance over spreads", "csv", (
-        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR, _flag("--tol", float, 1e-7),
+        _flag("--n", [int]), *_SPREADS, _RADIAL, _flag("--tol", float, 1e-7),
         _flag("--mark-delta-opt", bool, False, help="insert a row at the sqrt(n/8) spread for each n"))),
     "bloch": ("post-measurement collective spin", "csv", (
         _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR)),
@@ -364,13 +365,14 @@ def _cmd_disturbance(cfg: dict, fmt: str) -> tuple[str, int]:
 
 def _cmd_bloch(cfg: dict, fmt: str) -> tuple[str, int]:
     quad = _momentum_quad(cfg)
-    columns = ["n_spins", "delta", "sz_initial", "sz_post_closed", "sz_post_numeric", "sx_post", "sy_post"]
 
     def row(n: int, model: PointerModel) -> list:
         rep = bloch_post_numeric(n, model, quad)
-        return [rep.n_spins, rep.spread, *(getattr(rep, column) for column in columns[2:])]
+        return [rep.n_spins, rep.spread, rep.sz_initial, rep.sz_post_closed, rep.sz_post_numeric,
+                rep.sx_post, rep.sy_post, rep.error_estimate]
 
-    return _table(cfg, fmt, columns, row)
+    return _table(cfg, fmt, ["n_spins", "delta", "sz_initial", "sz_post_closed", "sz_post_numeric",
+                             "sx_post", "sy_post", "err_estimate"], row)
 
 
 def _cmd_asympt(cfg: dict, fmt: str) -> tuple[str, int]:

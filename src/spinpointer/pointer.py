@@ -134,10 +134,11 @@ class MomentumQuadrature:
     supplies its own automatic counts; an explicit count wins over them, and
     the refinement pass takes scaled_count of the base count. A radial count
     above MAX_RADIAL_NODES, of either pass, is refused before its rule is
-    built. The polar and azimuthal counts only matter where those axes are
-    integrated numerically (disturbance, full-tensor oracle, Bloch
-    integrals); the amplitude field and the lower bound read the radial
-    count alone.
+    built. The polar count only matters where that axis is integrated
+    numerically, in the Bloch route and the full-tensor disturbance oracle,
+    and the azimuthal count reaches the oracle alone (the Bloch route's
+    azimuth rule is fixed); the amplitude field, the lower bound and
+    disturbance_exact read the radial count alone.
     """
 
     radial_nodes: int | None = None

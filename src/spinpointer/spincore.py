@@ -144,13 +144,24 @@ class CollectiveOperators:
     sz: np.ndarray = field(repr=False)
 
 
-def collective_operators(n_spins: int) -> CollectiveOperators:
+def collective_bands(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The collective spin's bands in the Dicke basis: S_z's diagonal m, the
+    z projection n/2 - k of basis state k, and the lowering band
+    lower[k] = <k+1|S_-|k>. S_x and S_y are zero on the diagonal and hold
+    lower / 2 and -i lower / 2 on the first superdiagonal, their conjugates
+    below it, and nothing else."""
     n = checked_count(n_spins, "n_spins")
     j = 0.5 * n
-    m = j - np.arange(n + 1)  # z projection of basis state k
-    sz = np.diag(m)
+    m = j - np.arange(n + 1)
     # s_minus |j,m> = sqrt(j(j+1) - m(m-1)) |j,m-1>; lowering means k -> k+1.
-    lower = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] - 1.0))
+    return m, np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] - 1.0))
+
+
+def collective_operators(n_spins: int) -> CollectiveOperators:
+    """Dense S_x, S_y, S_z built from collective_bands."""
+    m, lower = collective_bands(n_spins)
+    n = lower.size
+    sz = np.diag(m)
     sm = np.zeros((n + 1, n + 1))
     sm[np.arange(1, n + 1), np.arange(n)] = lower
     sp = sm.T.copy()

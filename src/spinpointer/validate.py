@@ -185,6 +185,7 @@ def _check_disturbance_oracle() -> CheckResult:
 
 def _check_bloch_paths() -> CheckResult:
     worst = 0.0
+    error = 0.0
     for n in (1, 2, 3, 5, 10):
         for spread in (0.3, 1.0, 3.0):
             rep = bloch_post_numeric(n, PointerModel(spread))
@@ -192,7 +193,11 @@ def _check_bloch_paths() -> CheckResult:
             worst = max(worst, abs(rep.sx_post), abs(rep.sy_post))
             if rep.sz_post_closed > rep.sz_initial + 1e-12:
                 worst = max(worst, rep.sz_post_closed - rep.sz_initial)
-    return _check("bloch_closed_vs_numeric", worst, 1e-6, "n <= 10, spread in {0.3, 1, 3}")
+            if not rep.accepted:
+                worst = max(worst, 1.0)
+            error = max(error, rep.error_estimate)
+    return _check("bloch_closed_vs_numeric", worst, 1e-6,
+                  f"n <= 10, spread in {{0.3, 1, 3}}; max err_estimate {error:.2e}")
 
 
 def _check_hemisphere_orientation() -> CheckResult:

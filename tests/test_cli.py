@@ -179,6 +179,11 @@ def test_fidelity_commands_refuse_momentum_angle_counts(args, flag, tmp_path, ca
     assert_refused(args, flag, tmp_path, capsys)
 
 
+def test_disturbance_refuses_a_polar_count(tmp_path, capsys):
+    # The disturbance integrates the momentum polar angle by recurrence.
+    assert_refused(["disturbance", "--n", "1", "--delta", "0.5"], "--nodes-p-polar", tmp_path, capsys)
+
+
 @pytest.mark.parametrize(
     "args",
     [["sweep", "--n", "1", "--delta", "0.5"], ["optimize", "--n", "1"],
@@ -245,7 +250,7 @@ _MOMENTUM = "--nodes-p-radial:int --nodes-p-polar:int"
 _SURFACE = {
     "sweep": f"--n:int... {_SPREADS} {_FIDELITY}",
     "optimize": f"--n:int --delta-min:float --delta-max:float {_FIDELITY}",
-    "disturbance": f"--n:int... {_SPREADS} {_MOMENTUM} --tol:float --mark-delta-opt:flag",
+    "disturbance": f"--n:int... {_SPREADS} --nodes-p-radial:int --tol:float --mark-delta-opt:flag",
     "bloch": f"--n:int... {_SPREADS} {_MOMENTUM}",
     "asympt": "--n-min:int --n-max:int --n-step:int --spread-rule:str --nodes-p-radial:int --tol:float",
     "reference": "--n:int...",
@@ -546,9 +551,21 @@ def test_bloch_csv(capsys):
     assert code == 0
     _, columns, rows = parse_csv(out)
     assert columns == ["n_spins", "delta", "sz_initial", "sz_post_closed",
-                       "sz_post_numeric", "sx_post", "sy_post"]
+                       "sz_post_numeric", "sx_post", "sy_post", "err_estimate"]
     assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-15)
     assert float(rows[0][3]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_bloch_refuses_an_unconverged_point(capsys):
+    # Eight radial nodes at spread 0.05 used to print 0.3388 beside the
+    # closed form 1/6 with exit 0; the refinement pass moves it by 0.32.
+    code, out, err = run_cli(["bloch", "--n", "1", "--delta", "0.05", "--nodes-p-radial", "8"], capsys)
+    assert code == 3
+    _, _, rows = parse_csv(out)
+    assert rows == []
+    failure, = err.splitlines()
+    assert failure.startswith("bloch point failed: n=1 delta=0.05: ")
+    assert "refinement moved by" in failure
 
 
 def test_optimize_json(capsys):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpointer import disturbance, pointer, spincore
+from spinpointer import disturbance, pointer, quadrature, spincore
 from spinpointer.disturbance import (
     bloch_post_numeric,
     bloch_z_post_closed,
@@ -22,7 +22,7 @@ from spinpointer.disturbance import (
 )
 from spinpointer.errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from spinpointer.pointer import MomentumQuadrature, PointerModel, momentum_profile
-from spinpointer.quadrature import trapezoid_periodic
+from spinpointer.quadrature import gauss_legendre, scaled_count, trapezoid_periodic
 from spinpointer.spincore import collective_operators, dicke_expand, full_tensor_rotation_oracle
 
 
@@ -131,9 +131,57 @@ def test_over_cap_refinement_is_refused_before_any_rule(monkeypatch):
     def no_rule(*args):
         raise AssertionError("a Gauss rule was built")
 
+    monkeypatch.setattr(disturbance, "gauss_legendre", no_rule)
     monkeypatch.setattr(pointer, "gauss_legendre", no_rule)
-    with pytest.raises(CapabilityError, match="22500 radial momentum nodes, cap 20000"):
-        disturbance_exact(1, PointerModel(0.5), MomentumQuadrature(radial_nodes=15_000))
+    for route in (disturbance_exact, bloch_post_numeric):
+        with pytest.raises(CapabilityError, match="22500 radial momentum nodes, cap 20000"):
+            route(1, PointerModel(0.5), MomentumQuadrature(radial_nodes=15_000))
+
+
+def mesh_value(n, radial, p_rule, c_rule):
+    """Reference: the former 2-D (radial, polar) mesh route of
+    disturbance_exact, kept verbatim, with the polar rule of max(64, n+1)
+    Gauss nodes that integrates its degree-2n polynomial exactly."""
+    p = p_rule.nodes[:, None]
+    c = c_rule.nodes[None, :]
+    sin_sq = np.sin(0.5 * p) ** 2 * (1.0 - c * c)
+    overlap = np.exp(n * np.log1p(-np.clip(sin_sq, 0.0, 1.0)))
+    kept = 2.0 * math.pi * float(radial @ overlap @ c_rule.weights)
+    return 1.0 - kept
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 30, 100, 1000])
+def test_polar_recurrence_equals_the_mesh_route(n):
+    # Both passes' radial rules, at spreads from 0.2 to sqrt(9n/4). At
+    # n = 1000 the spreads start at 1: spread 0.2 there needs 9582- and
+    # 14 373-node radial rules, whose Gauss nodes alone take about 9 s.
+    quad = MomentumQuadrature()
+    c_rule = gauss_legendre(max(64, n + 1), -1.0, 1.0)
+    spreads = {1.0, math.sqrt(n / 8.0), math.sqrt(9.0 * n / 4.0)} | ({0.2} if n <= 100 else set())
+    for spread in sorted(spreads):
+        model = PointerModel(spread)
+        base = disturbance._automatic_radial(n, model, quad)
+        for count in (base, scaled_count(base)):
+            p_rule = gauss_legendre(count, 0.0, quad.p_max(model))
+            radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
+            gap = abs(disturbance._disturbance_value(n, model, p_rule) - mesh_value(n, radial, p_rule, c_rule))
+            assert gap <= 1e-13, (spread, count)
+
+
+def test_disturbance_builds_only_its_two_radial_rules(monkeypatch):
+    # No polar Gauss rule: at n = 10^4 the former mesh built 10 001- and
+    # 15 002-node polar rules, nearly all of a 9.7 s call.
+    built = []
+    legendre = quadrature._legendre_reference
+
+    def recorded(count):
+        built.append(count)
+        return legendre(count)
+
+    monkeypatch.setattr(quadrature, "_legendre_reference", recorded)
+    point = disturbance_exact(10_000, PointerModel(150.0))
+    assert built == [160, 240]
+    assert point.accepted
 
 
 def _node_loop(model, quad):
@@ -188,10 +236,16 @@ def test_stacked_oracle_equals_node_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 4, 61])
 def test_stacked_bloch_equals_node_loop_bit_for_bit(n):
-    quad = MomentumQuadrature(radial_nodes=7, polar_nodes=5, azimuthal_nodes=6)
+    # The reported value is the refinement pass's: scaled_count of the
+    # explicit radial and polar counts and of the route's 4-node azimuth.
+    # 12 radial nodes is the fewest whose refinement is accepted at n = 61.
+    quad = MomentumQuadrature(radial_nodes=12, polar_nodes=5)
     model = PointerModel(0.9)
     report = bloch_post_numeric(n, model, quad)
-    expected = bloch_by_node_loop(n, model, quad)
+    assert report.accepted
+    fine = MomentumQuadrature(radial_nodes=scaled_count(12), polar_nodes=scaled_count(5),
+                              azimuthal_nodes=scaled_count(4))
+    expected = bloch_by_node_loop(n, model, fine)
     got = np.array([report.sx_post, report.sy_post, report.sz_post_numeric])
     assert np.max(np.abs(got - expected)) <= NODE_LOOP_BOUND
 
@@ -245,6 +299,10 @@ def test_bloch_closed_matches_numeric_path():
             assert abs(report.sy_post) < 1e-8
             assert report.sz_initial == pytest.approx(n / 2.0, abs=1e-15)
             assert report.sz_post_closed <= report.sz_initial + 1e-12
+            # The refinement pass, every count scaled by 1.5, shows the rule
+            # sized for the integrand's degree is exact up to rounding.
+            assert report.accepted
+            assert report.error_estimate < 1e-12
 
 
 def test_bloch_numeric_path_beyond_log_space_threshold():

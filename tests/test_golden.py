@@ -25,7 +25,7 @@ CASES = {
     "disturbance_marked.csv": ["disturbance", "--n", "1", "--n", "3", "--delta-min", "0.1",
                                "--delta-max", "2", "--delta-steps", "5", "--mark-delta-opt"],
     "disturbance_explicit_momentum.csv": ["disturbance", "--n", "2", "--delta", "0.5",
-                                          "--nodes-p-radial", "160", "--nodes-p-polar", "8"],
+                                          "--nodes-p-radial", "160"],
     "bloch.csv": ["bloch", "--n", "1", "--n", "5", "--delta", "0.3", "--delta", "1"],
     "asympt_formula.csv": ["asympt", "--n-min", "150", "--n-max", "200", "--n-step", "50"],
     # No other case reaches the golden-section search over the lower bound.

@@ -290,11 +290,11 @@ def test_momentum_count_policy(monkeypatch, capsys):
         monkeypatch.setattr(module, name, wrapper)
 
     # The scan build of the outcome grid goes through pointer's own name.
-    # The field has no polar rule, so only its radial count is recorded.
+    # The field and the disturbance have no polar rule, so only their radial
+    # counts are recorded.
     recorded(estimation, "build_amplitude_field", "field",
              lambda args, field: (field.counts.nodes_p_radial,))
-    recorded(disturbance, "_disturbance_value", "disturbance",
-             lambda args, value: (args[2].count, args[3].count))
+    recorded(disturbance, "_disturbance_value", "disturbance", lambda args, value: (args[2].count,))
     recorded(asymptotics, "_marginals", "bound", lambda args, marginals: (args[-1],))
     model = PointerModel(0.7)
     for quad in (MomentumQuadrature(radial_nodes=40, polar_nodes=8), None):
@@ -306,9 +306,9 @@ def test_momentum_count_policy(monkeypatch, capsys):
         for route, (base, refined) in used.items():
             assert refined == tuple(scaled_count(count) for count in base), route
         if quad is not None:
-            assert used == {"field": [(40,), (60,)], "disturbance": [(40, 8), (60, 12)],
+            assert used == {"field": [(40,), (60,)], "disturbance": [(40,), (60,)],
                             "bound": [(40,), (60,)]}
-    assert used["disturbance"][0] == (64, 64)
+    assert used["disturbance"][0] == (64,)
 
     refused = [
         lambda: average_fidelity(100, PointerModel(0.025)),  # 24 037 radial nodes

@@ -12,6 +12,7 @@ from spinpointer.spincore import (
     CollectiveOperators,
     Direction,
     coherent_dicke,
+    collective_bands,
     collective_operators,
     dicke_basis_full,
     dicke_expand,
@@ -129,10 +130,20 @@ def test_sz_spectrum_is_exact_ladder():
         assert np.allclose(sz, np.diag(np.diag(sz)), atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 61])
+def test_bands_equal_the_dense_diagonals_bit_for_bit(n):
+    m, lower = collective_bands(n)
+    ops = collective_operators(n)
+    assert np.array_equal(np.diagonal(ops.sz), m)
+    assert np.array_equal(np.diagonal(ops.sx, 1), 0.5 * lower)
+    assert np.array_equal(np.diagonal(ops.sy, 1), -0.5j * lower)
+    assert not np.any(np.diagonal(ops.sx)) and not np.any(np.diagonal(ops.sy))
+
+
 @pytest.mark.parametrize("n", [1, 4, 61])
 def test_collective_operators_are_hermitian_and_tridiagonal(n):
-    # bloch_post_numeric reads only the main diagonal and the first
-    # superdiagonal of each operator.
+    # So collective_bands, which bloch_post_numeric reads, holds every
+    # nonzero element of each operator.
     ops = collective_operators(n)
     k = np.arange(n + 1)
     outside_band = np.abs(k[:, None] - k[None, :]) > 1

@@ -10,12 +10,27 @@ from spinpointer import validate
 def test_bloch_check_fails_when_the_closed_sz_exceeds_the_initial_sz(monkeypatch):
     def bloch(n, model):
         return SimpleNamespace(sz_initial=0.5 * n, sz_post_closed=0.5 * n + 0.25,
-                               sz_post_numeric=0.5 * n + 0.25, sx_post=0.0, sy_post=0.0)
+                               sz_post_numeric=0.5 * n + 0.25, sx_post=0.0, sy_post=0.0,
+                               error_estimate=0.0, accepted=True)
 
     monkeypatch.setattr(validate, "bloch_post_numeric", bloch)
     result = validate._check_bloch_paths()
     assert result.name == "bloch_closed_vs_numeric"
     assert (result.passed, result.measured) == (False, 0.25)
+
+
+def test_bloch_check_fails_on_a_point_not_accepted(monkeypatch):
+    # Closed and numeric S_z agree, but the refinement pass moved by more
+    # than its tolerance; the largest change is in the detail.
+    def bloch(n, model):
+        return SimpleNamespace(sz_initial=0.5 * n, sz_post_closed=0.25, sz_post_numeric=0.25,
+                               sx_post=0.0, sy_post=0.0, error_estimate=2e-3 if n == 5 else 0.0,
+                               accepted=n != 5)
+
+    monkeypatch.setattr(validate, "bloch_post_numeric", bloch)
+    result = validate._check_bloch_paths()
+    assert (result.passed, result.measured) == (False, 1.0)
+    assert "max err_estimate 2.00e-03" in result.detail
 
 
 @pytest.mark.parametrize(
