@@ -78,11 +78,11 @@ _SPREADS = (
 )
 _RANGE_KEYS = ("delta_min", "delta_max", "delta_steps")
 
-# The amplitude field, the lower bound and the disturbance integrate the
-# momentum polar angle in closed form or by recurrence and read the radial
-# count alone; only bloch takes a polar rule. Every route cuts the momentum
-# at 8 momentum sigmas.
-_RADIAL, _POLAR = _flag("--nodes-p-radial", int), _flag("--nodes-p-polar", int)
+# Every momentum route reads the radial count alone: the amplitude field,
+# the lower bound and the disturbance integrate the polar angle in closed
+# form or by recurrence, and bloch fixes its angular rules by the degree of
+# its integrand. Every route cuts the momentum at 8 momentum sigmas.
+_RADIAL = _flag("--nodes-p-radial", int)
 _FIDELITY = (
     _flag("--guess-rule", _guess_rule, GuessRule.PLUS_R.value,
           choices=[r.value.replace("_", "-") for r in GuessRule] + [r.value for r in GuessRule]),
@@ -101,7 +101,7 @@ _COMMANDS = {
         _flag("--n", [int]), *_SPREADS, _RADIAL, _flag("--tol", float, 1e-7),
         _flag("--mark-delta-opt", bool, False, help="insert a row at the sqrt(n/8) spread for each n"))),
     "bloch": ("post-measurement collective spin", "csv", (
-        _flag("--n", [int]), *_SPREADS, _RADIAL, _POLAR)),
+        _flag("--n", [int]), *_SPREADS, _RADIAL)),
     "asympt": ("fidelity lower bound along n", "csv", (
         _flag("--n-min", int), _flag("--n-max", int), _flag("--n-step", int, 1),
         _flag("--spread-rule", str, "formula", choices=["formula", "optimize"]),
@@ -261,13 +261,9 @@ def _convert(key: str, value, kind):
     raise ConfigError(f"{key} must be {_KIND_NAMES.get(kind, 'a string')}, got {value!r}")
 
 
-_QUAD_ARGS = {"nodes_p_radial": "radial_nodes", "nodes_p_polar": "polar_nodes"}
-
-
 def _momentum_quad(cfg: dict) -> MomentumQuadrature:
-    """The momentum rule; an unset setting keeps the library's default."""
-    return MomentumQuadrature(**{arg: cfg[key] for key, arg in _QUAD_ARGS.items()
-                                 if cfg.get(key) is not None})
+    """The momentum rule; an unset radial count keeps the automatic one."""
+    return MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"])
 
 
 def _fidelity_settings(cfg: dict) -> dict:

@@ -175,9 +175,11 @@ def _momentum_mesh(n_spins: int, model: PointerModel, quad: MomentumQuadrature):
 
     The radial count is the disturbance's; the polar integrand is a
     polynomial of degree 2n in cos(theta_p), exact once the rule has n+1
-    nodes.
+    nodes. Explicit polar and azimuthal counts win over max(64, n+1) and 16.
     """
-    p_rule, c_rule = quad.gauss_rules(model, _automatic_radial(n_spins, model, quad), max(64, n_spins + 1))
+    count = quad.radial_count(_automatic_radial(n_spins, model, quad))
+    p_rule = gauss_legendre(count, 0.0, quad.p_max(model))
+    c_rule = gauss_legendre(quad.polar_nodes or max(64, n_spins + 1), -1.0, 1.0)
     units, weights = _directions(c_rule, trapezoid_periodic(quad.azimuthal_nodes))
     return p_rule.nodes, _radial_weights(p_rule, model), units, weights
 
@@ -283,12 +285,13 @@ def bloch_post_numeric(
       u_z (cos p + (1 - cos p) u_z^2 for the z component);
     - azimuth: a 4-node trapezoid, exact for harmonics |m| <= 3, as R(p) z
       holds |m| <= 1.
-    Explicit radial and polar counts win over the automatic ones. A second
-    pass takes scaled_count of every count, and refinement_report compares
-    the two values of <S_z> at tolerance 1e-3 (the fidelity's default): the
-    report carries the refined pass, its change as error_estimate, and
-    accepted; a change above 1e-2 raises ConvergenceError. So the degree
-    argument is checked on every call.
+    An explicit radial count wins over the automatic one; the polar and
+    azimuth counts are fixed. A second pass takes scaled_count of every
+    count, and refinement_report compares the two values of <S_z> at
+    tolerance 1e-3 (the fidelity's default): the report carries the refined
+    pass, its change as error_estimate, and accepted; a change above 1e-2
+    raises ConvergenceError. So the degree argument is checked on every
+    call.
 
     The radial nodes go through dicke_expand in blocks of at most
     _BLOCH_CELLS amplitudes (at least one node a block), so memory stays
@@ -296,11 +299,13 @@ def bloch_post_numeric(
     """
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
-    radial = _automatic_radial(1, model, quad)
-    # The refinement pass first, so a count above the cap is refused before any rule.
-    fine = (*quad.gauss_rules(model, radial, _BLOCH_POLAR, refined=True),
+    # Both counts are resolved first, so a count above the cap is refused before any rule.
+    counts = [quad.radial_count(_automatic_radial(1, model, quad), refined) for refined in (False, True)]
+    p_max = quad.p_max(model)
+    base = (gauss_legendre(counts[0], 0.0, p_max), gauss_legendre(_BLOCH_POLAR, -1.0, 1.0),
+            trapezoid_periodic(_BLOCH_AZIMUTH))
+    fine = (gauss_legendre(counts[1], 0.0, p_max), gauss_legendre(scaled_count(_BLOCH_POLAR), -1.0, 1.0),
             trapezoid_periodic(scaled_count(_BLOCH_AZIMUTH)))
-    base = (*quad.gauss_rules(model, radial, _BLOCH_POLAR), trapezoid_periodic(_BLOCH_AZIMUTH))
     sz_base = _bloch_pass(n, model, *base)[2]
     sx, sy, sz = _bloch_pass(n, model, *fine)
     report = refinement_report(sz_base, sz, _BLOCH_TOLERANCE, "bloch S_z", n, model.spread)

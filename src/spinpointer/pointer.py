@@ -44,7 +44,7 @@ from scipy.special import spherical_jn
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quadrature import Rule1D, checked_count, gauss_legendre, scaled_count, trapezoid_periodic
-from .spincore import Direction, DickeVector
+from .spincore import Direction, DickeVector, dicke_expand
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
@@ -128,17 +128,18 @@ def momentum_profile(p, model: PointerModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumQuadrature:
-    """Spherical momentum-space quadrature, and the one node-count policy.
+    """Spherical momentum-space quadrature, and the one radial count policy.
 
     Every radial rule ends at p_max, 8 momentum sigmas. Each integrand
-    supplies its own automatic counts; an explicit count wins over them, and
-    the refinement pass takes scaled_count of the base count. A radial count
-    above MAX_RADIAL_NODES, of either pass, is refused before its rule is
-    built. The polar count only matters where that axis is integrated
-    numerically, in the Bloch route and the full-tensor disturbance oracle,
-    and the azimuthal count reaches the oracle alone (the Bloch route's
-    azimuth rule is fixed); the amplitude field, the lower bound and
-    disturbance_exact read the radial count alone.
+    supplies its own automatic radial count; an explicit count wins over
+    it, and the refinement pass takes scaled_count of the base count. A
+    radial count above MAX_RADIAL_NODES, of either pass, is refused before
+    its rule is built. Each route builds its own rules from radial_count:
+    the amplitude field, the lower bound and disturbance_exact integrate
+    the polar angle in closed form or by recurrence, and the Bloch route
+    fixes its polar and azimuth rules by the degree of its integrand. So
+    the polar and azimuthal counts reach only the full-tensor disturbance
+    oracle.
     """
 
     radial_nodes: int | None = None
@@ -175,18 +176,6 @@ class MomentumQuadrature:
             raise CapabilityError(
                 f"quadrature needs {count} radial momentum nodes, cap {MAX_RADIAL_NODES}")
         return count
-
-    def gauss_rules(
-        self, model: PointerModel, radial: int, polar: int, refined: bool = False
-    ) -> tuple[Rule1D, Rule1D]:
-        """Gauss-Legendre rules on [0, p_max] and [-1, 1] for automatic counts,
-        of the base or the refinement pass. The polar count follows the
-        radial policy without its cap. Both counts are resolved, and an
-        over-cap one refused, before either rule is built."""
-        n_p = self.radial_count(radial, refined)
-        n_c = polar if self.polar_nodes is None else int(self.polar_nodes)
-        n_c = scaled_count(n_c) if refined else n_c
-        return gauss_legendre(n_p, 0.0, self.p_max(model)), gauss_legendre(n_c, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -761,9 +750,10 @@ def direct_amplitudes_3d(
 
     Independent cross-check of the partial-wave synthesis: spherical product
     rule (Gauss-Legendre radial and polar, trapezoid azimuthal), arbitrary
-    input direction, no ascent to symmetric-subspace shortcuts beyond the
-    binomial expansion of a product state. Intended for tests at small n and
-    moderate spread; its 64 x 48 x 48 nodes must resolve r_max * p_max oscillations.
+    input direction, no symmetric-subspace shortcut beyond dicke_expand of
+    the rotated product state, contracted with the measure in one product.
+    Intended for tests at small n and moderate spread; its 64 x 48 x 48
+    nodes must resolve r_max * p_max oscillations.
     """
     n = checked_count(n_spins, "n_spins")
     r_vec = np.asarray(r_vec, dtype=float)
@@ -798,8 +788,5 @@ def direct_amplitudes_3d(
         * phi_rule.weights[None, None, :]
     )
     common = (2.0 * math.pi) ** -1.5 * measure * phase
-    amps = np.empty(n + 1, dtype=complex)
-    for k in range(n + 1):
-        spin = math.sqrt(math.comb(n, k)) * alpha_u ** (n - k) * beta_u**k
-        amps[k] = np.sum(common * spin)
-    return DickeVector(n_spins=n, amplitudes=amps)
+    spin = dicke_expand(alpha_u, beta_u, n).amplitudes
+    return DickeVector(n_spins=n, amplitudes=common.reshape(-1) @ spin.reshape(-1, n + 1))

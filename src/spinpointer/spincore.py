@@ -90,7 +90,9 @@ def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
     Up to n = 60 the powers are running products, one factor at a time.
     Above it the binomial and the powers are summed in log space and each
     cell takes one exp; integer exponents make any branch of the complex log
-    exact. A zero amplitude to the power 0 counts as 1.
+    exact. A zero amplitude to the power 0 counts as 1. Every k is one row
+    of a whole-array operation, written through the transpose of the
+    C-ordered result: callers' sums over cells follow that layout.
     """
     n = checked_count(n_spins, "n_spins")
     a = np.asarray(alpha, dtype=complex)
@@ -101,26 +103,27 @@ def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
     a = a.reshape(-1)
     b = b.reshape(-1)
     amps = np.empty((a.size, n + 1), dtype=complex)
+    k = np.arange(n + 1)
     if n <= _LOG_SPACE_THRESHOLD:
         powers_a = np.ones((n + 1, a.size), dtype=complex)
         powers_b = np.ones((n + 1, b.size), dtype=complex)
         for j in range(n):
             powers_a[j + 1] = powers_a[j] * a
             powers_b[j + 1] = powers_b[j] * b
-        for k in range(n + 1):
-            amps[:, k] = math.sqrt(math.comb(n, k)) * powers_a[n - k] * powers_b[k]
+        # Exact binomials, each rounded once to a float before its root.
+        root = np.sqrt(np.frompyfunc(math.comb, 2, 1)(n, k).astype(float))
+        np.multiply(root[:, None] * powers_a[::-1], powers_b, out=amps.T)
     else:
+        lgamma = np.frompyfunc(math.lgamma, 1, 1)(k + 1).astype(float)
+        half = 0.5 * (math.lgamma(n + 1) - (lgamma + lgamma[::-1]))
+        expo = amps.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_a = np.log(a)
-            log_b = np.log(b)
-            for k in range(n + 1):
-                # Skipping a zero exponent keeps 0 * log(0), which is nan, out.
-                expo = 0.5 * (math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)))
-                if k < n:
-                    expo = expo + (n - k) * log_a
-                if k > 0:
-                    expo = expo + k * log_b
-                amps[:, k] = np.exp(expo)
+            # A zero exponent is skipped, not multiplied: 0 * log(0) is nan.
+            np.multiply((n - k)[:, None], np.log(a), out=expo)
+            expo[n] = 0.0
+            expo += half[:, None]
+            expo[1:] += k[1:, None] * np.log(b)
+            np.exp(amps, out=amps)
         # A nan here comes from a zero amplitude: the term is a true zero.
         amps[np.isnan(amps)] = 0.0
     return DickeVector(n_spins=n, amplitudes=amps.reshape(shape + (n + 1,)))

@@ -117,7 +117,7 @@ def _check_momentum_normalization() -> CheckResult:
     worst = 0.0
     for spread in (0.1, 1.0, 5.0):
         model = PointerModel(spread)
-        rule = gauss_legendre(64, 0.0, 8.0 * model.momentum_sigma)
+        rule = gauss_legendre(64, 0.0, MomentumQuadrature().p_max(model))
         total = 4.0 * math.pi * float(
             np.sum(rule.weights * rule.nodes**2 * momentum_profile(rule.nodes, model) ** 2)
         )

@@ -87,7 +87,8 @@ def _spherical_profile(r, n, model, quad):
     e^(i r p c) times alpha^n, summed over Gauss rules in |p| and c = cos(polar)."""
     r_max = max(float(np.max(r)), 1.0)
     n_c = max(32, n + 1, int(math.ceil(0.8 * r_max * quad.p_max(model))) + 16)
-    p_rule, c_rule = quad.gauss_rules(model, quad.effective_radial(r_max, model, n), n_c)
+    p_rule = gauss_legendre(quad.radial_count(quad.effective_radial(r_max, model, n)), 0.0, quad.p_max(model))
+    c_rule = gauss_legendre(n_c, -1.0, 1.0)
     p, c = p_rule.nodes, c_rule.nodes
     alpha = np.cos(0.5 * p)[:, None] - 1j * c * np.sin(0.5 * p)[:, None]
     weighted = np.exp(n * np.log(alpha)) * c_rule.weights

@@ -184,6 +184,13 @@ def test_disturbance_refuses_a_polar_count(tmp_path, capsys):
     assert_refused(["disturbance", "--n", "1", "--delta", "0.5"], "--nodes-p-polar", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("flag", ["--nodes-p-polar", "--nodes-p-azimuthal"])
+def test_bloch_refuses_momentum_angle_counts(flag, tmp_path, capsys):
+    # The Bloch route fixes its polar and azimuth rules by the degree of
+    # its integrand; only the radial count is a setting.
+    assert_refused(["bloch", "--n", "1", "--delta", "0.5"], flag, tmp_path, capsys)
+
+
 @pytest.mark.parametrize(
     "args",
     [["sweep", "--n", "1", "--delta", "0.5"], ["optimize", "--n", "1"],
@@ -246,12 +253,11 @@ def test_equivalent_flags_and_config_print_the_same_bytes(tmp_path):
 _OUTPUT = "--out:str --format:str --workers:int --config:str"
 _SPREADS = "--delta:float... --delta-min:float --delta-max:float --delta-steps:int"
 _FIDELITY = "--guess-rule:str --nodes-r:int --nodes-theta:int --nodes-p-radial:int --tol:float"
-_MOMENTUM = "--nodes-p-radial:int --nodes-p-polar:int"
 _SURFACE = {
     "sweep": f"--n:int... {_SPREADS} {_FIDELITY}",
     "optimize": f"--n:int --delta-min:float --delta-max:float {_FIDELITY}",
     "disturbance": f"--n:int... {_SPREADS} --nodes-p-radial:int --tol:float --mark-delta-opt:flag",
-    "bloch": f"--n:int... {_SPREADS} {_MOMENTUM}",
+    "bloch": f"--n:int... {_SPREADS} --nodes-p-radial:int",
     "asympt": "--n-min:int --n-max:int --n-step:int --spread-rule:str --nodes-p-radial:int --tol:float",
     "reference": "--n:int...",
     "validate": "",

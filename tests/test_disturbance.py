@@ -187,7 +187,8 @@ def test_disturbance_builds_only_its_two_radial_rules(monkeypatch):
 def _node_loop(model, quad):
     """Radial weights and the (polar, azimuth) node triples of the scalar
     per-node loops, in their order."""
-    p_rule, c_rule = quad.gauss_rules(model, 0, 0)
+    p_rule = gauss_legendre(quad.radial_nodes, 0.0, quad.p_max(model))
+    c_rule = gauss_legendre(quad.polar_nodes, -1.0, 1.0)
     phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
     radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
     for wp, p in zip(radial, p_rule.nodes):
@@ -237,13 +238,14 @@ def test_stacked_oracle_equals_node_loop_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 4, 61])
 def test_stacked_bloch_equals_node_loop_bit_for_bit(n):
     # The reported value is the refinement pass's: scaled_count of the
-    # explicit radial and polar counts and of the route's 4-node azimuth.
-    # 12 radial nodes is the fewest whose refinement is accepted at n = 61.
-    quad = MomentumQuadrature(radial_nodes=12, polar_nodes=5)
+    # explicit radial count and of the route's own 8-node polar rule and
+    # 4-node azimuth. 12 radial nodes is the fewest whose refinement is
+    # accepted at n = 61.
+    quad = MomentumQuadrature(radial_nodes=12)
     model = PointerModel(0.9)
     report = bloch_post_numeric(n, model, quad)
     assert report.accepted
-    fine = MomentumQuadrature(radial_nodes=scaled_count(12), polar_nodes=scaled_count(5),
+    fine = MomentumQuadrature(radial_nodes=scaled_count(12), polar_nodes=scaled_count(8),
                               azimuthal_nodes=scaled_count(4))
     expected = bloch_by_node_loop(n, model, fine)
     got = np.array([report.sx_post, report.sy_post, report.sz_post_numeric])

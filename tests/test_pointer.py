@@ -78,8 +78,7 @@ def test_momentum_quadrature_validation():
             with pytest.raises(DomainError):
                 MomentumQuadrature(**{name: count})
     quad = MomentumQuadrature(radial_nodes=50)
-    p_rule, c_rule = quad.gauss_rules(PointerModel(1.0), 999, 40)
-    assert (p_rule.count, c_rule.count) == (50, 40)
+    assert (quad.radial_count(999), quad.radial_count(999, refined=True)) == (50, 75)
     auto = MomentumQuadrature()
     model = PointerModel(0.5)
     assert auto.p_max(model) == pytest.approx(8.0, abs=1e-15)
@@ -506,7 +505,8 @@ def _per_order_field(n, model, grid, quad):
     """The synthesis formula of build_amplitude_field summed one (k, l) term
     at a time, with polar Gauss-Legendre moments and scipy's j_l for every
     order."""
-    p_rule, c_rule = quad.gauss_rules(model, 0, 0)
+    p_rule = gauss_legendre(quad.radial_nodes, 0.0, quad.p_max(model))
+    c_rule = gauss_legendre(quad.polar_nodes, -1.0, 1.0)
     alpha, beta = _alpha_beta_polar(p_rule.nodes, c_rule.nodes)
     spin = np.moveaxis(spincore.dicke_expand(alpha, beta, n).amplitudes, -1, 0)
     measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)

@@ -93,6 +93,62 @@ def test_batched_dicke_expand_equals_scalar_calls_bit_for_bit(n):
         dicke_expand(alpha, beta[0], n)
 
 
+def _dicke_expand_by_index(alpha, beta, n):
+    """Reference: the former dicke_expand, one numpy step per Dicke index k."""
+    a = np.asarray(alpha, dtype=complex)
+    b = np.asarray(beta, dtype=complex)
+    shape = a.shape
+    a = a.reshape(-1)
+    b = b.reshape(-1)
+    amps = np.empty((a.size, n + 1), dtype=complex)
+    if n <= 60:
+        powers_a = np.ones((n + 1, a.size), dtype=complex)
+        powers_b = np.ones((n + 1, b.size), dtype=complex)
+        for j in range(n):
+            powers_a[j + 1] = powers_a[j] * a
+            powers_b[j + 1] = powers_b[j] * b
+        for k in range(n + 1):
+            amps[:, k] = math.sqrt(math.comb(n, k)) * powers_a[n - k] * powers_b[k]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_a = np.log(a)
+            log_b = np.log(b)
+            for k in range(n + 1):
+                expo = 0.5 * (math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1)))
+                if k < n:
+                    expo = expo + (n - k) * log_a
+                if k > 0:
+                    expo = expo + k * log_b
+                amps[:, k] = np.exp(expo)
+        amps[np.isnan(amps)] = 0.0
+    return amps.reshape(shape + (n + 1,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 17, 30, 59, 60, 61, 62, 100, 333, 1000, 5000])
+def test_dicke_expand_equals_the_per_index_loop_bit_for_bit(n):
+    # Real and imaginary parts, signed zeros included, and a C-ordered
+    # result: the Bloch route's sums over cells follow the layout.
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(3, 4, 4))
+    norm = np.sqrt(np.sum(z * z, axis=-1))
+    alpha = (z[..., 0] + 1j * z[..., 1]) / norm
+    beta = (z[..., 2] + 1j * z[..., 3]) / norm
+    alpha[0, :2] = 0.0
+    beta[1, 1:3] = 0.0
+    alpha[2, 2] = beta[2, 2] = 0.0
+    alpha[2, 3], beta[2, 3] = 1.0, 0.0
+    alpha[1, 3], beta[1, 3] = 0.0, -1j
+    cases = [(alpha, beta), (alpha[1], beta[1]), (complex(alpha[0, 2]), complex(beta[0, 2])),
+             (1.0, 0.0), (0.0, 1j)]
+    for a, b in cases:
+        got = dicke_expand(a, b, n).amplitudes
+        expected = _dicke_expand_by_index(a, b, n)
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape
+        assert np.array_equal(got.real.view(np.uint64), expected.real.view(np.uint64))
+        assert np.array_equal(got.imag.view(np.uint64), expected.imag.view(np.uint64))
+
+
 def test_coherent_state_overlap_power_law():
     rng = np.random.default_rng(13)
     for n in (1, 4, 9):
