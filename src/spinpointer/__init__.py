@@ -46,8 +46,6 @@ from .pointer import (
 )
 from .quadrature import ConvergenceReport, Rule1D, gauss_legendre
 from .spincore import (
-    CollectiveOperators,
-    DickeVector,
     Direction,
     coherent_dicke,
     collective_operators,

@@ -72,17 +72,17 @@ def optimal_scaling(n_spins: int) -> float:
     return 1.0 / (1.0 + 2.0 / n_spins)
 
 
-def _marginals(n: int, model: PointerModel, p_max: float, count: int):
-    """The p_z rule on [0, p_max], with G(p_z) e^(i n p_z/2) and
+def _marginals(n: int, model: PointerModel, count: int):
+    """The p_z rule on [0, p_max] of the model, with G(p_z) e^(i n p_z/2) and
     G'(p_z) e^(i n p_z/2) on its nodes, from one count x count Gauss mesh in
     (p_z, s), s in [p_z, p_max], in blocks of p_z rows."""
-    z_rule = gauss_legendre(count, 0.0, p_max)
+    z_rule = gauss_legendre(count, 0.0, model.p_max)
     t_rule = gauss_legendre(count, 0.0, 1.0)
     marginal, slope = np.empty((2, count), dtype=complex)
     rows = _BLOCK_CELLS // count  # at least 13 under the radial cap
     for lo, hi in _row_ranges(count, rows):
         pz = z_rule.nodes[lo:hi, None]
-        span = p_max - pz
+        span = model.p_max - pz
         s = pz + span * t_rule.nodes
         sin_half, cos_half = np.sin(0.5 * s), np.cos(0.5 * s)
         tilt = pz * sin_half / s  # alpha = cos_half - i tilt; s > p_z > 0 on Gauss nodes
@@ -124,7 +124,7 @@ def diag_radial_profile(
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise DomainError("radii must be finite and nonnegative")
     count = quad.radial_count(quad.effective_radial(float(np.max(r, initial=1.0)), model, n))
-    z_rule, marginal, _ = _marginals(n, model, quad.p_max(model), count)
+    z_rule, marginal, _ = _marginals(n, model, count)
     return _fourier(r, n, z_rule, marginal)
 
 
@@ -146,12 +146,12 @@ def fidelity_lower_bound(
     if not tolerance > 0:
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
-    p_max, r_behind = quad.p_max(model), 6.0 * model.spread + 4.0
+    r_behind = 6.0 * model.spread + 4.0
     automatic = quad.effective_radial(r_behind, model, n)
     counts = [quad.radial_count(automatic, refined) for refined in (False, True)]
 
     def score(count: int) -> float:
-        z_rule, marginal, slope = _marginals(n, model, p_max, count)
+        z_rule, marginal, slope = _marginals(n, model, count)
         r_rule = gauss_legendre(count, 0.0, r_behind)
         w_behind = _fourier(-r_rule.nodes, n, z_rule, marginal)
         behind = float(r_rule.weights @ (r_rule.nodes * w_behind) ** 2)

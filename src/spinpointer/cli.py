@@ -62,7 +62,10 @@ class ConfigError(ValueError):
 
 def _guess_rule(text: str) -> str:
     """A guess rule written either way ("best-of-axis" or "best_of_axis")."""
-    return GuessRule.from_string(text).value
+    try:
+        return GuessRule(text.replace("-", "_")).value
+    except ValueError:
+        raise ConfigError(f"unknown guess rule {text!r}") from None
 
 
 def _flag(flag: str, kind, default=None, **parser_kw) -> tuple:
@@ -399,14 +402,9 @@ def _cmd_reference(cfg: dict, fmt: str) -> tuple[str, int]:
 
 def _cmd_validate(cfg: dict, fmt: str) -> tuple[str, int]:
     results = validate_mod.run_checks()
-    if fmt == "csv":
-        columns = ["name", "passed", "measured", "threshold", "detail"]
-        rows = [[r.name, r.passed, r.measured, r.threshold, r.detail]
-                for r in results]
-        text = _render(columns, rows, cfg, fmt)
-    else:
-        text = validate_mod.report_json(results)
-    return text, 0 if all(r.passed for r in results) else 1
+    columns = ["name", "passed", "measured", "threshold", "detail"]
+    rows = [[r.name, r.passed, r.measured, r.threshold, r.detail] for r in results]
+    return _render(columns, rows, cfg, fmt, key="checks"), 0 if all(r.passed for r in results) else 1
 
 
 # Each subcommand's handler is _cmd_<command>; one missing fails the import.

@@ -103,11 +103,11 @@ def _radial_weights(p_rule, model: PointerModel) -> np.ndarray:
     return p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
 
 
-def _automatic_radial(harmonic: int, model: PointerModel, quad: MomentumQuadrature) -> int:
+def _automatic_radial(harmonic: int, model: PointerModel) -> int:
     """Automatic radial count of an integrand holding harmonics up to
     cos(harmonic p): it grows with harmonic * p_max. The disturbance's
     rotation factor holds harmonic n, the Bloch vector harmonic 1."""
-    return max(64, math.ceil(1.5 * harmonic * quad.p_max(model) / math.pi) + 32)
+    return max(64, math.ceil(1.5 * harmonic * model.p_max / math.pi) + 32)
 
 
 def _disturbance_value(n_spins: int, model: PointerModel, p_rule) -> float:
@@ -143,8 +143,8 @@ def disturbance_exact(
         raise DomainError("tolerance must be positive")
     quad = quad or MomentumQuadrature()
     # Both counts are resolved first, so a count above the cap is refused before any rule.
-    counts = [quad.radial_count(_automatic_radial(n, model, quad), refined) for refined in (False, True)]
-    base, refined = (_disturbance_value(n, model, gauss_legendre(count, 0.0, quad.p_max(model)))
+    counts = [quad.radial_count(_automatic_radial(n, model), refined) for refined in (False, True)]
+    base, refined = (_disturbance_value(n, model, gauss_legendre(count, 0.0, model.p_max))
                      for count in counts)
     report = refinement_report(base, refined, tolerance, "disturbance", n, model.spread)
     return DisturbancePoint(
@@ -177,8 +177,8 @@ def _momentum_mesh(n_spins: int, model: PointerModel, quad: MomentumQuadrature):
     polynomial of degree 2n in cos(theta_p), exact once the rule has n+1
     nodes. Explicit polar and azimuthal counts win over max(64, n+1) and 16.
     """
-    count = quad.radial_count(_automatic_radial(n_spins, model, quad))
-    p_rule = gauss_legendre(count, 0.0, quad.p_max(model))
+    count = quad.radial_count(_automatic_radial(n_spins, model))
+    p_rule = gauss_legendre(count, 0.0, model.p_max)
     c_rule = gauss_legendre(quad.polar_nodes or max(64, n_spins + 1), -1.0, 1.0)
     units, weights = _directions(c_rule, trapezoid_periodic(quad.azimuthal_nodes))
     return p_rule.nodes, _radial_weights(p_rule, model), units, weights
@@ -258,7 +258,7 @@ def _bloch_pass(n_spins: int, model: PointerModel, p_rule, c_rule, phi_rule) -> 
         # exp(-i p u.sigma/2)|up> = (cos(p/2) - i u_z sin(p/2), -i sin(p/2) (u_x + i u_y)).
         alpha = cos_half - 1j * sin_half * units[:, 2]
         beta = -1j * sin_half * (units[:, 0] + 1j * units[:, 1])
-        v = dicke_expand(alpha, beta, n_spins).amplitudes.reshape(-1, n_spins + 1)
+        v = dicke_expand(alpha, beta, n_spins).reshape(-1, n_spins + 1)
         w = (radial[start:start + rows, None] * weights).ravel()
         diagonal += w @ (v.real**2 + v.imag**2)
         upper += w @ (np.conj(v[:, :-1]) * v[:, 1:])
@@ -300,8 +300,8 @@ def bloch_post_numeric(
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
     # Both counts are resolved first, so a count above the cap is refused before any rule.
-    counts = [quad.radial_count(_automatic_radial(1, model, quad), refined) for refined in (False, True)]
-    p_max = quad.p_max(model)
+    counts = [quad.radial_count(_automatic_radial(1, model), refined) for refined in (False, True)]
+    p_max = model.p_max
     base = (gauss_legendre(counts[0], 0.0, p_max), gauss_legendre(_BLOCH_POLAR, -1.0, 1.0),
             trapezoid_periodic(_BLOCH_AZIMUTH))
     fine = (gauss_legendre(counts[1], 0.0, p_max), gauss_legendre(scaled_count(_BLOCH_POLAR), -1.0, 1.0),

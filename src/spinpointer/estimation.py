@@ -34,14 +34,6 @@ class GuessRule(Enum):
     MINUS_R = "minus_r"
     BEST_OF_AXIS = "best_of_axis"
 
-    @classmethod
-    def from_string(cls, text: str) -> "GuessRule":
-        key = text.strip().lower().replace("-", "_")
-        for rule in cls:
-            if rule.value == key:
-                return rule
-        raise DomainError(f"unknown guess rule {text!r}")
-
 
 @dataclass(frozen=True)
 class FidelityPoint:
@@ -87,7 +79,7 @@ def strong_coupling_limit(n_spins: int) -> float:
 def _score_weights(field: AmplitudeField) -> tuple[float, float]:
     """Fidelity integrals for the +r and -r rules from one amplitude field."""
     w_r, w_t = field.grid.volume_weights()
-    radial_profile = w_r @ field.density()  # (n_theta,)
+    radial_profile = w_r @ field.density  # (n_theta,)
     half = 0.5 * field.grid.polar.nodes
     f_plus = float(radial_profile @ (w_t * np.cos(half) ** 2))
     f_minus = float(radial_profile @ (w_t * np.sin(half) ** 2))

@@ -44,7 +44,7 @@ from scipy.special import spherical_jn
 
 from .errors import CapabilityError, DomainError, NumericError
 from .quadrature import Rule1D, checked_count, gauss_legendre, scaled_count, trapezoid_periodic
-from .spincore import Direction, DickeVector, dicke_expand
+from .spincore import Direction, dicke_expand
 
 # Absolute prefactor of the partial-wave synthesis; see build notes below.
 _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
@@ -110,6 +110,12 @@ class PointerModel:
         """Per-axis standard deviation of the momentum density."""
         return 0.5 / self.spread
 
+    @property
+    def p_max(self) -> float:
+        """Cutoff momentum of every route, 8 momentum sigmas: the momentum
+        density holds 8.2e-14 of its mass beyond it."""
+        return 8.0 * self.momentum_sigma
+
 
 def checked_spread(spread: float) -> float:
     """``spread`` if it lies in SPREAD_RANGE, else a DomainError."""
@@ -130,16 +136,16 @@ def momentum_profile(p, model: PointerModel) -> np.ndarray:
 class MomentumQuadrature:
     """Spherical momentum-space quadrature, and the one radial count policy.
 
-    Every radial rule ends at p_max, 8 momentum sigmas. Each integrand
-    supplies its own automatic radial count; an explicit count wins over
-    it, and the refinement pass takes scaled_count of the base count. A
-    radial count above MAX_RADIAL_NODES, of either pass, is refused before
-    its rule is built. Each route builds its own rules from radial_count:
-    the amplitude field, the lower bound and disturbance_exact integrate
-    the polar angle in closed form or by recurrence, and the Bloch route
-    fixes its polar and azimuth rules by the degree of its integrand. So
-    the polar and azimuthal counts reach only the full-tensor disturbance
-    oracle.
+    Its fields are node counts only: every radial rule ends at the model's
+    p_max, 8 momentum sigmas. Each integrand supplies its own automatic
+    radial count; an explicit count wins over it, and the refinement pass
+    takes scaled_count of the base count. A radial count above
+    MAX_RADIAL_NODES, of either pass, is refused before its rule is built.
+    Each route builds its own rules from radial_count: the amplitude field,
+    the lower bound and disturbance_exact integrate the polar angle in
+    closed form or by recurrence, and the Bloch route fixes its polar and
+    azimuth rules by the degree of its integrand. So the polar and
+    azimuthal counts reach only the full-tensor disturbance oracle.
     """
 
     radial_nodes: int | None = None
@@ -152,11 +158,6 @@ class MomentumQuadrature:
             if v is not None or name == "azimuthal_nodes":
                 checked_count(v, name, minimum=4)
 
-    def p_max(self, model: PointerModel) -> float:
-        """Cutoff momentum of every route, 8 momentum sigmas: the momentum
-        density holds 8.2e-14 of its mass beyond it."""
-        return 8.0 * model.momentum_sigma
-
     def effective_radial(self, r_max: float, model: PointerModel, n_spins: int = 0) -> int:
         """Automatic radial count for outcome radii up to r_max.
 
@@ -165,7 +166,7 @@ class MomentumQuadrature:
         n_spins/2 in the radial momentum, on top of the plane-wave rate r.
         """
         band = r_max + 0.5 * n_spins
-        return max(32, int(math.ceil(1.5 * band * self.p_max(model))))
+        return max(32, int(math.ceil(1.5 * band * model.p_max)))
 
     def radial_count(self, automatic: int, refined: bool = False) -> int:
         """Radial count of one rule: the explicit count, else the caller's
@@ -240,9 +241,9 @@ class AmplitudeField:
     values[a, b, k] is the k-flips amplitude at radius radial.nodes[a] and
     polar angle polar.nodes[b]. At azimuth 0 every amplitude is real, so
     values is float64; a nonzero outcome azimuth multiplies component k by
-    e^(i k azimuth). total_probability is the grid integral
-    of the outcome density and should be 1 up to the quadrature tolerance
-    and the discarded radial tail.
+    e^(i k azimuth). density[a, b] is the outcome probability density
+    sum_k values[a, b, k]^2, and total_probability its grid integral, which
+    should be 1 up to the quadrature tolerance and the discarded radial tail.
     """
 
     n_spins: int
@@ -250,11 +251,7 @@ class AmplitudeField:
     counts: QuadratureCounts
     values: np.ndarray = field(repr=False)
     total_probability: float
-    _density: np.ndarray = field(repr=False)
-
-    def density(self) -> np.ndarray:
-        """Outcome probability density p(r, theta) on the grid, computed once by the build."""
-        return self._density
+    density: np.ndarray = field(repr=False)
 
 
 def _log_factorials(top: int) -> np.ndarray:
@@ -607,7 +604,7 @@ def build_amplitude_field(
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
     n_p = quad.radial_count(quad.effective_radial(grid.r_max, model, n))
-    p_rule = gauss_legendre(n_p, 0.0, quad.p_max(model))
+    p_rule = gauss_legendre(n_p, 0.0, model.p_max)
 
     # Radially weighted reduced moments, row l for order l, and the
     # outcome-angle coefficients of each k, from the cache when held.
@@ -633,7 +630,7 @@ def build_amplitude_field(
     )
     return AmplitudeField(
         n_spins=n, grid=grid, counts=counts, values=values,
-        total_probability=float(w_r @ density @ w_t), _density=density,
+        total_probability=float(w_r @ density @ w_t), density=density,
     )
 
 
@@ -644,8 +641,9 @@ def position_amplitudes(
     model: PointerModel,
     quad: MomentumQuadrature | None = None,
     azimuth: float = 0.0,
-) -> DickeVector:
-    """Dicke amplitudes of E(r)|up^n> at a single outcome point."""
+) -> np.ndarray:
+    """Dicke amplitudes of E(r)|up^n> at a single outcome point: a complex
+    array of n+1 entries, the field's values there times e^(i k azimuth)."""
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"outcome radius must be positive and finite, got {radius}")
     if not (0.0 <= polar <= math.pi):
@@ -659,8 +657,7 @@ def position_amplitudes(
         polar=Rule1D(np.array([polar]), np.array([1.0]), (0.0, math.pi)),
     )
     field_one = build_amplitude_field(n_spins, model, grid, quad)
-    amps = field_one.values[0, 0] * np.exp(1j * np.arange(n_spins + 1) * azimuth)
-    return DickeVector(n_spins=n_spins, amplitudes=amps)
+    return field_one.values[0, 0] * np.exp(1j * np.arange(n_spins + 1) * azimuth)
 
 
 def hemisphere_masses(n_spins: int, model: PointerModel) -> tuple[float, float]:
@@ -676,15 +673,14 @@ def hemisphere_masses(n_spins: int, model: PointerModel) -> tuple[float, float]:
     polar = Rule1D(np.r_[upper.nodes, lower.nodes], np.r_[upper.weights, lower.weights], (0.0, math.pi))
     grid = OutcomeGrid(radial=adaptive_outcome_grid(n_spins, model).radial, polar=polar)
     w_r, w_t = grid.volume_weights()
-    radial_profile = w_r @ build_amplitude_field(n_spins, model, grid).density()  # (n_theta,)
+    radial_profile = w_r @ build_amplitude_field(n_spins, model, grid).density  # (n_theta,)
     return float(radial_profile[:half] @ w_t[:half]), float(radial_profile[half:] @ w_t[half:])
 
 
 def radial_cumulative(field: AmplitudeField) -> np.ndarray:
     """Cumulative outcome probability up to each radial node."""
     w_r, w_t = field.grid.volume_weights()
-    density = field.density()
-    return np.cumsum(w_r * (density @ w_t))
+    return np.cumsum(w_r * (field.density @ w_t))
 
 
 def _radial_resolution_floor(r_max: float, spread: float, requested: int) -> int:
@@ -716,8 +712,8 @@ def adaptive_outcome_grid(
     rule is one Gauss-Legendre rule over [0, pi].
     """
     checked_count(n_spins, "n_spins")
-    if nodes_r < 1 or nodes_theta < 1:
-        raise DomainError(f"need at least one outcome node per axis, got {nodes_r} x {nodes_theta}")
+    nodes_r = checked_count(nodes_r, "nodes_r")
+    nodes_theta = checked_count(nodes_theta, "nodes_theta")
     estimate = 0.5 * n_spins + 6.0 * model.spread
     # The scan field's momentum count, resolved (and an over-cap one refused)
     # before its outcome rule, which may be as large, is built.
@@ -745,8 +741,9 @@ def direct_amplitudes_3d(
     input_direction: Direction,
     n_spins: int,
     model: PointerModel,
-) -> DickeVector:
-    """Brute-force evaluation of E(r)|u^n> by full 3-D momentum quadrature.
+) -> np.ndarray:
+    """Brute-force evaluation of E(r)|u^n> by full 3-D momentum quadrature:
+    its n+1 Dicke amplitudes, a complex array.
 
     Independent cross-check of the partial-wave synthesis: spherical product
     rule (Gauss-Legendre radial and polar, trapezoid azimuthal), arbitrary
@@ -759,7 +756,7 @@ def direct_amplitudes_3d(
     r_vec = np.asarray(r_vec, dtype=float)
     if r_vec.shape != (3,):
         raise DomainError("outcome must be a 3-vector")
-    p_rule = gauss_legendre(64, 0.0, MomentumQuadrature().p_max(model))
+    p_rule = gauss_legendre(64, 0.0, model.p_max)
     c_rule = gauss_legendre(48, -1.0, 1.0)
     phi_rule = trapezoid_periodic(48)
 
@@ -788,5 +785,5 @@ def direct_amplitudes_3d(
         * phi_rule.weights[None, None, :]
     )
     common = (2.0 * math.pi) ** -1.5 * measure * phase
-    spin = dicke_expand(alpha_u, beta_u, n).amplitudes
-    return DickeVector(n_spins=n, amplitudes=common.reshape(-1) @ spin.reshape(-1, n + 1))
+    spin = dicke_expand(alpha_u, beta_u, n)
+    return common.reshape(-1) @ spin.reshape(-1, n + 1)

@@ -1,15 +1,16 @@
 """Spin-1/2 ensembles: directions on the Bloch sphere, symmetric-subspace
-(Dicke) vectors, SU(2) rotations, and collective spin operators.
+(Dicke) amplitudes, SU(2) rotations, and collective spin operators.
 
 The product state of N identical spins pointing along u lives in the N+1
-dimensional symmetric subspace; everything downstream works there. Basis
-index k counts flipped spins relative to +z, so k=0 is all-up and the
-z projection of basis state k is N/2 - k.
+dimensional symmetric subspace; everything downstream works there. A state
+is a plain complex array whose last axis, of length N+1, holds its Dicke
+amplitudes. Basis index k counts flipped spins relative to +z, so k=0 is
+all-up and the z projection of basis state k is N/2 - k.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,26 +38,6 @@ class Direction:
             raise DomainError("azimuth must be finite")
 
 
-@dataclass(frozen=True)
-class DickeVector:
-    """State(s) in the symmetric subspace; amplitudes[..., k] multiplies basis
-    state k. Leading axes, if any, index a batch of states."""
-
-    n_spins: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        checked_count(self.n_spins, "n_spins")
-        if self.amplitudes.ndim < 1 or self.amplitudes.shape[-1] != self.n_spins + 1:
-            raise DomainError(
-                f"expected {self.n_spins + 1} amplitudes, got shape {self.amplitudes.shape}"
-            )
-
-    def norm_squared(self):
-        """Squared norm of each state: a float, or an array over the batch axes."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
-
-
 def su2_rotation(p: np.ndarray) -> np.ndarray:
     """exp(-i p.sigma/2) as a 2x2 matrix; rotation by angle |p| about p-hat.
 
@@ -79,11 +60,12 @@ def su2_rotation(p: np.ndarray) -> np.ndarray:
     )
 
 
-def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
+def dicke_expand(alpha, beta, n_spins: int) -> np.ndarray:
     """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
 
-    Component k is sqrt(C(n,k)) alpha^(n-k) beta^k, on a last axis after the
-    shape of alpha and beta, which are scalars or arrays of one shape. Each
+    Returns a complex array of shape alpha.shape + (n+1,): component k is
+    sqrt(C(n,k)) alpha^(n-k) beta^k, and alpha and beta are scalars or
+    arrays of one shape. Each
     element's arithmetic is that of a scalar call, so a batch equals its
     scalar calls bit for bit.
 
@@ -126,25 +108,16 @@ def dicke_expand(alpha, beta, n_spins: int) -> DickeVector:
             np.exp(amps, out=amps)
         # A nan here comes from a zero amplitude: the term is a true zero.
         amps[np.isnan(amps)] = 0.0
-    return DickeVector(n_spins=n, amplitudes=amps.reshape(shape + (n + 1,)))
+    return amps.reshape(shape + (n + 1,))
 
 
-def coherent_dicke(direction: Direction, n_spins: int) -> DickeVector:
-    """Product state of n spins along the given direction, in the Dicke basis."""
+def coherent_dicke(direction: Direction, n_spins: int) -> np.ndarray:
+    """Product state of n spins along the given direction: its n+1 Dicke
+    amplitudes, a complex array."""
     half = 0.5 * direction.polar
     return dicke_expand(
         math.cos(half), complex(math.cos(direction.azimuth), math.sin(direction.azimuth)) * math.sin(half), n_spins
     )
-
-
-@dataclass(frozen=True)
-class CollectiveOperators:
-    """Total-spin matrices on the symmetric subspace (spin J = n/2)."""
-
-    n_spins: int
-    sx: np.ndarray = field(repr=False)
-    sy: np.ndarray = field(repr=False)
-    sz: np.ndarray = field(repr=False)
 
 
 def collective_bands(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +133,9 @@ def collective_bands(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] - 1.0))
 
 
-def collective_operators(n_spins: int) -> CollectiveOperators:
-    """Dense S_x, S_y, S_z built from collective_bands."""
+def collective_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense S_x, S_y, S_z, in that order, as (n+1, n+1) complex arrays built
+    from collective_bands."""
     m, lower = collective_bands(n_spins)
     n = lower.size
     sz = np.diag(m)
@@ -170,7 +144,7 @@ def collective_operators(n_spins: int) -> CollectiveOperators:
     sp = sm.T.copy()
     sx = 0.5 * (sp + sm) + 0j
     sy = -0.5j * (sp - sm)
-    return CollectiveOperators(n_spins=n, sx=sx, sy=sy, sz=sz.astype(complex))
+    return sx, sy, sz.astype(complex)
 
 
 @lru_cache(maxsize=4)

@@ -1,4 +1,4 @@
-"""Self-contained invariant suite with a machine-readable report.
+"""Self-contained invariant suite, one CheckResult row per check.
 
 Every check here is a structural or dual-route property of the library:
 exactness of the quadrature rules, oracle equivalence between independent
@@ -8,9 +8,8 @@ at the default scale.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def _check_rotation_oracle() -> CheckResult:
             p = rng.normal(size=3) * 2.0
             full = full_tensor_rotation_oracle(p, n) @ up
             dicke = dicke_expand(*su2_rotation(p)[:, 0], n)
-            worst = max(worst, float(np.max(np.abs(basis @ full - dicke.amplitudes))))
+            worst = max(worst, float(np.max(np.abs(basis @ full - dicke))))
     return _check("dicke_vs_full_tensor_rotation", worst, 1e-10, "random rotations, n = 1..4")
 
 
@@ -94,7 +93,7 @@ def _check_coherent_overlap() -> CheckResult:
         for _ in range(4):
             u = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             w = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            ov = abs(np.vdot(coherent_dicke(u, n).amplitudes, coherent_dicke(w, n).amplitudes)) ** 2
+            ov = abs(np.vdot(coherent_dicke(u, n), coherent_dicke(w, n))) ** 2
             cosang = math.cos(u.polar) * math.cos(w.polar) + math.sin(u.polar) * math.sin(
                 w.polar
             ) * math.cos(u.azimuth - w.azimuth)
@@ -105,11 +104,11 @@ def _check_coherent_overlap() -> CheckResult:
 def _check_collective_algebra() -> CheckResult:
     worst = 0.0
     for n in (1, 2, 5):
-        ops = collective_operators(n)
-        comm = ops.sx @ ops.sy - ops.sy @ ops.sx - 1j * ops.sz
+        sx, sy, sz = collective_operators(n)
+        comm = sx @ sy - sy @ sx - 1j * sz
         worst = max(worst, float(np.max(np.abs(comm))))
         expected = np.arange(n / 2.0, -n / 2.0 - 0.5, -1.0)
-        worst = max(worst, float(np.max(np.abs(np.sort(np.diag(ops.sz).real) - np.sort(expected)))))
+        worst = max(worst, float(np.max(np.abs(np.sort(np.diag(sz).real) - np.sort(expected)))))
     return _check("collective_operator_algebra", worst, 1e-12, "[sx,sy]=i sz; sz spectrum")
 
 
@@ -117,7 +116,7 @@ def _check_momentum_normalization() -> CheckResult:
     worst = 0.0
     for spread in (0.1, 1.0, 5.0):
         model = PointerModel(spread)
-        rule = gauss_legendre(64, 0.0, MomentumQuadrature().p_max(model))
+        rule = gauss_legendre(64, 0.0, model.p_max)
         total = 4.0 * math.pi * float(
             np.sum(rule.weights * rule.nodes**2 * momentum_profile(rule.nodes, model) ** 2)
         )
@@ -141,7 +140,7 @@ def _check_dominance() -> CheckResult:
     n = 2
     grid = adaptive_outcome_grid(n, model)
     fld = build_amplitude_field(n, model, grid)
-    dens = fld.density()
+    dens = fld.density
     rng = np.random.default_rng(99)
     worst = -math.inf
     for _ in range(20):
@@ -290,7 +289,7 @@ def _check_single_point_consistency() -> CheckResult:
     a, b = grid.radial.count // 2, grid.polar.count // 3
     quad = MomentumQuadrature(radial_nodes=fld.counts.nodes_p_radial)
     single = position_amplitudes(float(grid.radial.nodes[a]), float(grid.polar.nodes[b]), 2, model, quad)
-    worst = float(np.max(np.abs(single.amplitudes - fld.values[a, b])))
+    worst = float(np.max(np.abs(single - fld.values[a, b])))
     return _check("single_point_vs_field", worst, 1e-12, "position_amplitudes vs batched field")
 
 
@@ -316,12 +315,3 @@ def run_checks() -> list[CheckResult]:
         _check_disturbance_series(),
         _check_single_point_consistency(),
     ]
-
-
-def report_json(results: list[CheckResult]) -> str:
-    doc = {
-        "schema": 1,
-        "all_passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

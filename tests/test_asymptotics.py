@@ -54,16 +54,16 @@ def test_diagonal_element_is_coherent_projection():
         element = _diagonal_element(radius, polar, 2, model)
         vec = position_amplitudes(radius, polar, 2, model)
         coherent = coherent_dicke(Direction(polar, 0.0), 2)
-        projection = complex(np.vdot(coherent.amplitudes, vec.amplitudes))
+        projection = complex(np.vdot(coherent, vec))
         assert abs(element - projection) < 1e-12
-        assert abs(element) ** 2 <= vec.norm_squared() + 1e-12
+        assert abs(element) ** 2 <= np.sum(np.abs(vec) ** 2, axis=-1) + 1e-12
 
 
 def test_diagonal_element_bounded_by_density():
     model = PointerModel(0.5)
     grid = adaptive_outcome_grid(2, model)
     field = build_amplitude_field(2, model, grid)
-    density = field.density()
+    density = field.density
     rng = np.random.default_rng(99)
     for _ in range(20):
         a = int(rng.integers(grid.radial.count))
@@ -86,8 +86,8 @@ def _spherical_profile(r, n, model, quad):
     """W(r) on the spherical momentum mesh, one radius at a time: the phase
     e^(i r p c) times alpha^n, summed over Gauss rules in |p| and c = cos(polar)."""
     r_max = max(float(np.max(r)), 1.0)
-    n_c = max(32, n + 1, int(math.ceil(0.8 * r_max * quad.p_max(model))) + 16)
-    p_rule = gauss_legendre(quad.radial_count(quad.effective_radial(r_max, model, n)), 0.0, quad.p_max(model))
+    n_c = max(32, n + 1, int(math.ceil(0.8 * r_max * model.p_max)) + 16)
+    p_rule = gauss_legendre(quad.radial_count(quad.effective_radial(r_max, model, n)), 0.0, model.p_max)
     c_rule = gauss_legendre(n_c, -1.0, 1.0)
     p, c = p_rule.nodes, c_rule.nodes
     alpha = np.cos(0.5 * p)[:, None] - 1j * c * np.sin(0.5 * p)[:, None]
@@ -127,7 +127,7 @@ def _r_grid_bound(n, model):
     with W from diag_radial_profile on one Gauss rule in r. R = n/2 + 10 spread
     + 8 leaves a tail below 1e-14; the rule takes R p_max + 64 nodes."""
     r_max = 0.5 * n + 10.0 * model.spread + 8.0
-    count = int(math.ceil(r_max * MomentumQuadrature().p_max(model))) + 64
+    count = int(math.ceil(r_max * model.p_max)) + 64
     rule = gauss_legendre(count, 0.0, r_max)
     w = diag_radial_profile(rule.nodes, n, model)
     return 4.0 * math.pi / (n + 2) * float(rule.weights @ (rule.nodes * w) ** 2)

@@ -309,8 +309,8 @@ def test_public_surface_stays_put():
     # The library's twin of the CLI test above: a removed name stays gone,
     # and a new export or grid option is a deliberate edit here.
     assert sorted(spinpointer.__all__) == [
-        "AmplitudeField", "BlochReport", "CapabilityError", "CollectiveOperators", "ConvergenceError",
-        "ConvergenceReport", "DickeVector", "Direction", "DisturbancePoint", "DomainError", "FidelityPoint",
+        "AmplitudeField", "BlochReport", "CapabilityError", "ConvergenceError",
+        "ConvergenceReport", "Direction", "DisturbancePoint", "DomainError", "FidelityPoint",
         "GuessRule", "LowerBoundPoint", "MomentumQuadrature", "NumericError", "OptimizeResult", "OutcomeGrid",
         "PointerModel", "QuadratureCounts", "Rule1D", "adaptive_outcome_grid", "asymptotics",
         "average_fidelity", "bloch_post_numeric", "bloch_z_post_closed", "build_amplitude_field",
@@ -375,6 +375,22 @@ def test_range_flag_overrides_config_list(tmp_path, capsys):
     config, _, rows = parse_csv(out)
     assert config["delta"] == [0.5, 0.7]
     assert len(rows) == 2
+
+
+def test_config_file_guess_rule_is_refused_where_the_flag_is(tmp_path, capsys):
+    # argparse's choices refuse this spelling on the command line; a config
+    # file used to accept it by stripping and lower-casing it.
+    spelling = " Best-Of-Axis "
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--n", "1", "--delta", "1", "--guess-rule", spelling])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps({"guess_rule": spelling}))
+    assert cli.main(["sweep", "--n", "1", "--delta", "1", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "unknown guess rule" in captured.err
 
 
 def test_invalid_configs_exit_two(tmp_path, capsys):
@@ -614,7 +630,7 @@ def test_validate_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(["validate"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["all_passed"] is True
+    assert doc["config"] == {"command": "validate"}
     assert [c["name"] for c in doc["checks"]] == ["alpha", "beta"]
 
     broken = healthy + [CheckResult("gamma", False, 2.0, 1.0, "off")]

@@ -155,14 +155,13 @@ def test_polar_recurrence_equals_the_mesh_route(n):
     # Both passes' radial rules, at spreads from 0.2 to sqrt(9n/4). At
     # n = 1000 the spreads start at 1: spread 0.2 there needs 9582- and
     # 14 373-node radial rules, whose Gauss nodes alone take about 9 s.
-    quad = MomentumQuadrature()
     c_rule = gauss_legendre(max(64, n + 1), -1.0, 1.0)
     spreads = {1.0, math.sqrt(n / 8.0), math.sqrt(9.0 * n / 4.0)} | ({0.2} if n <= 100 else set())
     for spread in sorted(spreads):
         model = PointerModel(spread)
-        base = disturbance._automatic_radial(n, model, quad)
+        base = disturbance._automatic_radial(n, model)
         for count in (base, scaled_count(base)):
-            p_rule = gauss_legendre(count, 0.0, quad.p_max(model))
+            p_rule = gauss_legendre(count, 0.0, model.p_max)
             radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
             gap = abs(disturbance._disturbance_value(n, model, p_rule) - mesh_value(n, radial, p_rule, c_rule))
             assert gap <= 1e-13, (spread, count)
@@ -187,7 +186,7 @@ def test_disturbance_builds_only_its_two_radial_rules(monkeypatch):
 def _node_loop(model, quad):
     """Radial weights and the (polar, azimuth) node triples of the scalar
     per-node loops, in their order."""
-    p_rule = gauss_legendre(quad.radial_nodes, 0.0, quad.p_max(model))
+    p_rule = gauss_legendre(quad.radial_nodes, 0.0, model.p_max)
     c_rule = gauss_legendre(quad.polar_nodes, -1.0, 1.0)
     phi_rule = trapezoid_periodic(quad.azimuthal_nodes)
     radial = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model) ** 2
@@ -216,8 +215,8 @@ def bloch_by_node_loop(n, model, quad):
         half = 0.5 * p
         alpha = complex(math.cos(half), -c * math.sin(half))
         beta = -1j * math.sin(half) * s * complex(math.cos(phi), math.sin(phi))
-        v = dicke_expand(alpha, beta, n).amplitudes
-        for axis, op in enumerate((ops.sx, ops.sy, ops.sz)):
+        v = dicke_expand(alpha, beta, n)
+        for axis, op in enumerate(ops):
             totals[axis] += w * float(np.real(np.conj(v) @ (op @ v)))
     return totals
 

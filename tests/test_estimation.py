@@ -213,7 +213,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         average_fidelity(0, PointerModel(1.0))
     with pytest.raises(DomainError):
-        GuessRule.from_string("sideways")
+        average_fidelity(1, PointerModel(1.0), rule="sideways")
 
 
 def test_exact_fidelity_peak_memory_at_n_100():

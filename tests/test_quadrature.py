@@ -183,7 +183,6 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
         lambda: spincore.collective_operators(n_spins),
         lambda: spincore.full_tensor_rotation_oracle(np.ones(3), n_spins),
         lambda: spincore.dicke_basis_full(n_spins),
-        lambda: spincore.DickeVector(n_spins, np.ones(3)),
         lambda: estimation.optimal_fidelity(n_spins),
         lambda: disturbance.min_disturbance(n_spins),
         lambda: disturbance_lowest_order(n_spins, 0.5),
@@ -197,6 +196,20 @@ def test_every_entry_refuses_a_non_integer_spin_count(n_spins):
     for entry in entries:
         with pytest.raises(DomainError, match="n_spins must be an integer"):
             entry()
+
+
+@pytest.mark.parametrize("count", [2.5, True, math.nan])
+def test_outcome_node_counts_refuse_a_non_integer_before_any_build(count, monkeypatch):
+    # The adaptive grid checked them only by `< 1`: its resolution floor
+    # silently replaced 2.5 or True by a 15-node radial rule.
+    builds = []
+    monkeypatch.setattr(pointer, "build_amplitude_field", lambda *args, **kwargs: builds.append(args))
+    model = PointerModel(0.5)
+    for name in ("nodes_r", "nodes_theta"):
+        for entry in (pointer.adaptive_outcome_grid, average_fidelity):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                entry(1, model, **{name: count})
+    assert builds == []
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import scipy.linalg
 from spinpointer import spincore
 from spinpointer.errors import CapabilityError, DomainError, NumericError
 from spinpointer.spincore import (
-    CollectiveOperators,
     Direction,
     coherent_dicke,
     collective_bands,
@@ -45,7 +44,7 @@ def test_su2_inverse_and_unitarity():
 def test_dicke_expand_two_spins_on_equator():
     a = 1 / math.sqrt(2)
     vec = dicke_expand(a, a, 2)
-    assert np.allclose(vec.amplitudes, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-14)
+    assert np.allclose(vec, [0.5, 1 / math.sqrt(2), 0.5], atol=1e-14)
 
 
 def test_dicke_expand_norm_power_law():
@@ -56,7 +55,7 @@ def test_dicke_expand_norm_power_law():
         beta = complex(z[2], z[3]) * 0.6
         single = abs(alpha) ** 2 + abs(beta) ** 2
         vec = dicke_expand(alpha, beta, n)
-        assert vec.norm_squared() == pytest.approx(single**n, rel=1e-10)
+        assert np.sum(np.abs(vec) ** 2, axis=-1) == pytest.approx(single**n, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [60, 61, 100])
@@ -64,12 +63,12 @@ def test_dicke_expand_basis_states_across_log_space_threshold(n):
     # Pole states put all weight on one basis state: 0^0 = 1, not 0.
     top = np.zeros(n + 1)
     top[0] = 1.0
-    assert np.array_equal(dicke_expand(1.0, 0.0, n).amplitudes, top)
-    assert np.array_equal(dicke_expand(0.0, 1.0, n).amplitudes, top[::-1])
-    batched = dicke_expand(np.array([1.0, 0.0]), np.array([0.0, 1.0]), n).amplitudes
+    assert np.array_equal(dicke_expand(1.0, 0.0, n), top)
+    assert np.array_equal(dicke_expand(0.0, 1.0, n), top[::-1])
+    batched = dicke_expand(np.array([1.0, 0.0]), np.array([0.0, 1.0]), n)
     assert np.array_equal(batched, np.stack([top, top[::-1]]))
-    assert coherent_dicke(Direction(0.0, 0.0), n).norm_squared() == 1.0
-    phased = dicke_expand(0.0, 1j, n).amplitudes
+    assert np.sum(np.abs(coherent_dicke(Direction(0.0, 0.0), n)) ** 2, axis=-1) == 1.0
+    phased = dicke_expand(0.0, 1j, n)
     assert abs(phased[n] - 1j**n) < 1e-12
     assert np.all(phased[:n] == 0)
 
@@ -84,11 +83,11 @@ def test_batched_dicke_expand_equals_scalar_calls_bit_for_bit(n):
     beta[1, 1:4] = 0.0
     alpha[2, 2] = beta[2, 2] = 0.0
     batched = dicke_expand(alpha, beta, n)
-    assert batched.amplitudes.shape == (4, 5, n + 1)
+    assert batched.shape == (4, 5, n + 1)
     for idx in np.ndindex(alpha.shape):
-        single = dicke_expand(complex(alpha[idx]), complex(beta[idx]), n).amplitudes
-        assert np.array_equal(batched.amplitudes[idx], single)
-    assert batched.norm_squared().shape == (4, 5)
+        single = dicke_expand(complex(alpha[idx]), complex(beta[idx]), n)
+        assert np.array_equal(batched[idx], single)
+    assert np.sum(np.abs(batched) ** 2, axis=-1).shape == (4, 5)
     with pytest.raises(DomainError):
         dicke_expand(alpha, beta[0], n)
 
@@ -141,7 +140,7 @@ def test_dicke_expand_equals_the_per_index_loop_bit_for_bit(n):
     cases = [(alpha, beta), (alpha[1], beta[1]), (complex(alpha[0, 2]), complex(beta[0, 2])),
              (1.0, 0.0), (0.0, 1j)]
     for a, b in cases:
-        got = dicke_expand(a, b, n).amplitudes
+        got = dicke_expand(a, b, n)
         expected = _dicke_expand_by_index(a, b, n)
         assert got.flags.c_contiguous
         assert got.shape == expected.shape
@@ -154,7 +153,7 @@ def test_coherent_state_overlap_power_law():
     for n in (1, 4, 9):
         u = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         w = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        ov = abs(np.vdot(coherent_dicke(u, n).amplitudes, coherent_dicke(w, n).amplitudes)) ** 2
+        ov = abs(np.vdot(coherent_dicke(u, n), coherent_dicke(w, n))) ** 2
         cosang = math.cos(u.polar) * math.cos(w.polar) + math.sin(u.polar) * math.sin(
             w.polar
         ) * math.cos(u.azimuth - w.azimuth)
@@ -165,23 +164,25 @@ def test_coherent_up_is_top_basis_state():
     vec = coherent_dicke(Direction(0.0, 0.0), 3)
     expected = np.zeros(4)
     expected[0] = 1.0
-    assert np.allclose(vec.amplitudes, expected, atol=1e-14)
+    assert np.allclose(vec, expected, atol=1e-14)
 
 
 def test_collective_operator_algebra():
     for n in (1, 2, 4, 7):
         ops = collective_operators(n)
-        assert isinstance(ops, CollectiveOperators)
-        for a, b, c in ((ops.sx, ops.sy, ops.sz), (ops.sy, ops.sz, ops.sx), (ops.sz, ops.sx, ops.sy)):
+        assert isinstance(ops, tuple) and len(ops) == 3
+        assert all(isinstance(op, np.ndarray) and op.shape == (n + 1, n + 1) for op in ops)
+        sx, sy, sz = ops
+        for a, b, c in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
             assert np.allclose(a @ b - b @ a, 1j * c, atol=1e-12)
         j = n / 2.0
-        casimir = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+        casimir = sx @ sx + sy @ sy + sz @ sz
         assert np.allclose(casimir, j * (j + 1) * np.eye(n + 1), atol=1e-12)
 
 
 def test_sz_spectrum_is_exact_ladder():
     for n in (1, 3, 10):
-        sz = collective_operators(n).sz
+        sz = collective_operators(n)[2]
         assert np.allclose(np.diag(sz).real, np.arange(n / 2.0, -n / 2.0 - 0.5, -1.0), atol=0)
         assert np.allclose(sz, np.diag(np.diag(sz)), atol=0)
 
@@ -189,21 +190,20 @@ def test_sz_spectrum_is_exact_ladder():
 @pytest.mark.parametrize("n", [1, 2, 5, 61])
 def test_bands_equal_the_dense_diagonals_bit_for_bit(n):
     m, lower = collective_bands(n)
-    ops = collective_operators(n)
-    assert np.array_equal(np.diagonal(ops.sz), m)
-    assert np.array_equal(np.diagonal(ops.sx, 1), 0.5 * lower)
-    assert np.array_equal(np.diagonal(ops.sy, 1), -0.5j * lower)
-    assert not np.any(np.diagonal(ops.sx)) and not np.any(np.diagonal(ops.sy))
+    sx, sy, sz = collective_operators(n)
+    assert np.array_equal(np.diagonal(sz), m)
+    assert np.array_equal(np.diagonal(sx, 1), 0.5 * lower)
+    assert np.array_equal(np.diagonal(sy, 1), -0.5j * lower)
+    assert not np.any(np.diagonal(sx)) and not np.any(np.diagonal(sy))
 
 
 @pytest.mark.parametrize("n", [1, 4, 61])
 def test_collective_operators_are_hermitian_and_tridiagonal(n):
     # So collective_bands, which bloch_post_numeric reads, holds every
     # nonzero element of each operator.
-    ops = collective_operators(n)
     k = np.arange(n + 1)
     outside_band = np.abs(k[:, None] - k[None, :]) > 1
-    for op in (ops.sx, ops.sy, ops.sz):
+    for op in collective_operators(n):
         assert np.array_equal(op, op.conj().T)
         assert not np.any(op[outside_band])
 
@@ -218,7 +218,7 @@ def test_symmetric_rotation_matches_full_tensor():
             p = rng.normal(size=3) * 2.0
             projected = basis @ (full_tensor_rotation_oracle(p, n) @ up)
             direct = dicke_expand(*su2_rotation(p)[:, 0], n)
-            assert np.max(np.abs(projected - direct.amplitudes)) < 1e-10
+            assert np.max(np.abs(projected - direct)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
