@@ -28,9 +28,10 @@ The field is built in blocks of outcome radii, each the most whole chunks of
 _CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
 _BLOCK_CELLS cells. Its seeds are closed forms that scipy's spherical_jn
 only spot-checks, and its higher orders come from _miller, as the moments'
-do. Per block, the radial transform is one stacked real product per order l,
-and the angular synthesis one per Dicke component k, with one BLAS call per
-chunk. The angular coefficients, which depend only on n and the polar rule,
+do, with the downward chain started only as high as the largest argument
+below l_max needs. Per block, the radial transform is one stacked real
+product per order l, and the angular synthesis one per Dicke component k,
+with one BLAS call per chunk. The angular coefficients, which depend only on n and the polar rule,
 are formed for the whole (l, k) triangle at once and cached with the
 recurrence's coefficients.
 """
@@ -481,14 +482,46 @@ def _bessel_seeds(z: np.ndarray, out: np.ndarray) -> None:
                 f"(tolerance {_SEED_TOLERANCE:.1e})")
 
 
+def _ratio_start(l_max: int, z_top: float) -> int:
+    """Start row of _bessel_table's ratio chain for cells with
+    z <= z_top < l_max, by the criterion stated there; one scalar chain
+    from cap gives the ratios at z_top."""
+    cap = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+    r = [0.0] * (cap + 2)  # r[m] = j_m / j_(m-1) at z_top, r[cap+1] = 0
+    for m in range(cap, l_max, -1):
+        r[m] = z_top / (2 * m + 1 - z_top * r[m + 1])
+    tail = r[l_max + 1]
+    for L in range(l_max + 1, cap):
+        tail *= r[L + 1]  # j_(L+1) / j_(l_max)
+        if (L - l_max) * tail * tail * (2 * L + 3) < 2.0**-74 * (2 * l_max + 1):
+            return L
+    return cap
+
+
 def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_l(z) for l = 0..l_max >= 1, stacked on axis 0.
 
     The seeds j_0 and j_1 come from _bessel_seeds. _miller runs
     j_{l+1} = (2l+1)/z j_l - j_{l-1} (DLMF 10.51.1) upward to the turning
     order max(floor(z), 1), and the ratios j_l / j_{l-1} =
-    z / (2l+1 - z r_{l+1}) above it, from l_max plus a margin of order
-    l_max^(1/3), the width of the turning region around l = z.
+    z / (2l+1 - z r_{l+1}) above it.
+
+    The ratio chain takes r = 0 above its start L, which _ratio_start sizes
+    at z*, the largest argument of the cells with z < l_max. A chain with
+    r_{L+1} = 0 computes the ratios of j - (j_{L+1} / y_{L+1}) y, so order l
+    carries the relative error |j_{L+1} / y_{L+1}| |y_l / j_l| (Gautschi,
+    op. cit. at _miller). |y_l / j_l| grows with l, and both factors grow
+    with z, so the error at (z*, l_max) bounds every cell and order. By
+    j_l y_l ~ -1 / ((2l+1) z) above the turning order it is about
+    e_L = (j_{L+1} / j_{l_max})^2 (2L+3) / (2 l_max + 1), with
+    j_{L+1} / j_{l_max} = r_{l_max+1} ... r_{L+1} at z*. L is the smallest
+    l_max < L < cap = l_max + 16 + ceil(8 l_max^(1/3)) with
+    (L - l_max) e_L < 2^-74, or cap if none is. The margin keeps the bits
+    of the chain from cap: each of the L - l_max rows can round the two
+    chains apart with a chance of about e_L / 2^-53, and near the turning
+    order, where the ratios are close to 1, a one-ulp difference fades
+    slowly, so the chance that a ratio differs is below about 2^-21. Cells
+    with z >= l_max discard their ratios, so they do not widen the chain.
 
     The cells with z < l_max take the full recurrence: gathered into a
     working table if they are at most half, after every cell recurred upward
@@ -500,7 +533,6 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     flat = z.ravel()
     table = np.empty((l_max + 1, flat.size))
     _bessel_seeds(flat, table[:2])
-    ratio_start = l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
 
     def recur(target, x, turn, start):
         tmp = np.empty_like(x)
@@ -520,14 +552,16 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         if l_max > 1:
             below = np.flatnonzero(flat < l_max)
+            miller = flat[below]
+            start = _ratio_start(l_max, float(miller.max())) if below.size else l_max
             if 2 * below.size > flat.size:
-                recur(table, flat, np.maximum(np.floor(flat), 1.0), ratio_start)
+                recur(table, flat, np.maximum(np.floor(flat), 1.0), start)
             else:
                 recur(table, flat, l_max, l_max)  # upward only
                 if below.size:
                     part = np.empty((l_max + 1, below.size))
                     part[:2] = table[:2, below]
-                    recur(part, flat[below], np.maximum(np.floor(flat[below]), 1.0), ratio_start)
+                    recur(part, miller, np.maximum(np.floor(miller), 1.0), start)
                     table[2:, below] = part[2:]
     return table.reshape((l_max + 1,) + z.shape)
 

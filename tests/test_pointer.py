@@ -394,6 +394,80 @@ def test_bessel_table_is_every_cell_reference_bit_for_bit(l_max):
         assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
 
 
+def _fixed_start(l_max):
+    return l_max + 16 + math.ceil(8.0 * l_max ** (1.0 / 3.0))
+
+
+@pytest.mark.parametrize("l_max", list(range(2, 13)) + [30, 50, 100, 200, 400, 1000])
+def test_bessel_table_is_fixed_start_reference_bit_for_bit(l_max):
+    # The ratio chain starts where the largest Miller argument needs it, and
+    # no bit moves from the reference's fixed start: with z uniform below
+    # l_max or below a smaller top, right up to l_max, at 0, subnormal, and
+    # beside cells at or above l_max in both the gathered and the in-place
+    # branch.
+    rng = np.random.default_rng(l_max)
+    count = max(200, 200_000 // (l_max + 1))
+    near = l_max - np.logspace(-15, 0, count) * l_max / 2
+    cases = [
+        rng.uniform(0.0, l_max, count),
+        np.append(near, np.nextafter(float(l_max), 0.0)),
+        np.zeros(8),
+        np.array([0.0, 5e-324, 1e-320, 1e-310, np.finfo(float).tiny]),
+    ] + [rng.uniform(0.0, top, count) for top in (0.1, 1.0, l_max / 2)] + [
+        _split_z(l_max, below, count=count, top=top)
+        for below in (count // 4, 3 * count // 4)
+        for top in (None, 1.0)
+    ]
+    for z in cases:
+        assert np.array_equal(pointer._bessel_table(l_max, z), _every_cell_bessel_table(l_max, z))
+
+
+def _ratio_chains(monkeypatch):
+    """Record each _miller call's start and its number of ratio steps."""
+    chains = []
+    miller = pointer._miller
+
+    def counted(table, turn, start, ratio, step):
+        chain = [start, 0]
+        chains.append(chain)
+
+        def counted_ratio(l, r, out):
+            chain[1] += 1
+            return ratio(l, r, out)
+
+        miller(table, turn, start, counted_ratio, step)
+
+    monkeypatch.setattr(pointer, "_miller", counted)
+    return chains
+
+
+def test_bessel_ratio_chain_starts_where_the_largest_argument_needs_it(monkeypatch):
+    # The fixed start, 33 at l_max = 4, ran 27-29 chain-only steps above
+    # l_max on every table of the README curves.
+    below_four = np.nextafter(4.0, 0.0)
+    assert pointer._ratio_start(4, below_four) <= 19
+    for z_top in (1.0, 0.5, 0.1, 1e-300, 0.0):
+        assert pointer._ratio_start(4, z_top) <= 13
+    for l_max in list(range(2, 60)) + [100, 200, 400, 1000, 2000]:
+        tops = np.concatenate([[0.0], np.linspace(0.0, l_max, 41)[1:-1], [np.nextafter(float(l_max), 0.0)]])
+        starts = [pointer._ratio_start(l_max, float(z_top)) for z_top in tops]
+        assert all(l_max < start <= _fixed_start(l_max) for start in starts)
+        assert starts == sorted(starts)
+
+    chains = _ratio_chains(monkeypatch)
+    pointer._bessel_table(4, np.linspace(0.0, below_four, 50))  # in place
+    pointer._bessel_table(4, np.append(np.linspace(0.0, 1.0, 10), np.linspace(4.0, 9.0, 40)))  # gathered
+    starts = [start for start, _ in chains]
+    assert starts == [pointer._ratio_start(4, below_four), 4, pointer._ratio_start(4, 1.0)]
+    # Ratio steps run from the start down to the lowest turning order, 1.
+    assert [steps for _, steps in chains] == [starts[0] - 1, 0, starts[2] - 1]
+
+    # A table with no cell below l_max runs no ratio step.
+    chains.clear()
+    pointer._bessel_table(4, np.linspace(4.0, 30.0, 50))
+    assert [steps for _, steps in chains] == [0]
+
+
 @pytest.mark.parametrize("below", [6_000, 14_000])
 def test_mixed_bessel_table_peaks_below_one_and_a_half_tables(below):
     # A minority of Miller cells is gathered, a majority recurs in place;
