@@ -24,15 +24,19 @@ they cost O(n) per momentum. No polar momentum quadrature is left, and the
 field is real at outcome azimuth 0. Only the radial momentum axis keeps the
 oscillation burden, and its node count scales with r_max * p_max.
 
-The field is built in blocks of outcome radii, each the most whole chunks of
-_CHUNK_RADIAL radii whose table of j_l(r p), l = 0..n_spins, fits in
-_BLOCK_CELLS cells. Its seeds are closed forms that scipy's spherical_jn
-only spot-checks, and its higher orders come from _miller, as the moments'
-do, with the downward chain started only as high as the largest argument
-below l_max needs. Per block, the radial transform is one stacked real
-product per order l, and the angular synthesis one per Dicke component k,
-with one BLAS call per chunk. The angular coefficients, which depend only on n and the polar rule,
-are formed for the whole (l, k) triangle at once and cached with the
+The field is built in two passes. The first runs over blocks of outcome
+radii, each the most whole chunks of _CHUNK_RADIAL radii whose table of
+j_l(r p), l = 0..n_spins, fits in _BLOCK_CELLS cells. The table's seeds are
+closed forms that scipy's spherical_jn only spot-checks, and its higher
+orders come from _miller, as the moments' do, with the downward chain
+started only as high as the largest argument below l_max needs. Per block,
+the radial transform of each order l is one stacked real product, written
+into the transforms of the whole grid, and the table is freed before the
+next one is built. The second pass synthesises each Dicke component k once
+over the whole grid: one stacked product, with one BLAS call per chunk,
+straight into the component's own contiguous plane of k-major memory. The
+angular coefficients, which depend only on n and the polar rule, are
+formed for the whole (l, k) triangle at once and cached with the
 recurrence's coefficients.
 """
 from __future__ import annotations
@@ -54,8 +58,9 @@ _AMPLITUDE_PREFACTOR = 2.0**1.5 * math.sqrt(math.pi)
 # count, so this stays 16: changing it would move the field's last digits.
 _CHUNK_RADIAL = 16
 
-# Radial nodes per rule, momentum and outcome alike: Gauss node generation is
-# quadratic in the count, and the field's Bessel tables grow with it.
+# Nodes per rule: radial momentum, and outcome radius and polar angle alike.
+# Gauss node generation is quadratic in the count, and the field's Bessel
+# tables grow with it.
 MAX_RADIAL_NODES = 20_000
 
 # Cells per Bessel table. A block of outcome radii holds as many whole
@@ -242,9 +247,12 @@ class AmplitudeField:
     values[a, b, k] is the k-flips amplitude at radius radial.nodes[a] and
     polar angle polar.nodes[b]. At azimuth 0 every amplitude is real, so
     values is float64; a nonzero outcome azimuth multiplies component k by
-    e^(i k azimuth). density[a, b] is the outcome probability density
-    sum_k values[a, b, k]^2, and total_probability its grid integral, which
-    should be 1 up to the quadrature tolerance and the discarded radial tail.
+    e^(i k azimuth). Its memory is k-major: values is a k-last view of a
+    contiguous (n+1, radii, angles) array, so values[..., k] is one
+    contiguous plane. density[a, b] is the outcome probability density
+    sum_k values[a, b, k]^2, summed plane by plane in k, and
+    total_probability its grid integral, which should be 1 up to the
+    quadrature tolerance and the discarded radial tail.
     """
 
     n_spins: int
@@ -566,35 +574,6 @@ def _bessel_table(l_max: int, z: np.ndarray) -> np.ndarray:
     return table.reshape((l_max + 1,) + z.shape)
 
 
-def _field_block(
-    n: int, r_nodes: np.ndarray, p_nodes: np.ndarray, weighted: np.ndarray, theta_coefs: tuple,
-    out: np.ndarray,
-) -> None:
-    """Write the amplitudes for one block of outcome radii into out, shape
-    (radii, angles, n+1).
-
-    One Bessel table serves the whole block. Each order's radial product
-    and each component's synthesis is one stacked product over the block's
-    whole _CHUNK_RADIAL-row chunks, and one more over a partial last chunk,
-    so every BLAS call has the rows of one chunk.
-    """
-    bessel = _bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
-    full = r_nodes.size - r_nodes.size % _CHUNK_RADIAL
-    for lo, hi in ((0, full), (full, r_nodes.size)):
-        rows = min(hi - lo, _CHUNK_RADIAL)
-        if rows == 0:
-            continue
-        chunks = (hi - lo) // rows
-        # transform[c, l, a]: radial transform of the order-l reduced moment
-        # at radius lo + c rows + a
-        transform = np.empty((chunks, n + 1, rows))
-        for l in range(n + 1):
-            transform[:, l] = bessel[l, lo:hi].reshape(chunks, rows, -1) @ weighted[l]
-        synthesis = out[lo:hi].reshape(chunks, rows, out.shape[1], n + 1)
-        for k in range(n + 1):
-            synthesis[..., k] = transform[:, k:].transpose(0, 2, 1) @ theta_coefs[k]
-
-
 def build_amplitude_field(
     n_spins: int,
     model: PointerModel,
@@ -628,12 +607,13 @@ def build_amplitude_field(
     _CHUNK_RADIAL radii as keep its (n+1) x radii x momenta table within
     _BLOCK_CELLS, builds one table of j_l(r p), l = 0..n (see _bessel_table;
     it agrees with scipy's j_l to about 1e-15 absolute). R_l is one stacked
-    real product of row l with the weighted moment of order l, and the
-    angular synthesis one per k, each making one BLAS call per chunk of
-    _CHUNK_RADIAL rows. The blocks are built one after another in this
-    process. They depend only on the grid, n and the momentum count, and
-    every BLAS call takes the same rows whatever the block size or the
-    cache's state, so the values depend on neither.
+    real product of row l with the weighted moment of order l, written into
+    the whole grid's transforms, n+1 floats per radius; the table is freed
+    before the next block's. Then each component k is synthesised once over
+    the whole grid, straight into plane k of the k-major values (see
+    AmplitudeField). Every BLAS call takes the rows of one chunk, the same
+    whatever the block size or the cache's state, so the values depend on
+    neither; the blocks are built one after another in this process.
     """
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
@@ -648,14 +628,39 @@ def build_amplitude_field(
     if not np.all(np.isfinite(weighted)):
         raise NumericError("reduced moments are not finite; parameters out of range")
 
-    values = np.empty((grid.radial.count, grid.polar.count, n + 1))
-    for lo, hi in _row_ranges(grid.radial.count, _block_rows(n, p_rule.count)):
-        _field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
+    # Radial transforms of the whole grid, chunk by chunk: parts holds
+    # (first radius, transform), transform[c, l, a] being the order-l
+    # transform at radius first + c rows + a, one array for the whole
+    # _CHUNK_RADIAL-row chunks and one for a partial last chunk.
+    count = grid.radial.count
+    full = count - count % _CHUNK_RADIAL
+    parts = [(lo, np.empty(((hi - lo) // rows, n + 1, rows)))
+             for lo, hi, rows in ((0, full, _CHUNK_RADIAL), (full, count, count - full)) if hi > lo]
+    for lo, hi in _row_ranges(count, _block_rows(n, p_rule.count)):
+        bessel = _bessel_table(n, np.multiply.outer(grid.radial.nodes[lo:hi], p_rule.nodes))
+        for first, transform in parts:
+            rows = transform.shape[2]
+            a, b = max(lo, first), min(hi, first + transform.shape[0] * rows)
+            if a >= b:
+                continue
+            for l in range(n + 1):
+                transform[(a - first) // rows : (b - first) // rows, l] = (
+                    bessel[l, a - lo : b - lo].reshape(-1, rows, p_rule.count) @ weighted[l])
+        del bessel  # before the next block's table is built
+
+    # kmajor[k] is component k on the whole grid, written chunk by chunk.
+    kmajor = np.empty((n + 1, count, grid.polar.count))
+    for first, transform in parts:
+        rows = transform.shape[2]
+        stop = first + transform.shape[0] * rows
+        for k in range(n + 1):
+            np.matmul(transform[:, k:].transpose(0, 2, 1), theta_coefs[k],
+                      out=kmajor[k, first:stop].reshape(-1, rows, grid.polar.count))
 
     w_r, w_t = grid.volume_weights()
-    density = values[..., 0] ** 2
+    density = kmajor[0] ** 2
     for k in range(1, n + 1):
-        density += values[..., k] ** 2
+        density += kmajor[k] ** 2
     counts = QuadratureCounts(
         nodes_r=grid.radial.count,
         nodes_theta=grid.polar.count,
@@ -663,7 +668,7 @@ def build_amplitude_field(
         nodes_p_polar=n + 1,
     )
     return AmplitudeField(
-        n_spins=n, grid=grid, counts=counts, values=values,
+        n_spins=n, grid=grid, counts=counts, values=kmajor.transpose(1, 2, 0),
         total_probability=float(w_r @ density @ w_t), density=density,
     )
 
@@ -743,11 +748,18 @@ def adaptive_outcome_grid(
     exceeding 1 - _TAIL_MASS (plus one node of padding), so the discarded
     tail stays strictly below _TAIL_MASS = 1e-4. Radial counts are floored
     so that shell-like densities at small spread stay resolved. The polar
-    rule is one Gauss-Legendre rule over [0, pi].
+    rule is one Gauss-Legendre rule over [0, pi]. An outcome count whose
+    refinement pass, scaled_count of it, would exceed MAX_RADIAL_NODES is
+    refused before any rule is built.
     """
     checked_count(n_spins, "n_spins")
     nodes_r = checked_count(nodes_r, "nodes_r")
     nodes_theta = checked_count(nodes_theta, "nodes_theta")
+    for name, count in (("nodes_r", nodes_r), ("nodes_theta", nodes_theta)):
+        if scaled_count(count) > MAX_RADIAL_NODES:
+            raise CapabilityError(
+                f"{name} {count} needs {scaled_count(count)} outcome nodes in the refinement pass, "
+                f"cap {MAX_RADIAL_NODES}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
     # The scan field's momentum count, resolved (and an over-cap one refused)
     # before its outcome rule, which may be as large, is built.

@@ -498,6 +498,27 @@ def test_invalid_configs_exit_two(tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["sweep", "--n", "1", "--delta", "1", "--nodes-r", "100000"],
+     ["sweep", "--n", "1", "--delta", "1", "--nodes-theta", "100000"],
+     ["sweep", "--n", "1", "--delta", "1", "--nodes-r", "15000"],
+     ["sweep", "--n", "1", "--delta", "1", "--nodes-theta", "13334"],
+     ["optimize", "--n", "1", "--nodes-r", "50000"]],
+    ids=lambda args: "-".join(args[0:1] + args[-2:]),
+)
+def test_outcome_counts_over_the_cap_exit_two_before_any_rule(args, capsys, monkeypatch):
+    # The refinement pass takes 1.5x each outcome count, so a count above
+    # 13 333 is refused with the rest. These ran for a minute and more in
+    # Gauss node generation, or built a 22 500-node refined rule.
+    built = []
+    monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", built.append)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "cap 20000" in err
+    assert built == []
+
+
 def test_unconverged_sweep_exits_three(capsys):
     code, out, err = run_cli(
         ["sweep", "--n", "2", "--delta", "0.05",

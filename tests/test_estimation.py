@@ -189,9 +189,12 @@ def test_unconverged_point_raises():
 def test_over_cap_refinement_is_refused_after_the_scan_alone(monkeypatch):
     # The cap admits the scan's and the base pass's radial counts but not the
     # refinement pass's, so only the scan may be built before the refusal.
+    # The outcome counts share the cap, so they are taken small enough that
+    # their refinement pass fits it too.
     n_spins, model, quad = 1, PointerModel(0.5), MomentumQuadrature()
+    outcome = dict(nodes_r=32, nodes_theta=32)
     scan = quad.effective_radial(0.5 * n_spins + 6.0 * model.spread, model, n_spins)
-    grid = adaptive_outcome_grid(n_spins, model)
+    grid = adaptive_outcome_grid(n_spins, model, **outcome)
     base = quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins))
     cap = max(scan, base)
     assert quad.radial_count(base, refined=True) > cap
@@ -205,7 +208,7 @@ def test_over_cap_refinement_is_refused_after_the_scan_alone(monkeypatch):
     monkeypatch.setattr(pointer, "build_amplitude_field", counted)
     monkeypatch.setattr(estimation, "build_amplitude_field", counted)
     with pytest.raises(CapabilityError, match=f"cap {cap}"):
-        average_fidelity(n_spins, model, quad=quad)
+        average_fidelity(n_spins, model, quad=quad, **outcome)
     assert len(builds) == 1
 
 

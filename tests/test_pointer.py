@@ -235,7 +235,8 @@ def test_block_size_is_bitwise_invisible(n_spins, spread, monkeypatch):
 
 def _per_chunk_field_block(n, r_nodes, p_nodes, weighted, theta_coefs, out):
     """The field's block kernel as first written: one radial product per
-    order and one synthesis product per component, chunk by chunk."""
+    order and one synthesis product per component, chunk by chunk, each
+    written into the k-last slot out[..., k]."""
     bessel = pointer._bessel_table(n, np.multiply.outer(r_nodes, p_nodes))
     for lo, hi in pointer._row_ranges(r_nodes.size, pointer._CHUNK_RADIAL):
         transform = np.empty((n + 1, hi - lo))
@@ -243,6 +244,21 @@ def _per_chunk_field_block(n, r_nodes, p_nodes, weighted, theta_coefs, out):
             transform[l] = bessel[l, lo:hi] @ weighted[l]
         for k in range(n + 1):
             out[lo:hi, :, k] = transform[k:].T @ theta_coefs[k]
+
+
+def _per_chunk_field_values(n, model, grid):
+    """values[a, b, k] from the field's parts (_angular, _reduced_moments
+    and, per block of _row_ranges, _per_chunk_field_block), on the momentum
+    rule build_amplitude_field uses."""
+    quad = MomentumQuadrature()
+    p_rule = gauss_legendre(quad.radial_count(quad.effective_radial(grid.r_max, model, n)), 0.0, model.p_max)
+    steps, theta_coefs = pointer._angular(n, grid.polar.nodes)
+    radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
+    weighted = pointer._reduced_moments(n, p_rule.nodes, steps) * radial_measure
+    values = np.empty((grid.radial.count, grid.polar.count, n + 1))
+    for lo, hi in pointer._row_ranges(grid.radial.count, pointer._block_rows(n, p_rule.count)):
+        _per_chunk_field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
+    return values
 
 
 @pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (5, 0.7), (30, math.sqrt(30 / 8))])
@@ -257,10 +273,22 @@ def test_stacked_block_products_are_per_chunk_reference_bit_for_bit(n_spins, spr
     for grid, budget in [(grid, pointer._BLOCK_CELLS) for grid in grids] + [(base, 1)]:
         monkeypatch.setattr(pointer, "_BLOCK_CELLS", budget)
         stacked = build_amplitude_field(n_spins, model, grid)
-        with monkeypatch.context() as m:
-            m.setattr(pointer, "_field_block", _per_chunk_field_block)
-            reference = build_amplitude_field(n_spins, model, grid)
-        assert np.array_equal(stacked.values, reference.values)
+        assert np.array_equal(stacked.values, _per_chunk_field_values(n_spins, model, grid))
+
+
+@pytest.mark.parametrize("n_spins", [2, 30, 61, 100])
+def test_density_is_the_k_last_loop_bit_for_bit(n_spins):
+    # The field is stored k-major, values being a k-last view of it; its
+    # density sums whole component planes and must equal the sum over the
+    # k-last columns of a contiguous copy, as the field was first stored.
+    model = PointerModel(math.sqrt(n_spins / 8))
+    field = build_amplitude_field(n_spins, model, adaptive_outcome_grid(n_spins, model))
+    assert field.values.transpose(2, 0, 1).flags.c_contiguous
+    values = np.ascontiguousarray(field.values)
+    density = values[..., 0] ** 2
+    for k in range(1, n_spins + 1):
+        density += values[..., k] ** 2
+    assert np.array_equal(field.density, density)
 
 
 def _held_cells():
