@@ -36,8 +36,7 @@ next one is built. The second pass synthesises each Dicke component k once
 over the whole grid: one stacked product, with one BLAS call per chunk,
 straight into the component's own contiguous plane of k-major memory. The
 angular coefficients, which depend only on n and the polar rule, are
-formed for the whole (l, k) triangle at once and cached with the
-recurrence's coefficients.
+formed for the whole (l, k) triangle at once and cached.
 """
 from __future__ import annotations
 
@@ -63,6 +62,15 @@ _CHUNK_RADIAL = 16
 # tables grow with it.
 MAX_RADIAL_NODES = 20_000
 
+
+def _capped(count: int, what: str) -> int:
+    """``count`` if it is at most MAX_RADIAL_NODES, else a CapabilityError
+    naming ``what`` it counts. Every rule's count, of either pass, passes here."""
+    if count > MAX_RADIAL_NODES:
+        raise CapabilityError(f"quadrature needs {count} {what}, cap {MAX_RADIAL_NODES}")
+    return count
+
+
 # Cells per Bessel table. A block of outcome radii holds as many whole
 # chunks as fit, so one table is built per block: the budget bounds the
 # table's memory and amortises its setup over the block's chunks. Blocks
@@ -75,7 +83,7 @@ _BLOCK_CELLS = 2**18
 # polar-rule length, so the refined 96-node rule fits up to n = 72; n = 100
 # on it needs 494k cells and is rebuilt per call.
 _ANGULAR_CELLS = 2**18
-_ANGULAR: dict[tuple[int, bytes], tuple[int, np.ndarray, tuple[np.ndarray, ...]]] = {}
+_ANGULAR: dict[tuple[int, bytes], tuple[int, tuple[np.ndarray, ...]]] = {}
 
 # Outcome-grid node counts, radius by polar angle, when a caller gives none.
 NODES_R, NODES_THETA = 96, 64
@@ -146,7 +154,8 @@ class MomentumQuadrature:
     p_max, 8 momentum sigmas. Each integrand supplies its own automatic
     radial count; an explicit count wins over it, and the refinement pass
     takes scaled_count of the base count. A radial count above
-    MAX_RADIAL_NODES, of either pass, is refused before its rule is built.
+    MAX_RADIAL_NODES, of either pass, is refused before its rule is built,
+    and explicit polar and azimuthal counts above it on construction.
     Each route builds its own rules from radial_count: the amplitude field,
     the lower bound and disturbance_exact integrate the polar angle in
     closed form or by recurrence, and the Bloch route fixes its polar and
@@ -163,6 +172,8 @@ class MomentumQuadrature:
             v = getattr(self, name)
             if v is not None or name == "azimuthal_nodes":
                 checked_count(v, name, minimum=4)
+                if name != "radial_nodes":  # radial counts are capped per pass
+                    _capped(v, name.replace("_", " "))
 
     def effective_radial(self, r_max: float, model: PointerModel, n_spins: int = 0) -> int:
         """Automatic radial count for outcome radii up to r_max.
@@ -178,11 +189,7 @@ class MomentumQuadrature:
         """Radial count of one rule: the explicit count, else the caller's
         automatic one, and scaled_count of that for the refinement pass."""
         count = automatic if self.radial_nodes is None else int(self.radial_nodes)
-        count = scaled_count(count) if refined else count
-        if count > MAX_RADIAL_NODES:
-            raise CapabilityError(
-                f"quadrature needs {count} radial momentum nodes, cap {MAX_RADIAL_NODES}")
-        return count
+        return _capped(scaled_count(count) if refined else count, "radial momentum nodes")
 
 
 @dataclass(frozen=True)
@@ -372,9 +379,8 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """steps, the coefficients of _reduced_moments' recurrence, and
-    theta_coefs[k], rows l = k..n of (-1)^k 2^(3/2) sqrt(pi) c_lk P~_lk(cos theta),
+def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """theta_coefs[k], rows l = k..n of (-1)^k 2^(3/2) sqrt(pi) c_lk P~_lk(cos theta),
     for n and an outcome polar rule; all read-only.
 
     The coefficients of the whole (l, k) triangle are one array, k-major, and
@@ -388,7 +394,6 @@ def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndar
     key = (n, polar_nodes.tobytes())
     entry = _ANGULAR.pop(key, None)
     if entry is None:
-        steps = _recurrence_steps(n)
         block = np.arange(n + 1, 0, -1)  # rows of k's block: l = k..n
         start = np.cumsum(block) - block
         k = np.repeat(np.arange(n + 1), block)
@@ -396,15 +401,14 @@ def _angular(n: int, polar_nodes: np.ndarray) -> tuple[np.ndarray, tuple[np.ndar
         coefs = _legendre_table(n, np.cos(polar_nodes))[l * (l + 1) // 2 + k]
         sign = np.where(k % 2 == 1, -_AMPLITUDE_PREFACTOR, _AMPLITUDE_PREFACTOR)
         coefs *= (sign * _couplings(n, l, k, _log_factorials(2 * n + 1)))[:, None]
-        for a in (steps, coefs):
-            a.setflags(write=False)
+        coefs.setflags(write=False)
         theta_coefs = tuple(np.split(coefs, start[1:]))
-        entry = (sum(a.size + 16 for a in (steps, *theta_coefs)), steps, theta_coefs)
+        entry = (sum(a.size + 16 for a in theta_coefs), theta_coefs)
     if entry[0] <= _ANGULAR_CELLS:
         _ANGULAR[key] = entry
         while sum(e[0] for e in _ANGULAR.values()) > _ANGULAR_CELLS:
             del _ANGULAR[next(iter(_ANGULAR))]
-    return entry[1], entry[2]
+    return entry[1]
 
 
 def _row_ranges(count: int, rows: int) -> list[tuple[int, int]]:
@@ -602,18 +606,18 @@ def build_amplitude_field(
     (n+1) x N_p floats, and a non-finite one raises NumericError.
 
     The outcome-angle coefficients (-1)^k c_lk P~_lk(cos theta), formed for
-    all (l, k) at once, and the recurrence's n-only coefficients come from
-    _angular's cache. Each block of outcome radii, as many whole chunks of
-    _CHUNK_RADIAL radii as keep its (n+1) x radii x momenta table within
-    _BLOCK_CELLS, builds one table of j_l(r p), l = 0..n (see _bessel_table;
-    it agrees with scipy's j_l to about 1e-15 absolute). R_l is one stacked
-    real product of row l with the weighted moment of order l, written into
-    the whole grid's transforms, n+1 floats per radius; the table is freed
-    before the next block's. Then each component k is synthesised once over
-    the whole grid, straight into plane k of the k-major values (see
-    AmplitudeField). Every BLAS call takes the rows of one chunk, the same
-    whatever the block size or the cache's state, so the values depend on
-    neither; the blocks are built one after another in this process.
+    all (l, k) at once, come from _angular's cache. Each block of outcome
+    radii, as many whole chunks of _CHUNK_RADIAL radii as keep its (n+1) x
+    radii x momenta table within _BLOCK_CELLS, builds one table of j_l(r p),
+    l = 0..n (see _bessel_table; it agrees with scipy's j_l to about 1e-15
+    absolute). R_l is one stacked real product of row l with the weighted
+    moment of order l, written into the whole grid's transforms, n+1 floats
+    per radius; the table is freed before the next block's. Then each
+    component k is synthesised once over the whole grid, straight into plane
+    k of the k-major values (see AmplitudeField). Every BLAS call takes the
+    rows of one chunk, the same whatever the block size or the cache's
+    state, so the values depend on neither; the blocks are built one after
+    another in this process.
     """
     n = checked_count(n_spins, "n_spins")
     quad = quad or MomentumQuadrature()
@@ -622,9 +626,9 @@ def build_amplitude_field(
 
     # Radially weighted reduced moments, row l for order l, and the
     # outcome-angle coefficients of each k, from the cache when held.
-    steps, theta_coefs = _angular(n, grid.polar.nodes)
+    theta_coefs = _angular(n, grid.polar.nodes)
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
-    weighted = _reduced_moments(n, p_rule.nodes, steps) * radial_measure
+    weighted = _reduced_moments(n, p_rule.nodes, _recurrence_steps(n)) * radial_measure
     if not np.all(np.isfinite(weighted)):
         raise NumericError("reduced moments are not finite; parameters out of range")
 
@@ -728,10 +732,8 @@ def _radial_resolution_floor(r_max: float, spread: float, requested: int) -> int
     The conditional outcome is the initial position displaced by the spin
     projection, so the density lives on shells of radial width ~spread; the
     mid-interval Gauss-Legendre spacing pi*r_max/(2 n) must stay below that.
-    Capped at MAX_RADIAL_NODES so pathological spreads degrade into a
-    refinement failure instead of an allocation blowup.
     """
-    return max(requested, min(int(math.ceil(2.5 * r_max / spread)), MAX_RADIAL_NODES))
+    return max(requested, int(math.ceil(2.5 * r_max / spread)))
 
 
 def adaptive_outcome_grid(
@@ -748,24 +750,22 @@ def adaptive_outcome_grid(
     exceeding 1 - _TAIL_MASS (plus one node of padding), so the discarded
     tail stays strictly below _TAIL_MASS = 1e-4. Radial counts are floored
     so that shell-like densities at small spread stay resolved. The polar
-    rule is one Gauss-Legendre rule over [0, pi]. An outcome count whose
-    refinement pass, scaled_count of it, would exceed MAX_RADIAL_NODES is
-    refused before any rule is built.
+    rule is one Gauss-Legendre rule over [0, pi]. The cap refuses each count
+    where it is first known, before a rule is built from it: the refinement
+    pass (scaled_count) of each requested outcome count; the scan's momentum
+    count, then its radial floor; and after the scan, the refinement pass of
+    the returned radial count, so no base pass outruns its refinement.
     """
     checked_count(n_spins, "n_spins")
     nodes_r = checked_count(nodes_r, "nodes_r")
     nodes_theta = checked_count(nodes_theta, "nodes_theta")
     for name, count in (("nodes_r", nodes_r), ("nodes_theta", nodes_theta)):
-        if scaled_count(count) > MAX_RADIAL_NODES:
-            raise CapabilityError(
-                f"{name} {count} needs {scaled_count(count)} outcome nodes in the refinement pass, "
-                f"cap {MAX_RADIAL_NODES}")
+        _capped(scaled_count(count), f"outcome nodes in the refinement pass of {name} {count}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
-    # The scan field's momentum count, resolved (and an over-cap one refused)
-    # before its outcome rule, which may be as large, is built.
     quad = quad or MomentumQuadrature()
     quad.radial_count(quad.effective_radial(estimate, model, n_spins))
-    scan_nodes = _radial_resolution_floor(estimate, model.spread, min(nodes_r, 48))
+    scan_nodes = _capped(_radial_resolution_floor(estimate, model.spread, min(nodes_r, 48)),
+                         f"outcome radial nodes in the scan at spread {model.spread:g}")
     scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))
     scan = build_amplitude_field(n_spins, model, scan_grid, quad)
     cumulative = radial_cumulative(scan)
@@ -775,11 +775,10 @@ def adaptive_outcome_grid(
     else:
         pad = min(int(above[0]) + 1, scan_grid.radial.count - 1)
         r_cut = float(scan_grid.radial.nodes[pad])
-    return build_outcome_grid(
-        r_cut,
-        nodes_r=_radial_resolution_floor(r_cut, model.spread, nodes_r),
-        nodes_theta=nodes_theta,
-    )
+    nodes_r = _radial_resolution_floor(r_cut, model.spread, nodes_r)
+    _capped(scaled_count(nodes_r),
+            f"outcome radial nodes in the refinement pass at spread {model.spread:g}")
+    return build_outcome_grid(r_cut, nodes_r=nodes_r, nodes_theta=nodes_theta)
 
 
 def direct_amplitudes_3d(

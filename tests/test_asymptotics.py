@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinpointer.asymptotics import (
+    LowerBoundPoint,
     delta_opt_formula,
     diag_radial_profile,
     epsilon_curve,
@@ -200,6 +201,8 @@ def test_domain_errors():
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="outcome radius"):
             position_amplitudes(radius, 0.5, 1, PointerModel(1.0))
+    with pytest.raises(DomainError, match="above 1"):
+        LowerBoundPoint(2, 1.0, 1.0 + 1e-6, 0.0, 0.5, 0.0, True)
 
 
 def test_unconverged_point_raises():

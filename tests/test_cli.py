@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinpointer
@@ -393,6 +394,15 @@ def test_config_file_guess_rule_is_refused_where_the_flag_is(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "unknown guess rule" in captured.err
 
 
+def test_a_config_number_too_large_for_a_float_exits_two(tmp_path, capsys):
+    # JSON reads a 400-digit integer whole, and float() of it overflows.
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text('{"tol": 1' + "0" * 399 + "}")
+    code, out, err = run_cli(["sweep", "--n", "1", "--delta", "0.5", "--config", str(cfg_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tol must be a finite number, got 1000")
+
+
 def test_invalid_configs_exit_two(tmp_path, capsys):
     bad_key = tmp_path / "bad_key.json"
     bad_key.write_text(json.dumps({"n": [1], "delta": [0.5], "bogus": 1}))
@@ -517,6 +527,57 @@ def test_outcome_counts_over_the_cap_exit_two_before_any_rule(args, capsys, monk
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "cap 20000" in err
     assert built == []
+
+
+def test_a_scan_floor_over_the_cap_exits_two_before_any_rule(capsys, monkeypatch):
+    # At spread 1e-4 the scan's outcome floor, ceil(2.5 r_max / spread), is
+    # 25 015 nodes. It used to be clamped to 20 000, and the scan spent 10 s
+    # on that rule before the run exited 3.
+    built = []
+    monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", built.append)
+    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.0001", "--nodes-p-radial", "8"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "25015 outcome radial nodes in the scan" in err
+    assert "cap 20000" in err
+    assert built == []
+
+
+def test_a_floor_whose_refinement_is_over_the_cap_exits_two_after_the_scan(capsys, monkeypatch):
+    # The scan's floor at spread 1.5e-4, 16 682 radii, fits the cap, but the
+    # floor at the scan's cut is 16 674 radii, and its refinement pass would
+    # take 25 011. That run used to build the 25 011-node rule and exit 0
+    # after 73 s. The scan field takes 19 s on 13 000 momentum nodes (2-core
+    # host), so it is replaced by a cumulative profile that first passes
+    # 1 - 1e-4 at node 16 451, where the real scan's does. Gauss node
+    # generation takes 7 s at 16 682 nodes, so the rules take Tricomi's
+    # asymptotic nodes, within 4e-11 of the exact ones there; no weight is read.
+    built, scans = [], []
+
+    def recorded(count):
+        built.append(count)
+        k = np.arange(count, 0, -1)
+        shrink = 1 - 1 / (8 * count**2) + 1 / (8 * count**3)
+        return shrink * np.cos(math.pi * (4 * k - 1) / (4 * count + 2)), np.full(count, 2.0 / count)
+
+    def scan(n, model, grid, quad):
+        scans.append((grid.radial.count, grid.polar.count, quad.radial_nodes))
+        return grid  # stands in for the field: the profile below reads its radial count alone
+
+    def base_pass(*args):
+        raise AssertionError("the base pass was built")
+
+    monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", recorded)
+    monkeypatch.setattr(spinpointer.pointer, "build_amplitude_field", scan)
+    monkeypatch.setattr(spinpointer.pointer, "radial_cumulative",
+                        lambda stand_in: (np.arange(stand_in.radial.count) >= 16_451).astype(float))
+    monkeypatch.setattr(estimation, "build_amplitude_field", base_pass)
+    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.00015", "--nodes-p-radial", "13000"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "25011 outcome radial nodes in the refinement pass" in err
+    assert "cap 20000" in err
+    assert scans == [(16_682, 32, 13_000)]
+    assert built == [16_682, 32]
 
 
 def test_unconverged_sweep_exits_three(capsys):

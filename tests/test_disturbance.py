@@ -138,6 +138,19 @@ def test_over_cap_refinement_is_refused_before_any_rule(monkeypatch):
             route(1, PointerModel(0.5), MomentumQuadrature(radial_nodes=15_000))
 
 
+def test_explicit_polar_and_azimuthal_counts_share_the_cap(monkeypatch):
+    # Nothing bounded them: the oracle asked for a 10^6-node polar Gauss
+    # rule, and Gauss node generation is quadratic in the count.
+    def no_rule(*args):
+        raise AssertionError("a Gauss rule was built")
+
+    monkeypatch.setattr(quadrature, "_legendre_reference", no_rule)
+    for name in ("polar_nodes", "azimuthal_nodes"):
+        with pytest.raises(CapabilityError, match=f"1000000 {name.replace('_', ' ')}, cap 20000"):
+            disturbance_oracle_full(1, PointerModel(1.0), MomentumQuadrature(**{name: 10**6}))
+        assert getattr(MomentumQuadrature(**{name: 20_000}), name) == 20_000
+
+
 def mesh_value(n, radial, p_rule, c_rule):
     """Reference: the former 2-D (radial, polar) mesh route of
     disturbance_exact, kept verbatim, with the polar rule of max(64, n+1)
@@ -334,6 +347,9 @@ def test_domain_errors():
         min_disturbance(0)
     with pytest.raises(DomainError):
         bloch_z_post_closed(1, -1.0)
+    for d_exact in (-1e-6, 1.0 + 1e-6, math.nan):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            disturbance.DisturbancePoint(1, 1.0, d_exact, 0.0, 0.0, True)
 
 
 def test_unconverged_point_raises():

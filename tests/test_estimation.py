@@ -15,13 +15,14 @@ import pytest
 from spinpointer import estimation, pointer
 from spinpointer.errors import CapabilityError, ConvergenceError, DomainError
 from spinpointer.estimation import (
+    FidelityPoint,
     GuessRule,
     average_fidelity,
     find_delta_opt,
     optimal_fidelity,
     strong_coupling_limit,
 )
-from spinpointer.pointer import MomentumQuadrature, PointerModel, adaptive_outcome_grid
+from spinpointer.pointer import MomentumQuadrature, PointerModel, QuadratureCounts, adaptive_outcome_grid
 from spinpointer.quadrature import gauss_legendre
 
 
@@ -217,6 +218,10 @@ def test_domain_errors():
         average_fidelity(0, PointerModel(1.0))
     with pytest.raises(DomainError):
         average_fidelity(1, PointerModel(1.0), rule="sideways")
+    counts = QuadratureCounts(nodes_r=48, nodes_theta=32, nodes_p_radial=64, nodes_p_polar=2)
+    for fidelity in (-1e-6, 1.0 + 1e-6, math.nan):
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            FidelityPoint(1, 1.0, "plus_r", fidelity, 0.0, True, "plus_r", counts)
 
 
 def test_exact_fidelity_peak_memory_at_n_100():

@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports, and
-every private module-level name is read somewhere in the package.
+"""Source hygiene: every module of the package uses what it imports,
+every private module-level name is read somewhere in the package, and one
+function alone reads the node cap.
 
 No linter ships with the package's toolchain, so these are the checks. The
 package's __init__ is exempt from the first: its imports are the public
@@ -98,3 +99,42 @@ def test_an_unread_private_name_is_reported():
     }
     assert _unread_private_names(sources) == [
         "a.py:_Gone (line 11)", "a.py:_UNUSED (line 2)", "a.py:_dead (line 8)"]
+
+
+def _readers(name: str, sources: dict[str, str]) -> list[str]:
+    """Where the modules in sources (name -> text) read ``name``, as a plain
+    name or as an attribute: module:function for the innermost function
+    around each read, and module:<module> for a read outside any."""
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+              and name in (getattr(node, "id", None), getattr(node, "attr", None))):
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}:<module>")
+    return sorted(readers)
+
+
+def test_only_the_cap_helper_reads_the_node_cap():
+    # Every rule's node count is checked against MAX_RADIAL_NODES by one
+    # helper; a second reader would be a second implementation of the cap.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _SOURCES}
+    assert _readers("MAX_RADIAL_NODES", sources) == ["pointer.py:_capped"]
+
+
+def test_a_reader_of_the_cap_is_reported():
+    sources = {
+        "a.py": (
+            "CAP = 3\n\ndef _capped(n):\n    return n <= CAP\n\n"
+            "def clamp(n):\n    def inner():\n        return min(n, CAP)\n    return inner\n\n"
+            "LIMIT = CAP\n"
+        ),
+        "b.py": "from . import a\n\ndef f():\n    a.CAP = 4\n    return a.CAP\n",
+    }
+    assert _readers("CAP", sources) == ["a.py:<module>", "a.py:_capped", "a.py:inner", "b.py:f"]

@@ -119,6 +119,13 @@ def test_adaptive_grid_resolves_narrow_shells():
     assert spacing < model.spread
 
 
+def test_adaptive_grid_keeps_the_drift_bound_when_no_scan_node_passes_the_cut(monkeypatch):
+    # With a negative tail allowance no cumulative probability passes the cut.
+    monkeypatch.setattr(pointer, "_TAIL_MASS", -1.0)
+    model = PointerModel(0.6)
+    assert adaptive_outcome_grid(2, model).r_max == 1.0 + 6.0 * model.spread
+
+
 def test_weak_coupling_leaves_spin_in_place():
     vec = position_amplitudes(0.3, 0.7, 1, PointerModel(50.0))
     assert abs(vec[1]) ** 2 < 1e-4 * np.sum(np.abs(vec) ** 2, axis=-1)
@@ -146,6 +153,9 @@ def test_field_matches_brute_force_3d():
         brute = direct_amplitudes_3d(vec, up, 2, model)
         fast = position_amplitudes(radius, polar, 2, model, azimuth=azimuth)
         assert np.max(np.abs(brute - fast)) < 1e-10
+    for shape in ((2,), (1, 3), (4,)):
+        with pytest.raises(DomainError, match="3-vector"):
+            direct_amplitudes_3d(np.ones(shape), up, 2, model)
 
 
 def test_rotational_covariance():
@@ -252,9 +262,9 @@ def _per_chunk_field_values(n, model, grid):
     rule build_amplitude_field uses."""
     quad = MomentumQuadrature()
     p_rule = gauss_legendre(quad.radial_count(quad.effective_radial(grid.r_max, model, n)), 0.0, model.p_max)
-    steps, theta_coefs = pointer._angular(n, grid.polar.nodes)
+    theta_coefs = pointer._angular(n, grid.polar.nodes)
     radial_measure = p_rule.weights * p_rule.nodes**2 * momentum_profile(p_rule.nodes, model)
-    weighted = pointer._reduced_moments(n, p_rule.nodes, steps) * radial_measure
+    weighted = pointer._reduced_moments(n, p_rule.nodes, pointer._recurrence_steps(n)) * radial_measure
     values = np.empty((grid.radial.count, grid.polar.count, n + 1))
     for lo, hi in pointer._row_ranges(grid.radial.count, pointer._block_rows(n, p_rule.count)):
         _per_chunk_field_block(n, grid.radial.nodes[lo:hi], p_rule.nodes, weighted, theta_coefs, values[lo:hi])
@@ -297,9 +307,9 @@ def _held_cells():
 
 def test_angular_cache_holds_read_only_arrays():
     pointer._ANGULAR.clear()
-    log_scale, theta_coefs = pointer._angular(3, gauss_legendre(8, 0.0, math.pi).nodes)
+    theta_coefs = pointer._angular(3, gauss_legendre(8, 0.0, math.pi).nodes)
     assert len(theta_coefs) == 4
-    for array in (log_scale, *theta_coefs):
+    for array in theta_coefs:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -496,6 +506,20 @@ def test_bessel_ratio_chain_starts_where_the_largest_argument_needs_it(monkeypat
     assert [steps for _, steps in chains] == [0]
 
 
+def test_ratio_chain_falls_back_to_the_fixed_start():
+    # At l_max = 2450, just below z = l_max, no row below the fixed start
+    # meets the criterion. The fixed start's own truncation estimate, from
+    # ratios of a chain started 400 rows higher, is still far below 2^-53.
+    l_max, z_top = 2450, float(np.nextafter(2450.0, 0.0))
+    start = pointer._ratio_start(l_max, z_top)
+    assert start == _fixed_start(l_max) == 2574
+    r = [0.0] * (start + 402)
+    for m in range(start + 400, l_max, -1):
+        r[m] = z_top / (2 * m + 1 - z_top * r[m + 1])
+    tail = math.prod(r[l_max + 1 : start + 2])  # j_(start+1) / j_(l_max)
+    assert tail * tail * (2 * start + 3) / (2 * l_max + 1) < 1e-23
+
+
 @pytest.mark.parametrize("below", [6_000, 14_000])
 def test_mixed_bessel_table_peaks_below_one_and_a_half_tables(below):
     # A minority of Miller cells is gathered, a majority recurs in place;
@@ -676,7 +700,7 @@ def test_closed_form_moments_match_polar_quadrature(n):
     # quadrature's log-space threshold at n = 60.
     p = np.linspace(0.0, 14.0, 141)[1:]
     log_fact = pointer._log_factorials(2 * n + 1)
-    reduced = pointer._reduced_moments(n, p, pointer._angular(n, np.zeros(1))[0])
+    reduced = pointer._reduced_moments(n, p, pointer._recurrence_steps(n))
     assert reduced.shape == (n + 1, p.size) and reduced.dtype == np.float64
     reference = _polar_moments(n, p)
     largest = max(np.max(np.abs(m)) for m in reference.values())
@@ -716,7 +740,7 @@ def test_reduced_moments_finite_at_n_1000(spread):
     n = 1000
     p = np.linspace(0.0, PointerModel(spread).p_max, 400)
     log_fact = pointer._log_factorials(2 * n + 1)
-    reduced = pointer._reduced_moments(n, p, pointer._angular(n, np.zeros(1))[0])
+    reduced = pointer._reduced_moments(n, p, pointer._recurrence_steps(n))
     assert np.all(np.isfinite(reduced))
     # |g_l| is the reduced element of a unitary: at most 1/sqrt(pi) here.
     assert np.max(np.abs(reduced)) <= 1.0
@@ -877,8 +901,7 @@ def test_angular_coefficients_are_the_per_k_products_bit_for_bit(n):
     pointer._ANGULAR.clear()
     split = _two_caps(32, 0.5 * math.pi).nodes
     for nodes in (gauss_legendre(96, 0.0, math.pi).nodes, split, np.array([0.0])):
-        steps, theta_coefs = pointer._angular(n, nodes)
-        assert np.array_equal(steps, pointer._recurrence_steps(n))
+        theta_coefs = pointer._angular(n, nodes)
         reference = _angular_per_k(n, nodes)
         assert len(theta_coefs) == n + 1
         for k, (coef, ref) in enumerate(zip(theta_coefs, reference)):

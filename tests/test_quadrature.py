@@ -156,6 +156,9 @@ def test_domain_errors():
         refinement_report(1.0, 1.0, 0.0, "test integral", 1, 1.0)
     with pytest.raises(DomainError):
         Rule1D(nodes=np.zeros(3), weights=np.zeros(2), domain=(0.0, 1.0))
+    for domain in ((1.0, 1.0), (1.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="empty integration domain"):
+            Rule1D(nodes=np.zeros(1), weights=np.ones(1), domain=domain)
 
 
 @pytest.mark.parametrize("n_spins", [2.5, True, math.nan])

@@ -349,3 +349,6 @@ def test_domain_errors():
         full_tensor_rotation_oracle(np.zeros((4, 2)), 2)
     with pytest.raises(DomainError):
         Direction(polar=4.0, azimuth=0.0)
+    for azimuth in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="azimuth must be finite"):
+            Direction(polar=0.5, azimuth=azimuth)
