@@ -56,8 +56,8 @@ class LowerBoundPoint:
     accepted: bool
 
     def __post_init__(self):
-        if self.f_lower > 1.0 + 1e-9:
-            raise DomainError(f"fidelity bound {self.f_lower} above 1")
+        if not (-1e-9 <= self.f_lower <= 1.0 + 1e-9):
+            raise DomainError(f"fidelity bound {self.f_lower} is nan, below 0 or above 1")
 
 
 def delta_opt_formula(n_spins: int) -> float:

@@ -20,4 +20,4 @@ class NumericError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature refinement disagreed by far more than the tolerance."""
+    """A refinement moved by far more than the tolerance, or an outcome scan missed its cut."""

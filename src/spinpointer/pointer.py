@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import spherical_jn
 
-from .errors import CapabilityError, DomainError, NumericError
+from .errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from .quadrature import Rule1D, checked_count, gauss_legendre, scaled_count, trapezoid_periodic
 from .spincore import Direction, dicke_expand
 
@@ -720,12 +720,6 @@ def hemisphere_masses(n_spins: int, model: PointerModel) -> tuple[float, float]:
     return float(radial_profile[:half] @ w_t[:half]), float(radial_profile[half:] @ w_t[half:])
 
 
-def radial_cumulative(field: AmplitudeField) -> np.ndarray:
-    """Cumulative outcome probability up to each radial node."""
-    w_r, w_t = field.grid.volume_weights()
-    return np.cumsum(w_r * (field.density @ w_t))
-
-
 def _radial_resolution_floor(r_max: float, spread: float, requested: int) -> int:
     """Outcome radial count able to resolve density shells of width ~spread.
 
@@ -745,16 +739,16 @@ def adaptive_outcome_grid(
 ) -> OutcomeGrid:
     """Outcome grid with the radial cutoff tightened adaptively.
 
-    Starts from the drift bound r_max = n/2 + 6*spread, scans the radial
-    cumulative probability on a coarse field, and cuts at the first node
-    exceeding 1 - _TAIL_MASS (plus one node of padding), so the discarded
-    tail stays strictly below _TAIL_MASS = 1e-4. Radial counts are floored
-    so that shell-like densities at small spread stay resolved. The polar
-    rule is one Gauss-Legendre rule over [0, pi]. The cap refuses each count
-    where it is first known, before a rule is built from it: the refinement
-    pass (scaled_count) of each requested outcome count; the scan's momentum
-    count, then its radial floor; and after the scan, the refinement pass of
-    the returned radial count, so no base pass outruns its refinement.
+    A scan sized by (n, spread) alone, max(48, ceil(2.5 r/spread)) radii by 32
+    polar nodes out to the drift bound r = n/2 + 6 spread, is cut one node past
+    the first whose cumulative probability exceeds 1 - _TAIL_MASS, so the
+    discarded tail stays below 1e-4; a scan that never gets there raises
+    ConvergenceError. The radial count is floored so that shells of width
+    ~spread stay resolved; the polar rule is Gauss-Legendre over [0, pi]. The
+    cap refuses each count where it is first known, before a rule is built
+    from it: the refinement pass of each requested outcome count; the scan's
+    momentum count, then its radial count; and after the scan, the
+    refinement pass of the returned radial count.
     """
     checked_count(n_spins, "n_spins")
     nodes_r = checked_count(nodes_r, "nodes_r")
@@ -764,17 +758,18 @@ def adaptive_outcome_grid(
     estimate = 0.5 * n_spins + 6.0 * model.spread
     quad = quad or MomentumQuadrature()
     quad.radial_count(quad.effective_radial(estimate, model, n_spins))
-    scan_nodes = _capped(_radial_resolution_floor(estimate, model.spread, min(nodes_r, 48)),
+    scan_nodes = _capped(_radial_resolution_floor(estimate, model.spread, 48),
                          f"outcome radial nodes in the scan at spread {model.spread:g}")
-    scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=min(nodes_theta, 32))
-    scan = build_amplitude_field(n_spins, model, scan_grid, quad)
-    cumulative = radial_cumulative(scan)
-    above = np.nonzero(cumulative > 1.0 - _TAIL_MASS)[0]
+    scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=32)
+    w_r, w_t = scan_grid.volume_weights()
+    density = build_amplitude_field(n_spins, model, scan_grid, quad).density
+    cumulative = np.cumsum(w_r * (density @ w_t))
+    above = np.flatnonzero(cumulative > 1.0 - _TAIL_MASS)
     if above.size == 0:
-        r_cut = estimate
-    else:
-        pad = min(int(above[0]) + 1, scan_grid.radial.count - 1)
-        r_cut = float(scan_grid.radial.nodes[pad])
+        raise ConvergenceError(
+            f"outcome scan holds {cumulative[-1]:.10g} of the probability at n={n_spins} "
+            f"spread={model.spread:g}, never above 1 - {_TAIL_MASS:g}")
+    r_cut = float(scan_grid.radial.nodes[min(int(above[0]) + 1, scan_nodes - 1)])
     nodes_r = _radial_resolution_floor(r_cut, model.spread, nodes_r)
     _capped(scaled_count(nodes_r),
             f"outcome radial nodes in the refinement pass at spread {model.spread:g}")

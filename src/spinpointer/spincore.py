@@ -64,10 +64,9 @@ def dicke_expand(alpha, beta, n_spins: int) -> np.ndarray:
     """Symmetric expansion of (alpha|up> + beta|down>)^(x n_spins).
 
     Returns a complex array of shape alpha.shape + (n+1,): component k is
-    sqrt(C(n,k)) alpha^(n-k) beta^k, and alpha and beta are scalars or
-    arrays of one shape. Each
-    element's arithmetic is that of a scalar call, so a batch equals its
-    scalar calls bit for bit.
+    sqrt(C(n,k)) alpha^(n-k) beta^k, and alpha and beta are finite scalars
+    or arrays of one shape. Each element's arithmetic is that of a scalar
+    call, so a batch equals its scalar calls bit for bit.
 
     Up to n = 60 the powers are running products, one factor at a time.
     Above it the binomial and the powers are summed in log space and each
@@ -81,6 +80,8 @@ def dicke_expand(alpha, beta, n_spins: int) -> np.ndarray:
     b = np.asarray(beta, dtype=complex)
     if a.shape != b.shape:
         raise DomainError(f"alpha and beta shapes differ: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("alpha and beta must be finite")
     shape = a.shape
     a = a.reshape(-1)
     b = b.reshape(-1)

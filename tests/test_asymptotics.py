@@ -203,6 +203,9 @@ def test_domain_errors():
             position_amplitudes(radius, 0.5, 1, PointerModel(1.0))
     with pytest.raises(DomainError, match="above 1"):
         LowerBoundPoint(2, 1.0, 1.0 + 1e-6, 0.0, 0.5, 0.0, True)
+    for f_lower in (math.nan, -5.0):  # both used to be accepted
+        with pytest.raises(DomainError, match="fidelity bound"):
+            LowerBoundPoint(2, 1.0, f_lower, 0.0, 0.5, 0.0, True)
 
 
 def test_unconverged_point_raises():

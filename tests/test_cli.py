@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -547,10 +548,11 @@ def test_a_floor_whose_refinement_is_over_the_cap_exits_two_after_the_scan(capsy
     # floor at the scan's cut is 16 674 radii, and its refinement pass would
     # take 25 011. That run used to build the 25 011-node rule and exit 0
     # after 73 s. The scan field takes 19 s on 13 000 momentum nodes (2-core
-    # host), so it is replaced by a cumulative profile that first passes
-    # 1 - 1e-4 at node 16 451, where the real scan's does. Gauss node
-    # generation takes 7 s at 16 682 nodes, so the rules take Tricomi's
-    # asymptotic nodes, within 4e-11 of the exact ones there; no weight is read.
+    # host), so it is replaced by a stand-in field that holds all its
+    # probability on radius node 16 451, where the real scan's cumulative
+    # probability first passes 1 - 1e-4. Gauss node generation takes 7 s at
+    # 16 682 nodes, so the rules take Tricomi's asymptotic nodes, within
+    # 4e-11 of the exact ones there, and weights of 2 / count.
     built, scans = [], []
 
     def recorded(count):
@@ -561,15 +563,16 @@ def test_a_floor_whose_refinement_is_over_the_cap_exits_two_after_the_scan(capsy
 
     def scan(n, model, grid, quad):
         scans.append((grid.radial.count, grid.polar.count, quad.radial_nodes))
-        return grid  # stands in for the field: the profile below reads its radial count alone
+        w_r, w_t = grid.volume_weights()
+        density = np.zeros((grid.radial.count, grid.polar.count))
+        density[16_451] = 1.0 / (w_r[16_451] * w_t.sum())
+        return SimpleNamespace(density=density)
 
     def base_pass(*args):
         raise AssertionError("the base pass was built")
 
     monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", recorded)
     monkeypatch.setattr(spinpointer.pointer, "build_amplitude_field", scan)
-    monkeypatch.setattr(spinpointer.pointer, "radial_cumulative",
-                        lambda stand_in: (np.arange(stand_in.radial.count) >= 16_451).astype(float))
     monkeypatch.setattr(estimation, "build_amplitude_field", base_pass)
     code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.00015", "--nodes-p-radial", "13000"],
                              capsys)
@@ -578,6 +581,16 @@ def test_a_floor_whose_refinement_is_over_the_cap_exits_two_after_the_scan(capsy
     assert "cap 20000" in err
     assert scans == [(16_682, 32, 13_000)]
     assert built == [16_682, 32]
+
+
+def test_a_scan_that_never_passes_the_cut_is_a_failed_point(capsys, monkeypatch):
+    # With a negative tail allowance no scan node passes the cut, so the
+    # point is listed like any other unconverged one.
+    monkeypatch.setattr(spinpointer.pointer, "_TAIL_MASS", -1.0)
+    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.6"], capsys)
+    assert code == 3
+    assert parse_csv(out)[2] == []
+    assert err.startswith("sweep point failed: n=2 delta=0.6: outcome scan holds 0.99")
 
 
 def test_unconverged_sweep_exits_three(capsys):

@@ -31,6 +31,8 @@ CASES = {
     # No other case reaches the golden-section search over the lower bound.
     "asympt_optimize.csv": ["asympt", "--n-min", "4", "--n-max", "8", "--n-step", "4",
                             "--spread-rule", "optimize"],
+    # Every check's measured value, threshold and detail.
+    "validate.json": ["validate", "--format", "json"],
 }
 
 

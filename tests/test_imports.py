@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses what it imports,
-every private module-level name is read somewhere in the package, and one
+every private module-level name is read somewhere in the package, every
+public function and class is exported or read in the package, and one
 function alone reads the node cap.
 
 No linter ships with the package's toolchain, so these are the checks. The
@@ -62,17 +63,23 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
     return defined
 
 
-def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names of the modules in sources (name -> text)
-    that no module reads, as a plain name or as an attribute."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def _read_names(trees) -> set[str]:
+    """Every name the trees read, as a plain name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of the modules in sources (name -> text)
+    that no module reads, as a plain name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = _read_names(trees.values())
     return [
         f"{module}:{name} (line {line})"
         for module, tree in sorted(trees.items())
@@ -99,6 +106,45 @@ def test_an_unread_private_name_is_reported():
     }
     assert _unread_private_names(sources) == [
         "a.py:_Gone (line 11)", "a.py:_UNUSED (line 2)", "a.py:_dead (line 8)"]
+
+
+# The tests' brute-force reference for the field; nothing in the package calls it.
+_TEST_REFERENCES = {"direct_amplitudes_3d"}
+
+
+def _unread_public_names(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Public module-level functions and classes of the modules in sources
+    (name -> text) that are neither in ``exported`` nor read by any module,
+    as a plain name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    known = exported | _read_names(trees.values())
+    return [
+        f"{module}:{node.name} (line {node.lineno})"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in known
+    ]
+
+
+def test_package_exports_or_reads_every_public_function_and_class():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in _SOURCES}
+    assert _unread_public_names(sources, set(spinpointer.__all__) | _TEST_REFERENCES) == []
+
+
+def test_an_unread_public_name_is_reported():
+    sources = {
+        "a.py": (
+            "def exported():\n    pass\n\n"
+            "def helper():\n    return 1\n\n"
+            "def orphan():\n    return helper()\n\n"
+            "class Stray:\n    pass\n\n"
+            "class Used:\n    pass\n\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": "from . import a\n\nVALUE = a.Used()\n",
+    }
+    assert _unread_public_names(sources, {"exported"}) == ["a.py:orphan (line 7)", "a.py:Stray (line 10)"]
 
 
 def _readers(name: str, sources: dict[str, str]) -> list[str]:

@@ -13,7 +13,7 @@ import pytest
 import scipy.special
 
 from spinpointer import pointer, spincore
-from spinpointer.errors import CapabilityError, DomainError, NumericError
+from spinpointer.errors import CapabilityError, ConvergenceError, DomainError, NumericError
 from spinpointer.pointer import (
     MomentumQuadrature,
     OutcomeGrid,
@@ -25,7 +25,6 @@ from spinpointer.pointer import (
     hemisphere_masses,
     momentum_profile,
     position_amplitudes,
-    radial_cumulative,
 )
 from spinpointer.quadrature import Rule1D, gauss_legendre
 from spinpointer.spincore import Direction
@@ -119,11 +118,21 @@ def test_adaptive_grid_resolves_narrow_shells():
     assert spacing < model.spread
 
 
-def test_adaptive_grid_keeps_the_drift_bound_when_no_scan_node_passes_the_cut(monkeypatch):
-    # With a negative tail allowance no cumulative probability passes the cut.
+def test_adaptive_grid_refuses_when_no_scan_node_passes_the_cut(monkeypatch):
+    # With a negative tail allowance no cumulative probability passes the
+    # cut. The grid used to keep the drift bound then, discarding unknown mass.
     monkeypatch.setattr(pointer, "_TAIL_MASS", -1.0)
-    model = PointerModel(0.6)
-    assert adaptive_outcome_grid(2, model).r_max == 1.0 + 6.0 * model.spread
+    with pytest.raises(ConvergenceError, match=r"outcome scan holds 0\.99.* at n=2 spread=0\.6"):
+        adaptive_outcome_grid(2, PointerModel(0.6))
+
+
+@pytest.mark.parametrize("n_spins,spread", [(2, 0.6), (1, 0.3), (3, 1.0)])
+def test_adaptive_cut_ignores_the_requested_outcome_counts(n_spins, spread):
+    # The scan is sized by (n, spread) alone. It used to take min(nodes_r, 48)
+    # by min(nodes_theta, 32) nodes, and these cuts moved by up to 9 %.
+    model = PointerModel(spread)
+    coarse = adaptive_outcome_grid(n_spins, model, nodes_r=16, nodes_theta=8)
+    assert coarse.r_max == adaptive_outcome_grid(n_spins, model).r_max
 
 
 def test_weak_coupling_leaves_spin_in_place():
@@ -202,15 +211,6 @@ def test_hemisphere_caps_add_up_to_the_adaptive_grid_total():
         upper, lower = hemisphere_masses(n_spins, model)
         total = build_amplitude_field(n_spins, model, adaptive_outcome_grid(n_spins, model)).total_probability
         assert abs(upper + lower - total) <= 1e-12
-
-
-def test_radial_cumulative_monotone():
-    model = PointerModel(0.4)
-    grid = adaptive_outcome_grid(2, model)
-    field = build_amplitude_field(2, model, grid)
-    cum = radial_cumulative(field)
-    assert np.all(np.diff(cum) >= -1e-15)
-    assert cum[-1] == pytest.approx(field.total_probability, abs=1e-12)
 
 
 def test_node_doubling_stability():

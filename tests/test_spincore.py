@@ -352,3 +352,9 @@ def test_domain_errors():
     for azimuth in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="azimuth must be finite"):
             Direction(polar=0.5, azimuth=azimuth)
+    # On either side of the log-space threshold: above it a nan or inf
+    # amplitude used to come back as zeros, below it as nan.
+    for n_spins in (60, 61):
+        for alpha, beta in ((math.nan, 0.5), (0.5, math.inf), (np.array([0.6, -math.inf]), np.zeros(2))):
+            with pytest.raises(DomainError, match="alpha and beta must be finite"):
+                dicke_expand(alpha, beta, n_spins)
