@@ -5,7 +5,8 @@ optimize drive the fidelity code, disturbance and bloch the disturbance
 code, asympt the lower-bound curve, reference prints closed-form
 constants, and validate runs the invariant suite. sweep, disturbance and
 bloch share one loop over (n, spread) points, ``_table``: a point that
-fails its convergence check leaves no row and is listed on stderr.
+fails its convergence check leaves no row and is listed on stderr. asympt
+lists a failed size so too, and writes nothing if no size converged.
 
 Each subcommand's settings are declared once, in ``_COMMANDS``: flag, kind
 and default side by side. The parser is built from that table, and a
@@ -264,15 +265,10 @@ def _convert(key: str, value, kind):
     raise ConfigError(f"{key} must be {_KIND_NAMES.get(kind, 'a string')}, got {value!r}")
 
 
-def _momentum_quad(cfg: dict) -> MomentumQuadrature:
-    """The momentum rule; an unset radial count keeps the automatic one."""
-    return MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"])
-
-
 def _fidelity_settings(cfg: dict) -> dict:
     """average_fidelity's keyword settings."""
     return dict(rule=cfg["guess_rule"], nodes_r=cfg["nodes_r"], nodes_theta=cfg["nodes_theta"],
-                quad=_momentum_quad(cfg), tolerance=cfg["tol"])
+                quad=MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"]), tolerance=cfg["tol"])
 
 
 def _fmt(value) -> str:
@@ -344,7 +340,7 @@ def _cmd_optimize(cfg: dict, fmt: str) -> tuple[str, int]:
 
 
 def _cmd_disturbance(cfg: dict, fmt: str) -> tuple[str, int]:
-    quad = _momentum_quad(cfg)
+    quad = MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"])
 
     def marked(n: int) -> list[float]:
         """The spreads and the sqrt(n/8) marker, unless a spread already lies on it."""
@@ -363,7 +359,7 @@ def _cmd_disturbance(cfg: dict, fmt: str) -> tuple[str, int]:
 
 
 def _cmd_bloch(cfg: dict, fmt: str) -> tuple[str, int]:
-    quad = _momentum_quad(cfg)
+    quad = MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"])
 
     def row(n: int, model: PointerModel) -> list:
         rep = bloch_post_numeric(n, model, quad)
@@ -383,12 +379,19 @@ def _cmd_asympt(cfg: dict, fmt: str) -> tuple[str, int]:
         raise ConfigError(f"n-max {n_max} below n-min {n_min}")
     if n_step < 1:
         raise ConfigError(f"n-step must be >= 1, got {n_step}")
-    n_values = list(range(n_min, n_max + 1, n_step))
-    points = epsilon_curve(n_values, cfg["spread_rule"], _momentum_quad(cfg), cfg["tol"])
+    quad, rows, failures = MomentumQuadrature(radial_nodes=cfg["nodes_p_radial"]), [], []
+    for n in range(n_min, n_max + 1, n_step):
+        try:
+            rows += [[p.n_spins, p.spread, p.f_lower, p.epsilon_n, p.optimal_scaling]
+                     for p in epsilon_curve([n], cfg["spread_rule"], quad, cfg["tol"])]
+        except ConvergenceError as exc:
+            failures.append((n, exc))
+    if not rows:
+        raise failures[0][1]  # no size converged: nothing is written
+    for n, exc in failures:
+        print(f"asympt point failed: n={n}: {exc}", file=sys.stderr)
     columns = ["n_spins", "delta_used", "f_lower", "epsilon_n", "optimal_scaling"]
-    rows = [[p.n_spins, p.spread, p.f_lower, p.epsilon_n, p.optimal_scaling]
-            for p in points]
-    return _render(columns, rows, cfg, fmt), 0
+    return _render(columns, rows, cfg, fmt), 3 if failures else 0
 
 
 def _cmd_reference(cfg: dict, fmt: str) -> tuple[str, int]:

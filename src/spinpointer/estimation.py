@@ -98,7 +98,8 @@ def average_fidelity(
     """Average guessing fidelity at one (n, spread) point.
 
     ``rule`` is a GuessRule or its value. Evaluates the outcome grid twice
-    (base and 1.5x-refined everywhere) and declares |difference| as the
+    (base and 1.5x-refined everywhere; ``quad`` sizes the momentum rules of
+    these passes, not the grid's scan) and declares |difference| as the
     error estimate; a disagreement beyond ten times the tolerance raises
     ConvergenceError instead of returning a number that cannot be trusted.
     """
@@ -109,8 +110,8 @@ def average_fidelity(
         rule = GuessRule(rule)
     except ValueError:
         raise DomainError(f"unknown guess rule {rule!r}") from None
+    grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta)
     quad = quad or MomentumQuadrature()
-    grid = adaptive_outcome_grid(n_spins, model, nodes_r, nodes_theta, quad)
     # The refinement pass's radial count, resolved here so that an over-cap
     # one is refused before the base build rather than after it.
     fine = quad.radial_count(quad.effective_radial(grid.r_max, model, n_spins), refined=True)

@@ -152,10 +152,11 @@ class MomentumQuadrature:
 
     Its fields are node counts only: every radial rule ends at the model's
     p_max, 8 momentum sigmas. Each integrand supplies its own automatic
-    radial count; an explicit count wins over it, and the refinement pass
-    takes scaled_count of the base count. A radial count above
-    MAX_RADIAL_NODES, of either pass, is refused before its rule is built,
-    and explicit polar and azimuthal counts above it on construction.
+    radial count; an explicit count wins over it (adaptive_outcome_grid's
+    scan takes none), and the refinement pass takes scaled_count of the
+    base count. A radial count above MAX_RADIAL_NODES, of either pass, is
+    refused before its rule is built, and explicit polar and azimuthal
+    counts above it on construction.
     Each route builds its own rules from radial_count: the amplitude field,
     the lower bound and disturbance_exact integrate the polar angle in
     closed form or by recurrence, and the Bloch route fixes its polar and
@@ -241,8 +242,6 @@ def build_outcome_grid(
     nodes_r: int = NODES_R,
     nodes_theta: int = NODES_THETA,
 ) -> OutcomeGrid:
-    if not (math.isfinite(r_max) and r_max > 0.0):
-        raise DomainError(f"need finite r_max > 0, got {r_max}")
     radial = gauss_legendre(nodes_r, 0.0, r_max)
     return OutcomeGrid(radial=radial, polar=gauss_legendre(nodes_theta, 0.0, math.pi))
 
@@ -735,20 +734,21 @@ def adaptive_outcome_grid(
     model: PointerModel,
     nodes_r: int = NODES_R,
     nodes_theta: int = NODES_THETA,
-    quad: MomentumQuadrature | None = None,
 ) -> OutcomeGrid:
     """Outcome grid with the radial cutoff tightened adaptively.
 
-    A scan sized by (n, spread) alone, max(48, ceil(2.5 r/spread)) radii by 32
-    polar nodes out to the drift bound r = n/2 + 6 spread, is cut one node past
-    the first whose cumulative probability exceeds 1 - _TAIL_MASS, so the
-    discarded tail stays below 1e-4; a scan that never gets there raises
-    ConvergenceError. The radial count is floored so that shells of width
-    ~spread stay resolved; the polar rule is Gauss-Legendre over [0, pi]. The
-    cap refuses each count where it is first known, before a rule is built
-    from it: the refinement pass of each requested outcome count; the scan's
-    momentum count, then its radial count; and after the scan, the
-    refinement pass of the returned radial count.
+    A scan on the automatic momentum count, sized by (n, spread) alone,
+    max(48, ceil(2.5 r/spread)) radii by 32 polar nodes out to the drift
+    bound r = n/2 + 6 spread, is cut one node past the first whose
+    cumulative probability exceeds 1 - _TAIL_MASS, so the discarded tail
+    stays below 1e-4; a scan that never gets there raises ConvergenceError.
+    The radial count is floored so that shells of width ~spread stay
+    resolved; the polar rule is Gauss-Legendre over [0, pi]. Before any rule
+    is built, the cap refuses the refinement pass of each requested outcome
+    count and the scan's momentum count, ceil(6n/spread + 36). Where that
+    count fits (n/spread <= 3327), the scan's radial count,
+    ceil(1.25n/spread + 15), is at most 4175 and the refinement pass of the
+    cut grid's floor at most 6263, so no other count reaches the cap first.
     """
     checked_count(n_spins, "n_spins")
     nodes_r = checked_count(nodes_r, "nodes_r")
@@ -756,23 +756,18 @@ def adaptive_outcome_grid(
     for name, count in (("nodes_r", nodes_r), ("nodes_theta", nodes_theta)):
         _capped(scaled_count(count), f"outcome nodes in the refinement pass of {name} {count}")
     estimate = 0.5 * n_spins + 6.0 * model.spread
-    quad = quad or MomentumQuadrature()
-    quad.radial_count(quad.effective_radial(estimate, model, n_spins))
-    scan_nodes = _capped(_radial_resolution_floor(estimate, model.spread, 48),
-                         f"outcome radial nodes in the scan at spread {model.spread:g}")
-    scan_grid = build_outcome_grid(estimate, nodes_r=scan_nodes, nodes_theta=32)
+    _capped(MomentumQuadrature().effective_radial(estimate, model, n_spins), "radial momentum nodes")
+    scan_grid = build_outcome_grid(estimate, _radial_resolution_floor(estimate, model.spread, 48), 32)
     w_r, w_t = scan_grid.volume_weights()
-    density = build_amplitude_field(n_spins, model, scan_grid, quad).density
+    density = build_amplitude_field(n_spins, model, scan_grid).density
     cumulative = np.cumsum(w_r * (density @ w_t))
     above = np.flatnonzero(cumulative > 1.0 - _TAIL_MASS)
     if above.size == 0:
         raise ConvergenceError(
             f"outcome scan holds {cumulative[-1]:.10g} of the probability at n={n_spins} "
             f"spread={model.spread:g}, never above 1 - {_TAIL_MASS:g}")
-    r_cut = float(scan_grid.radial.nodes[min(int(above[0]) + 1, scan_nodes - 1)])
+    r_cut = float(scan_grid.radial.nodes[min(int(above[0]) + 1, scan_grid.radial.count - 1)])
     nodes_r = _radial_resolution_floor(r_cut, model.spread, nodes_r)
-    _capped(scaled_count(nodes_r),
-            f"outcome radial nodes in the refinement pass at spread {model.spread:g}")
     return build_outcome_grid(r_cut, nodes_r=nodes_r, nodes_theta=nodes_theta)
 
 

@@ -73,10 +73,10 @@ def checked_count(value, name: str = "node count", minimum: int = 1) -> int:
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
-    """Gauss-Legendre rule with ``n`` nodes mapped onto [a, b]."""
+    """Gauss-Legendre rule with ``n`` nodes mapped onto a finite [a, b], b > a."""
     n = checked_count(n)
-    if not (b > a):
-        raise DomainError(f"empty integration domain [{a}, {b}]")
+    if not (b > a and math.isfinite(b - a)):
+        raise DomainError(f"integration domain [{a}, {b}] is empty or not finite")
     x, w = _legendre_reference(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)

@@ -9,9 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import spinpointer
@@ -329,7 +327,7 @@ def test_public_surface_stays_put():
         return list(inspect.signature(function).parameters)
 
     assert parameters(spinpointer.build_outcome_grid) == ["r_max", "nodes_r", "nodes_theta"]
-    assert parameters(spinpointer.adaptive_outcome_grid) == ["n_spins", "model", "nodes_r", "nodes_theta", "quad"]
+    assert parameters(spinpointer.adaptive_outcome_grid) == ["n_spins", "model", "nodes_r", "nodes_theta"]
     assert parameters(spinpointer.hemisphere_masses) == ["n_spins", "model"]
     # The momentum cutoff and the brute-force rule's node counts are constants.
     assert [f.name for f in dataclasses.fields(spinpointer.MomentumQuadrature)] == [
@@ -530,57 +528,35 @@ def test_outcome_counts_over_the_cap_exit_two_before_any_rule(args, capsys, monk
     assert built == []
 
 
-def test_a_scan_floor_over_the_cap_exits_two_before_any_rule(capsys, monkeypatch):
-    # At spread 1e-4 the scan's outcome floor, ceil(2.5 r_max / spread), is
-    # 25 015 nodes. It used to be clamped to 20 000, and the scan spent 10 s
-    # on that rule before the run exited 3.
+@pytest.mark.parametrize(
+    "args,count",
+    [(["sweep", "--n", "1", "--delta", "1e-5"], 600_036),
+     (["sweep", "--n", "2", "--delta", "0.0001", "--nodes-p-radial", "8"], 120_036),
+     (["sweep", "--n", "2", "--delta", "0.00015", "--nodes-p-radial", "13000"], 80_036)],
+    ids=["automatic", "explicit-8", "explicit-13000"],
+)
+def test_a_tiny_spread_exits_two_before_any_rule(args, count, capsys, monkeypatch):
+    # The outcome scan runs on the automatic momentum count, ceil(6n/spread
+    # + 36), whatever --nodes-p-radial says, and that count is refused
+    # before any rule is built, so no scan of up to 25 015 radii runs first.
     built = []
     monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", built.append)
-    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.0001", "--nodes-p-radial", "8"], capsys)
+    code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "25015 outcome radial nodes in the scan" in err
-    assert "cap 20000" in err
+    assert err == f"error: quadrature needs {count} radial momentum nodes, cap 20000\n"
     assert built == []
 
 
-def test_a_floor_whose_refinement_is_over_the_cap_exits_two_after_the_scan(capsys, monkeypatch):
-    # The scan's floor at spread 1.5e-4, 16 682 radii, fits the cap, but the
-    # floor at the scan's cut is 16 674 radii, and its refinement pass would
-    # take 25 011. That run used to build the 25 011-node rule and exit 0
-    # after 73 s. The scan field takes 19 s on 13 000 momentum nodes (2-core
-    # host), so it is replaced by a stand-in field that holds all its
-    # probability on radius node 16 451, where the real scan's cumulative
-    # probability first passes 1 - 1e-4. Gauss node generation takes 7 s at
-    # 16 682 nodes, so the rules take Tricomi's asymptotic nodes, within
-    # 4e-11 of the exact ones there, and weights of 2 / count.
-    built, scans = [], []
-
-    def recorded(count):
-        built.append(count)
-        k = np.arange(count, 0, -1)
-        shrink = 1 - 1 / (8 * count**2) + 1 / (8 * count**3)
-        return shrink * np.cos(math.pi * (4 * k - 1) / (4 * count + 2)), np.full(count, 2.0 / count)
-
-    def scan(n, model, grid, quad):
-        scans.append((grid.radial.count, grid.polar.count, quad.radial_nodes))
-        w_r, w_t = grid.volume_weights()
-        density = np.zeros((grid.radial.count, grid.polar.count))
-        density[16_451] = 1.0 / (w_r[16_451] * w_t.sum())
-        return SimpleNamespace(density=density)
-
-    def base_pass(*args):
-        raise AssertionError("the base pass was built")
-
-    monkeypatch.setattr(spinpointer.quadrature, "_legendre_reference", recorded)
-    monkeypatch.setattr(spinpointer.pointer, "build_amplitude_field", scan)
-    monkeypatch.setattr(estimation, "build_amplitude_field", base_pass)
-    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "0.00015", "--nodes-p-radial", "13000"],
-                             capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "25011 outcome radial nodes in the refinement pass" in err
-    assert "cap 20000" in err
-    assert scans == [(16_682, 32, 13_000)]
-    assert built == [16_682, 32]
+def test_an_explicit_momentum_count_does_not_size_the_scan(capsys):
+    # Six momentum nodes under-resolve the field: a scan on them holds 1.159
+    # of the probability and cuts at r = 18.0 instead of 24.4. The scan
+    # takes the automatic count, so the six-node passes meet the resolved
+    # grid and fail their refinement check.
+    code, out, err = run_cli(["sweep", "--n", "2", "--delta", "5", "--nodes-p-radial", "6"], capsys)
+    assert code == 3
+    assert parse_csv(out)[2] == []
+    failure, = err.splitlines()
+    assert failure.startswith("sweep point failed: n=2 delta=5: fidelity refinement moved by")
 
 
 def test_a_scan_that_never_passes_the_cut_is_a_failed_point(capsys, monkeypatch):
@@ -612,7 +588,8 @@ def test_unconverged_sweep_exits_three(capsys):
     ids=lambda args: args[0],
 )
 def test_unconverged_single_results_exit_three_with_empty_stdout(args, capsys):
-    # optimize and asympt print nothing unless every evaluation converged.
+    # optimize prints nothing unless every evaluation converged, and asympt
+    # nothing unless some size converged.
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "refinement moved by" in err
@@ -631,7 +608,7 @@ def test_partial_tables_keep_converged_rows_and_list_failures(capsys):
     # A point that fails its convergence check leaves no row; the other
     # points keep theirs, and each failure is one stderr line.
     cases = [
-        (["sweep", "--n", "2", "--delta", "0.05", "--delta", "5", "--nodes-p-radial", "6"], "5"),
+        (["sweep", "--n", "2", "--delta", "0.05", "--delta", "5", "--nodes-p-radial", "12"], "5"),
         (["disturbance", "--n", "2", "--delta", "0.05", "--delta", "2", "--nodes-p-radial", "6",
           "--tol", "0.01"], "2"),
     ]
@@ -643,6 +620,18 @@ def test_partial_tables_keep_converged_rows_and_list_failures(capsys):
         failure, = err.splitlines()
         assert failure.startswith(f"{args[0]} point failed: n=2 delta=0.05: ")
         assert "refinement moved by" in failure
+
+
+def test_asympt_keeps_converged_sizes_and_lists_failures(capsys):
+    # With 20 momentum nodes the bound at n = 1 moves by 3.2e-2 in its
+    # refinement pass, and n = 2 converges: its row is kept.
+    code, out, err = run_cli(["asympt", "--n-min", "1", "--n-max", "2", "--nodes-p-radial", "20"], capsys)
+    assert code == 3
+    config, _, rows = parse_csv(out)
+    assert (config["n_min"], config["n_max"]) == (1, 2)
+    assert [row[:2] for row in rows] == [["2", "0.5"]]
+    failure, = err.splitlines()
+    assert failure.startswith("asympt point failed: n=1: lower-bound refinement moved by")
 
 
 def test_disturbance_csv_and_marker(capsys):

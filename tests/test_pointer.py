@@ -26,7 +26,7 @@ from spinpointer.pointer import (
     momentum_profile,
     position_amplitudes,
 )
-from spinpointer.quadrature import Rule1D, gauss_legendre
+from spinpointer.quadrature import Rule1D, gauss_legendre, scaled_count
 from spinpointer.spincore import Direction
 
 
@@ -922,6 +922,29 @@ def test_adaptive_grid_refuses_before_building_any_rule(monkeypatch):
     with pytest.raises(CapabilityError, match="radial momentum nodes"):
         adaptive_outcome_grid(1, PointerModel(1e-5))
     assert calls == []
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 5, 30, 100, 1000, 10_000])
+def test_the_scan_momentum_cap_is_met_before_any_outcome_cap(n_spins):
+    # adaptive_outcome_grid checks only the scan's momentum count against
+    # the cap. Wherever that count fits, the scan's radial floor and the
+    # refinement pass of the cut grid's floor (the cut lies within the drift
+    # bound n/2 + 6 spread) must fit too, down to the spread at which the
+    # momentum count reaches the cap.
+    cap, auto = pointer.MAX_RADIAL_NODES, MomentumQuadrature()
+    edge = 6.0 * n_spins / (cap - 36)  # the momentum count reaches the cap here
+    spreads = np.concatenate([np.geomspace(edge, 1e3, 400), edge * (1 + np.geomspace(1e-12, 1e-2, 50))])
+    fitting = 0
+    for spread in spreads:
+        model = PointerModel(float(spread))
+        drift = 0.5 * n_spins + 6.0 * model.spread
+        if auto.effective_radial(drift, model, n_spins) > cap:
+            continue
+        fitting += 1
+        assert pointer._radial_resolution_floor(drift, model.spread, 48) <= cap
+        assert scaled_count(pointer._radial_resolution_floor(drift, model.spread, pointer.NODES_R)) <= cap
+    assert fitting >= 440
+    assert auto.effective_radial(0.5 * n_spins + 6.0 * 0.999 * edge, PointerModel(0.999 * edge), n_spins) > cap
 
 
 def test_field_values_are_real():

@@ -144,6 +144,9 @@ def test_domain_errors():
         gauss_legendre(0)
     with pytest.raises(DomainError):
         gauss_legendre(4, 1.0, 1.0)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0)):  # not nan nodes and inf weights
+        with pytest.raises(DomainError, match="not finite"):
+            gauss_legendre(4, a, b)
     with pytest.raises(DomainError):
         trapezoid_periodic(0)
     # A fractional count used to build its integer part (Gauss) or fail with
